@@ -9,7 +9,6 @@ from .analysis import (
     verify_run,
 )
 from .engine import (
-    DenseRecord,
     MonteCarloSummary,
     RunConfig,
     Trajectory,
@@ -23,12 +22,10 @@ from .graphs import (
     build_matrices,
     has_spanning_tree,
     is_connected_undirected,
-    max_degree,
     read_edge_list,
     write_edge_list,
 )
 from .protocols import (
-    GainMatrixH,
     GossipSchedule,
     HybridSystem,
     bound_case1,
@@ -55,8 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsensusVerdict",
-    "DenseRecord",
-    "GainMatrixH",
     "GossipSchedule",
     "GraphMatrices",
     "HybridSystem",
@@ -84,7 +79,6 @@ __all__ = [
     "is_connected_undirected",
     "iteration_matrix",
     "left_eigenvector",
-    "max_degree",
     "monte_carlo_mean",
     "nonconsensus_witness",
     "read_edge_list",

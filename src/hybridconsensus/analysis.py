@@ -91,7 +91,7 @@ def decide(
     if case == 2:
         # the predicted value's defining identity: L^T H nu = 0
         L = build_matrices(sys.graph).laplacian
-        residual = float(np.max(np.abs(L.T @ (case2_gain(sys).diag * nu))))
+        residual = float(np.max(np.abs(L.T @ (case2_gain(sys) * nu))))
         if residual >= GAIN_RESIDUAL_TOL:
             raise ConsensusError(
                 f"case-2 gain identity violated: |L^T H nu| = {residual:.3e}"

@@ -1,4 +1,4 @@
-"""Trajectory execution: sampled-map iteration, dense intra-sample records,
+"""Trajectory execution: sampled-map iteration, dense intra-sample states,
 seeded gossip runs and Monte-Carlo aggregation.
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
@@ -9,26 +9,12 @@ sorted edge order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .protocols import (
-    GossipSchedule,
-    HybridSystem,
-    case1_matrix,
-    case2_matrix,
-    continuous_interpolant,
-    gossip_interpolant,
-    gossip_pair_matrix,
-)
-
-
-class DenseRecord(NamedTuple):
-    agent: int
-    t: float
-    value: float
+from .protocols import GossipSchedule, HybridSystem, case1_matrix, case2_matrix, pair_gains
 
 
 @dataclass(frozen=True)
@@ -51,7 +37,7 @@ class RunConfig:
 class Trajectory:
     sample_times: np.ndarray  # (K+1,)
     sample_states: np.ndarray  # (K+1, n)
-    dense_records: tuple[DenseRecord, ...]
+    dense: np.ndarray  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
     drawn_edges: tuple[tuple[int, int], ...] | None = None  # gossip runs only
 
     @property
@@ -66,29 +52,36 @@ class MonteCarloSummary:
     stderr: np.ndarray  # (K+1, n) standard error of the mean
 
 
-def _dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
-    return np.arange(1, dense_per_step + 1) * (h / dense_per_step)
+def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
+    """Offsets j*h/dense_per_step, j = 1..dense_per_step; the last is exactly h."""
+    return np.linspace(0.0, h, dense_per_step + 1)[1:]
 
 
 def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Trajectory:
-    """Iterate the case-1/2 sampled map; dense records for continuous agents."""
+    """Iterate the case-1/2 sampled map; dense states of continuous agents.
+
+    Agent i < m drifts from x_k[i] along (A x_k - d x_k)[i] by f(tau, d_ii):
+    f = tau under zero-order hold, (1 - e^{-d tau}) / d when self-observing.
+    """
     M = (case1_matrix if case == 1 else case2_matrix)(sys).entries
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
-    dense: list[DenseRecord] = []
-    taus = _dense_tau_grid(sys.h, cfg.dense_per_step) if cfg.dense_per_step else ()
     for k in range(cfg.steps):
-        x_k = states[k]
-        for i in range(sys.m):
-            for tau in taus:
-                dense.append(
-                    DenseRecord(i, k * sys.h + tau, continuous_interpolant(case, sys, x_k, i, tau))
-                )
-        states[k + 1] = M @ x_k
+        states[k + 1] = M @ states[k]
+    a = sys.graph.weights[: sys.m]
+    d = a.sum(axis=1)
+    taus = dense_tau_grid(sys.h, cfg.dense_per_step)
+    if case == 1:
+        f = taus
+    else:
+        safe = np.where(d > 0, d, 1.0)[:, None]
+        f = np.where(d[:, None] > 0, -np.expm1(-safe * taus) / safe, taus)
+    x = states[:-1]
+    pull = x @ a.T - x[:, : sys.m] * d  # (K, m)
     return Trajectory(
         sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=states,
-        dense_records=tuple(dense),
+        dense=x[:, : sys.m, None] + f * pull[:, :, None],
     )
 
 
@@ -100,34 +93,57 @@ def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
+def _gossip(
+    sys: HybridSystem, sched: GossipSchedule, steps: int, seed: int, trials: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run `trials` independent gossip chains side by side; trial r draws
+    its edges with seed + r.  Each draw is applied as a two-row update of
+    the (trials, n) state, and the mean and standard error over trials are
+    kept per step.  Returns the drawn edge indices (steps, trials), the
+    means and the standard errors (steps + 1, n)."""
+    sched.validate_against(sys.graph)
+    edges = np.array(sched.edges)
+    gains = pair_gains(sys, sched.edges, sys.h)  # also enforces the h bound
+    choice = np.stack([_draw_edges(sched, steps, seed + r) for r in range(trials)], axis=1)
+    x = np.tile(sys.x0, (trials, 1))
+    rows = np.arange(trials)
+    mean = np.empty((steps + 1, sys.n))
+    stderr = np.zeros((steps + 1, sys.n))
+    for k in range(steps + 1):
+        if k:
+            e = choice[k - 1]
+            i, j = edges[e, 0], edges[e, 1]
+            xi, xj = x[rows, i], x[rows, j]
+            x[rows, i] = xi + gains[e, 0] * (xj - xi)
+            x[rows, j] = xj + gains[e, 1] * (xi - xj)
+        mean[k] = x.mean(axis=0)
+        if trials > 1:
+            stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(trials)
+    return choice, mean, stderr
+
+
 def simulate_gossip(
     sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
 ) -> Trajectory:
     """One seeded gossip run: at each t_k a single edge is drawn i.i.d. and
-    its pair matrix applied; everyone else holds state."""
-    sched.validate_against(sys.graph)
-    pair_mats = [gossip_pair_matrix(sys, i, j).entries for i, j in sched.edges]
-    choice = _draw_edges(sched, cfg.steps, cfg.seed)
-    states = np.empty((cfg.steps + 1, sys.n))
-    states[0] = sys.x0
-    dense: list[DenseRecord] = []
-    drawn: list[tuple[int, int]] = []
-    taus = _dense_tau_grid(sys.h, cfg.dense_per_step) if cfg.dense_per_step else ()
-    for k in range(cfg.steps):
-        edge = sched.edges[choice[k]]
-        drawn.append(edge)
-        x_k = states[k]
-        for i in range(sys.m):
-            for tau in taus:
-                dense.append(
-                    DenseRecord(i, k * sys.h + tau, gossip_interpolant(sys, x_k, edge, i, tau))
-                )
-        states[k + 1] = pair_mats[choice[k]] @ x_k
+    its pair matrix applied; everyone else holds state.  Between samples
+    only the drawn endpoints move, so only their dense states change."""
+    choice, states, _ = _gossip(sys, sched, cfg.steps, cfg.seed, trials=1)
+    choice = choice[:, 0]
+    edges = np.array(sched.edges)[choice]  # (K, 2)
+    x = states[:-1]
+    dense = np.repeat(x[:, : sys.m, None], cfg.dense_per_step, axis=2)
+    for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
+        g = pair_gains(sys, sched.edges, tau)[choice]  # (K, 2) drawn endpoints' gains
+        for end in (0, 1):
+            k = np.flatnonzero(edges[:, end] < sys.m)  # steps moving a continuous agent
+            i, j = edges[k, end], edges[k, 1 - end]
+            dense[k, i, col] = x[k, i] + g[k, end] * (x[k, j] - x[k, i])
     return Trajectory(
         sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=states,
-        dense_records=tuple(dense),
-        drawn_edges=tuple(drawn),
+        dense=dense,
+        drawn_edges=tuple(sched.edges[c] for c in choice),
     )
 
 
@@ -138,20 +154,7 @@ def monte_carlo_mean(
     independent gossip trials; trial r runs with seed cfg.seed + r."""
     if cfg.trials < 2:
         raise ValueError("monte_carlo_mean needs trials >= 2")
-    sched.validate_against(sys.graph)
-    pair_mats = [gossip_pair_matrix(sys, i, j).entries for i, j in sched.edges]
-    all_states = np.empty((cfg.trials, cfg.steps + 1, sys.n))
-    for r in range(cfg.trials):
-        choice = _draw_edges(sched, cfg.steps, cfg.seed + r)
-        x = np.array(sys.x0)
-        all_states[r, 0] = x
-        for k in range(cfg.steps):
-            x = pair_mats[choice[k]] @ x
-            all_states[r, k + 1] = x
-    mean = all_states.mean(axis=0)  # numpy pairwise summation
-    std = all_states.std(axis=0, ddof=1)
+    _, mean, stderr = _gossip(sys, sched, cfg.steps, cfg.seed, cfg.trials)
     return MonteCarloSummary(
-        sample_times=np.arange(cfg.steps + 1) * sys.h,
-        mean_states=mean,
-        stderr=std / np.sqrt(cfg.trials),
+        sample_times=np.arange(cfg.steps + 1) * sys.h, mean_states=mean, stderr=stderr
     )

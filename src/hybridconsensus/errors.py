@@ -14,10 +14,6 @@ class AsymmetricGraph(ConsensusError):
     """An operation requiring an undirected graph received a_ij != a_ji."""
 
 
-class EmptySubset(ConsensusError):
-    """A vertex subset argument was empty."""
-
-
 class NotStochastic(ConsensusError):
     """A matrix failed the row-stochasticity check."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AsymmetricGraph, EmptySubset, InvalidGraph, ParseError
+from .errors import AsymmetricGraph, InvalidGraph, ParseError
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,14 @@ class WeightedDigraph:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Degree matrix and Laplacian derived from a graph."""
+    """Laplacian derived from a graph."""
 
-    degree: np.ndarray
     laplacian: np.ndarray
 
 
 def build_matrices(g: WeightedDigraph) -> GraphMatrices:
-    """Degree matrix D = diag(row sums) and Laplacian L = D - A."""
-    d = g.in_degrees()
-    laplacian = np.diag(d) - g.weights
-    return GraphMatrices(degree=np.diag(d), laplacian=laplacian)
+    """Laplacian L = D - A, D = diag(row sums)."""
+    return GraphMatrices(laplacian=np.diag(g.in_degrees()) - g.weights)
 
 
 def _reachable(g: WeightedDigraph, root: int) -> np.ndarray:
@@ -120,18 +117,6 @@ def is_connected_undirected(g: WeightedDigraph) -> bool:
     if not g.is_symmetric():
         raise AsymmetricGraph("connectivity check requires a_ij == a_ji")
     return bool(_reachable(g, 0).all())
-
-
-def max_degree(g: WeightedDigraph, subset=None) -> float:
-    """Largest d_ii over `subset` (all vertices when omitted)."""
-    if subset is None:
-        subset = range(g.n)
-    idx = sorted(set(int(i) for i in subset))
-    if not idx:
-        raise EmptySubset("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= g.n:
-        raise EmptySubset(f"subset entries must lie in [0, {g.n})")
-    return float(g.in_degrees()[idx].max())
 
 
 # --- edge-list file format ---------------------------------------------------

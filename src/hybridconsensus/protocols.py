@@ -62,13 +62,6 @@ class HybridSystem:
 
 
 @dataclass(frozen=True)
-class GainMatrixH:
-    """Diagonal gain matrix H of the case-2 sampled map I - H*L."""
-
-    diag: np.ndarray
-
-
-@dataclass(frozen=True)
 class GossipSchedule:
     """Edges of a symmetric graph with their selection probabilities."""
 
@@ -171,15 +164,16 @@ def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
     return iteration_matrix(sys.graph, np.full(sys.n, sys.h))
 
 
-def case2_gain(sys: HybridSystem) -> GainMatrixH:
-    """Exponential gains on continuous rows, plain h on discrete rows."""
+def case2_gain(sys: HybridSystem) -> np.ndarray:
+    """Read-only diagonal of the gain matrix H: exponential gains on
+    continuous rows, plain h on discrete rows."""
     _require_h(sys, bound_case2(sys), "bound_case2 (1/max discrete d_ii)")
     d = sys.graph.in_degrees()
     diag = np.full(sys.n, sys.h)
     for i in range(sys.m):
         diag[i] = _exp_gain(float(d[i]), sys.h)
     diag.setflags(write=False)
-    return GainMatrixH(diag)
+    return diag
 
 
 def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
@@ -191,7 +185,7 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     point can underflow to 0 when d_ii * h is large (the Remark-1 regime
     where continuous in-degrees exceed 1/h).
     """
-    gains = case2_gain(sys).diag  # also enforces the h bound
+    gains = case2_gain(sys)  # also enforces the h bound
     d = sys.graph.in_degrees()
     L = build_matrices(sys.graph).laplacian
     M = np.eye(sys.n) - gains[:, None] * L
@@ -202,32 +196,40 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     return check_stochastic(M)
 
 
-def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
-    """Pair interaction matrix Phi_ij; rows other than i, j are identity.
+def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
+    """Gains (g_i, g_j), one row per edge (i, j) with i < j, of the pair
+    update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over the window
+    (t_k, t_k + tau]; Phi_ij takes tau = h.
 
-    The update factor depends on the kinds of the two endpoints:
+    The factor depends on the kinds of the two endpoints:
     continuous-continuous averages symmetrically with factor
-    (1 - e^{-2ah})/2, continuous-discrete mixes factors 1 - e^{-ah} and
-    h*a, discrete-discrete uses h*a on both rows.
+    (1 - e^{-2a tau})/2, continuous-discrete mixes factors 1 - e^{-a tau}
+    and h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint
+    moves only at t_{k+1}.  Enforces the case-3 h bound.
     """
+    _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
+    gains = np.empty((len(edges), 2))
+    for row, (i, j) in enumerate(edges):
+        a = float(sys.graph.weights[i, j])
+        if sys.is_continuous(j):  # agents 0..m-1 are continuous, so i < j is too
+            gains[row] = (1.0 - math.exp(-2.0 * a * tau)) / 2.0
+        elif sys.is_continuous(i):
+            gains[row] = 1.0 - math.exp(-a * tau), sys.h * a
+        else:
+            gains[row] = sys.h * a
+    return gains
+
+
+def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
+    """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
     if not sys.graph.is_symmetric():
         raise AsymmetricGraph("gossip requires a symmetric graph")
     if not 0 <= i < j < sys.n:
         raise NotAnEdge(f"need 0 <= i < j < n, got ({i}, {j})")
-    a = float(sys.graph.weights[i, j])
-    if a <= 0:
+    if sys.graph.weights[i, j] <= 0:
         raise NotAnEdge(f"({i}, {j}) carries zero weight")
-    _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
+    gi, gj = pair_gains(sys, [(i, j)], sys.h)[0]
     phi = np.eye(sys.n)
-    ci, cj = sys.is_continuous(i), sys.is_continuous(j)
-    if ci and cj:
-        gamma = (1.0 - math.exp(-2.0 * a * sys.h)) / 2.0
-        gi = gj = gamma
-    elif ci and not cj:
-        gi = 1.0 - math.exp(-a * sys.h)
-        gj = sys.h * a
-    else:  # agents 0..m-1 are continuous, so i < j rules out (discrete, continuous)
-        gi = gj = sys.h * a
     phi[i, i] -= gi
     phi[i, j] += gi
     phi[j, j] -= gj

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .analysis import ConsensusVerdict, case_bound
 from .config import ExperimentConfig
-from .engine import MonteCarloSummary, Trajectory
+from .engine import MonteCarloSummary, Trajectory, dense_tau_grid
 from .protocols import HybridSystem
 
 CSV_HEADER = "t,agent,value,kind,record"
@@ -23,26 +23,22 @@ def _kind(sys: HybridSystem, agent: int) -> str:
 
 def trajectory_csv_lines(sys: HybridSystem, traj: Trajectory | MonteCarloSummary) -> list[str]:
     """Rows `t,agent,value,kind,record`; agent ids are 1-based as in the
-    edge-list format.  Monte-Carlo summaries emit their mean states."""
+    edge-list format.  Sample block k is followed by the dense rows of
+    interval k, at t_k + tau.  Monte-Carlo summaries emit their mean states."""
     lines = [CSV_HEADER]
     if isinstance(traj, MonteCarloSummary):
-        times, states, dense = traj.sample_times, traj.mean_states, ()
+        states, dense, taus = traj.mean_states, [], []
     else:
-        times, states, dense = traj.sample_times, traj.sample_states, traj.dense_records
-    dense_by_step: dict[int, list] = {}
-    for rec in dense:
-        # records lie in (t_k, t_{k+1}]; nudge below the right endpoint
-        k = int((rec.t - 1e-12) / sys.h)
-        dense_by_step.setdefault(max(0, min(k, len(times) - 2)), []).append(rec)
-    for k, t in enumerate(times):
-        for agent in range(sys.n):
-            lines.append(
-                f"{float(t)!r},{agent + 1},{float(states[k, agent])!r},{_kind(sys, agent)},sample"
-            )
-        for rec in dense_by_step.get(k, ()):
-            lines.append(
-                f"{float(rec.t)!r},{rec.agent + 1},{float(rec.value)!r},{_kind(sys, rec.agent)},dense"
-            )
+        states, dense = traj.sample_states, traj.dense.tolist()
+        taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
+    kinds = [_kind(sys, agent) for agent in range(sys.n)]
+    for k, (t, row) in enumerate(zip(traj.sample_times.tolist(), states.tolist())):
+        for agent, value in enumerate(row):
+            lines.append(f"{t!r},{agent + 1},{value!r},{kinds[agent]},sample")
+        if k < len(dense):
+            for agent, values in enumerate(dense[k]):
+                for tau, value in zip(taus, values):
+                    lines.append(f"{k * sys.h + tau!r},{agent + 1},{value!r},{kinds[agent]},dense")
     return lines
 
 

@@ -46,12 +46,12 @@ def check_stochastic(matrix: np.ndarray, tol: float = STOCHASTIC_TOL) -> Stochas
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotStochastic(-1, float("nan"))
-    for row in range(m.shape[0]):
-        if np.any(m[row] < 0):
-            raise NotStochastic(row, float(m[row].min()))
-        residual = abs(m[row].sum() - 1.0)
-        if residual > tol:
-            raise NotStochastic(row, residual)
+    negative = (m < 0).any(axis=1)
+    residual = np.abs(m.sum(axis=1) - 1.0)
+    bad = np.flatnonzero(negative | (residual > tol))
+    if bad.size:
+        row = int(bad[0])
+        raise NotStochastic(row, float(m[row].min() if negative[row] else residual[row]))
     m = m.copy()
     m.setflags(write=False)
     return StochasticMatrix(m)

@@ -107,7 +107,7 @@ def test_criterion_2_case2_gain_law():
         assert np.diag(P.entries).min() > 0
         limit, nu = sia_limit(P)
         L = build_matrices(g).laplacian
-        residual = float(np.max(np.abs(L.T @ (case2_gain(sys_).diag * nu.nu))))
+        residual = float(np.max(np.abs(L.T @ (case2_gain(sys_) * nu.nu))))
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-10
         # powers applied to x0 hit the predicted consensus value
@@ -257,15 +257,18 @@ def test_criterion_7_benchmark_examples_via_cli(tmp_path):
 
 
 def test_criterion_8_determinism(tmp_path):
-    """Identical config + seed => byte-identical trajectory files."""
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        result = _run_cli(
-            "run", str(PRESETS / "example3.cfg"),
-            "--steps", "120", "--trials", "60", "--tol", "1.0", "--out", str(out),
-        )
-        assert result.returncode == 0, result.stderr
-        outs.append((out / "trajectory.csv").read_bytes())
-    ok = outs[0] == outs[1]
-    report("8 determinism", ok, f"{len(outs[0])} identical bytes")
+    """Identical config + seed => byte-identical trajectory and verdict files,
+    for a gossip run (seeded draws) and a case-1 run (dense rows)."""
+    runs = {
+        "example3": ("--steps", "120", "--trials", "60", "--tol", "1.0"),
+        "example1": ("--steps", "120", "--tol", "1.0"),
+    }
+    outs = {}
+    for preset, flags in runs.items():
+        for tag in ("a", "b"):
+            out = tmp_path / preset / tag
+            result = _run_cli("run", str(PRESETS / f"{preset}.cfg"), *flags, "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            outs[preset, tag] = [(out / f).read_bytes() for f in ("trajectory.csv", "verdict.json")]
+    same = [p for p in runs if outs[p, "a"] == outs[p, "b"]]
+    report("8 determinism", same == list(runs), f"identical trajectory and verdict bytes: {same}")

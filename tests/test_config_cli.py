@@ -99,6 +99,25 @@ class TestCliExitCodes:
         verdict = json.loads((tmp_path / "verdict.json").read_text())
         assert verdict["converged"] and verdict["solvable"]
 
+    def test_dense_grid_ends_exactly_at_h(self, tmp_path, presets_dir):
+        # 10 * (0.103 / 10) rounds above 0.103; the last dense point must sit at h
+        result = run_cli(
+            "run", str(presets_dir / "example1.cfg"), "--h", "0.103", "--steps", "600",
+            "--out", str(tmp_path),
+        )
+        assert result.returncode == 0, result.stderr
+        # every interval's last dense row sits at t_k + h, none beyond it
+        last_dense, t_k = {}, None
+        for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]:
+            t, _, _, _, record = line.split(",")
+            if record == "sample":
+                t_k = float(t)
+            else:
+                assert float(t) <= t_k + 0.103
+                last_dense[t_k] = float(t)
+        assert len(last_dense) == 600
+        assert all(t == t_k + 0.103 for t_k, t in last_dense.items())
+
     def test_outdir_env_var(self, tmp_path, presets_dir):
         import os
 

@@ -7,12 +7,15 @@ from hybridconsensus import (
     RunConfig,
     WeightedDigraph,
     case1_matrix,
+    continuous_interpolant,
+    gossip_interpolant,
     gossip_pair_matrix,
     gossip_expected_matrix,
     monte_carlo_mean,
     simulate_deterministic,
     simulate_gossip,
 )
+from hybridconsensus.engine import dense_tau_grid
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -52,10 +55,17 @@ class TestSimulateDeterministic:
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-2, 2, 5))
         for case in (1, 2):
             traj = simulate_deterministic(sys, case, RunConfig(steps=5, dense_per_step=4))
-            for rec in traj.dense_records:
-                k = round(rec.t / sys.h * 4) / 4
-                if k == int(k):  # landed on a sampling instant
-                    assert abs(rec.value - traj.sample_states[int(k), rec.agent]) < 1e-10
+            assert traj.dense.shape == (5, 3, 4)
+            np.testing.assert_allclose(
+                traj.dense[:, :, -1], traj.sample_states[1:, :3], atol=1e-10, rtol=0
+            )
+
+    def test_tau_grid_ends_exactly_at_h(self):
+        # 10 * (0.103 / 10) rounds to 0.10300000000000001, one ulp past h
+        for h, d in ((0.103, 10), (0.3, 4), (0.07, 7), (1e-3, 3)):
+            taus = dense_tau_grid(h, d)
+            assert taus[-1] == h
+            assert np.all(np.diff(taus) > 0) and taus[0] > 0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(97)
@@ -68,8 +78,24 @@ class TestSimulateDeterministic:
         t0 = simulate_deterministic(base, 1, cfg)
         t1 = simulate_deterministic(shifted, 1, cfg)
         np.testing.assert_allclose(t1.sample_states, t0.sample_states + 3.0, atol=1e-11)
-        for r0, r1 in zip(t0.dense_records, t1.dense_records):
-            assert abs(r1.value - r0.value - 3.0) < 1e-11
+        np.testing.assert_allclose(t1.dense, t0.dense + 3.0, atol=1e-11, rtol=0)
+
+    def test_dense_matches_scalar_interpolant(self):
+        rng = np.random.default_rng(107)
+        for _ in range(10):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            g = random_spanning_graph(rng, n, extra=4, w_lo=0.1)
+            x0 = rng.uniform(-10, 10, n)
+            for case in (1, 2):
+                # case 2 also takes continuous in-degrees past 1/h (Remark 1)
+                h = 0.9 / max(g.in_degrees()[m:].max(initial=0.0) if case == 2 else
+                              g.in_degrees().max(), 1.0)
+                sys = HybridSystem(g, m=min(m, n), h=h, x0=x0)
+                traj = simulate_deterministic(sys, case, RunConfig(steps=6, dense_per_step=3))
+                taus = dense_tau_grid(h, 3)
+                for k, i, j in np.ndindex(traj.dense.shape):
+                    want = continuous_interpolant(case, sys, traj.sample_states[k], i, taus[j])
+                    assert abs(traj.dense[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
 
     def test_max_min_shrinking(self):
         rng = np.random.default_rng(101)
@@ -104,7 +130,7 @@ class TestSimulateGossip:
         t1 = simulate_gossip(sys, sched, cfg)
         np.testing.assert_array_equal(t0.sample_states, t1.sample_states)
         assert t0.drawn_edges == t1.drawn_edges
-        assert t0.dense_records == t1.dense_records
+        np.testing.assert_array_equal(t0.dense, t1.dense)
 
     def test_replay_of_logged_draws(self):
         g = undirected_ring_with_chord()
@@ -115,6 +141,34 @@ class TestSimulateGossip:
         for k, (i, j) in enumerate(traj.drawn_edges):
             x = gossip_pair_matrix(sys, i, j).entries @ x
             np.testing.assert_allclose(traj.sample_states[k + 1], x, atol=1e-15)
+
+    def test_drawn_edges_are_stable(self):
+        # inverse-CDF draws from PCG64(seed) over the sorted edge list
+        g = undirected_ring_with_chord()
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
+        traj = simulate_gossip(
+            sys, GossipSchedule.uniform(g), RunConfig(steps=16, dense_per_step=0, seed=2015)
+        )
+        assert traj.drawn_edges == (
+            (1, 2), (0, 3), (3, 4), (4, 5), (0, 3), (0, 1), (2, 3), (4, 5),
+            (0, 5), (4, 5), (3, 4), (4, 5), (0, 1), (0, 5), (0, 1), (2, 3),
+        )
+
+    def test_dense_matches_scalar_interpolant(self):
+        rng = np.random.default_rng(109)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            g = random_symmetric_connected(rng, n)
+            x0 = rng.uniform(-10, 10, n)
+            sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / g.weights.max(), x0=x0)
+            cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
+            traj = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
+            assert traj.dense.shape == (12, sys.m, 3)
+            taus = dense_tau_grid(sys.h, 3)
+            for k, i, j in np.ndindex(traj.dense.shape):
+                x_k, edge = traj.sample_states[k], traj.drawn_edges[k]
+                want = gossip_interpolant(sys, x_k, edge, i, taus[j])
+                assert abs(traj.dense[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
 
     def test_max_min_shrinking_per_step(self):
         g = undirected_ring_with_chord()
@@ -140,6 +194,30 @@ class TestMonteCarlo:
         sched = GossipSchedule(((0, 1),), np.array([1.0]))
         with pytest.raises(ValueError):
             monte_carlo_mean(sys, sched, RunConfig(steps=5, trials=1))
+
+    def test_matches_per_trial_pair_matrix_loop(self):
+        rng = np.random.default_rng(113)
+        g = random_symmetric_connected(rng, 5)
+        x0 = rng.uniform(-8, 8, 5)
+        sys = HybridSystem(g, m=2, h=0.6 / g.weights.max(), x0=x0)
+        sched = GossipSchedule.uniform(g)
+        cfg = RunConfig(steps=30, trials=40, seed=21)
+        mc = monte_carlo_mean(sys, sched, cfg)
+        # reference: one full pair matrix per drawn edge, trial r seeded seed + r
+        all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
+        for r in range(cfg.trials):
+            edges = simulate_gossip(
+                sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
+            ).drawn_edges
+            x = np.array(x0)
+            all_states[r, 0] = x
+            for k, (i, j) in enumerate(edges):
+                x = gossip_pair_matrix(sys, i, j).entries @ x
+                all_states[r, k + 1] = x
+        tol = 1e-12 * np.abs(x0).max()
+        np.testing.assert_allclose(mc.mean_states, all_states.mean(axis=0), rtol=0, atol=tol)
+        stderr = all_states.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
+        np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=tol)
 
     def test_mean_tracks_expected_matrix_power(self):
         rng = np.random.default_rng(103)

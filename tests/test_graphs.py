@@ -6,11 +6,10 @@ from hybridconsensus import (
     build_matrices,
     has_spanning_tree,
     is_connected_undirected,
-    max_degree,
     read_edge_list,
     write_edge_list,
 )
-from hybridconsensus.errors import AsymmetricGraph, EmptySubset, InvalidGraph, ParseError
+from hybridconsensus.errors import AsymmetricGraph, InvalidGraph, ParseError
 from conftest import random_spanning_graph, ring_graph
 
 
@@ -52,7 +51,6 @@ class TestBuildMatrices:
     def test_six_ring_hand_expansion(self):
         g = ring_graph(6)
         mats = build_matrices(g)
-        np.testing.assert_array_equal(np.diag(mats.degree), np.ones(6))
         expected = np.eye(6)
         for i in range(6):
             expected[i, (i - 1) % 6] = -1.0
@@ -123,32 +121,6 @@ class TestConnectivity:
                 w[0, 1] = w[1, 0] = 1.0
             g = WeightedDigraph(w)
             assert is_connected_undirected(g) == has_spanning_tree(g)
-
-
-class TestMaxDegree:
-    def test_ring_all_vertices(self):
-        assert max_degree(ring_graph(6)) == 1.0
-
-    def test_single_vertex_two_in_edges(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[0, 2] = 1.0
-        assert max_degree(WeightedDigraph(w), {0}) == 2.0
-
-    def test_weighted_row_sum(self):
-        w = np.zeros((3, 3))
-        w[0, 1], w[0, 2] = 0.5, 0.7
-        assert max_degree(WeightedDigraph(w), {0}) == pytest.approx(1.2)
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(EmptySubset):
-            max_degree(ring_graph(3), set())
-
-    def test_equals_largest_laplacian_diagonal(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            g = random_spanning_graph(rng, 6, extra=6)
-            L = build_matrices(g).laplacian
-            assert max_degree(g) == np.diag(L).max()
 
 
 class TestEdgeListFormat:

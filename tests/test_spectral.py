@@ -26,6 +26,19 @@ class TestCheckStochastic:
         with pytest.raises(NotStochastic):
             P([[1.2, -0.2], [0.2, 0.8]])
 
+    def test_reports_first_of_two_bad_rows(self):
+        with pytest.raises(NotStochastic) as exc:
+            P([[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [-0.1, 0.6, 0.5]])
+        assert exc.value.row == 1
+        assert exc.value.residual == pytest.approx(0.1)
+
+    def test_negative_entry_reported_before_row_sum(self):
+        # row 0 is negative and off-sum: its min entry is the reported value
+        with pytest.raises(NotStochastic) as exc:
+            P([[0.9, -0.3], [0.2, 0.8]])
+        assert exc.value.row == 0
+        assert exc.value.residual == -0.3
+
 
 class TestSiaLimit:
     def test_symmetric_two_node(self):
