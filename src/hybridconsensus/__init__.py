@@ -21,7 +21,6 @@ from .graphs import (
     WeightedDigraph,
     build_matrices,
     has_spanning_tree,
-    is_connected_undirected,
     read_edge_list,
     write_edge_list,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "gossip_interpolant",
     "gossip_pair_matrix",
     "has_spanning_tree",
-    "is_connected_undirected",
     "iteration_matrix",
     "left_eigenvector",
     "monte_carlo_mean",

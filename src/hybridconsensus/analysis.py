@@ -15,7 +15,7 @@ from .engine import (
     simulate_deterministic,
 )
 from .errors import ConsensusError, UnknownCase
-from .graphs import build_matrices, dependency_closure, has_spanning_tree, is_connected_undirected
+from .graphs import build_matrices, has_spanning_tree, strong_components
 from .protocols import (
     GossipSchedule,
     HybridSystem,
@@ -73,11 +73,10 @@ def decide(
     Perron vector of the case's iteration (or expected) matrix.
     """
     P = case_matrix(sys, case, sched)  # also enforces the h bound
+    solvable = has_spanning_tree(sys.graph)  # on a symmetric graph: connected
     if case == 3:
-        solvable = is_connected_undirected(sys.graph)
         condition = "graph is connected" if solvable else "graph is not connected"
     else:
-        solvable = has_spanning_tree(sys.graph)
         condition = (
             "graph has a directed spanning tree"
             if solvable
@@ -107,22 +106,18 @@ def disagreement(traj: Trajectory | MonteCarloSummary, at: int = -1) -> float:
 
 
 def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
-    """Initial state pinning two independent closed vertex sets at 0 and 1.
+    """Initial state pinning two closed classes at 0 and 1.
 
-    Exists exactly when the graph has no spanning tree; the two sets never
-    hear each other, so disagreement stays at 1 forever.
+    Exists exactly when the graph has no spanning tree; the two classes
+    never hear each other, so disagreement stays at 1 forever.
     """
-    closures = sorted(
-        {dependency_closure(sys.graph, v) for v in range(sys.n)}, key=lambda s: (len(s), sorted(s))
-    )
-    for a_idx in range(len(closures)):
-        for b_idx in range(a_idx + 1, len(closures)):
-            if closures[a_idx].isdisjoint(closures[b_idx]):
-                x0 = np.full(sys.n, 0.5)
-                x0[list(closures[a_idx])] = 0.0
-                x0[list(closures[b_idx])] = 1.0
-                return x0
-    raise ConsensusError("graph has a spanning tree; no witness exists")
+    label, closed = strong_components(sys.graph.weights)
+    if len(closed) < 2:
+        raise ConsensusError("graph has a spanning tree; no witness exists")
+    x0 = np.full(sys.n, 0.5)
+    x0[label == closed[0]] = 0.0
+    x0[label == closed[1]] = 1.0
+    return x0
 
 
 def verify_run(

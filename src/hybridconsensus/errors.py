@@ -29,7 +29,7 @@ class NotRankOne(ConsensusError):
 
 
 class DegenerateEigenspace(ConsensusError):
-    """The eigenvalue 1 has a numerical eigenspace of dimension > 1."""
+    """The eigenvalue 1 is not simple: P has no single closed class."""
 
 
 class SamplingPeriodTooLarge(ConsensusError):

@@ -238,11 +238,13 @@ def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
 
 
 def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> StochasticMatrix:
-    """Probability-weighted mean of the pair matrices, E(Phi)."""
+    """Probability-weighted mean of the pair matrices, E(Phi) = I + sum_ij
+    p_ij (Phi_ij - I), scattered in one pass from the pair gains."""
     sched.validate_against(sys.graph)
-    expected = np.zeros((sys.n, sys.n))
-    for (i, j), p in zip(sched.edges, sched.probs):
-        expected += p * gossip_pair_matrix(sys, i, j).entries
+    i, j = np.array(sched.edges).T
+    g = (pair_gains(sys, sched.edges, sys.h) * sched.probs[:, None]).T
+    expected = np.eye(sys.n)
+    np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
     return check_stochastic(expected)
 
 

@@ -4,7 +4,10 @@ Two independent routes to the consensus weight vector nu:
 
 * ``sia_limit``      -- power iteration (repeated squaring) until the matrix
                         powers collapse to a rank-one limit 1 * nu^T;
-* ``left_eigenvector`` -- direct null-space extraction of (P^T - I).
+* ``left_eigenvector`` -- nu is supported on the one closed strongly
+                        connected class of P (the root class) and solved
+                        there by subtraction-free Grassmann-Taksar-Heyman
+                        elimination (Oper. Res. 1985); zero elsewhere.
 
 The two must agree whenever both succeed; tests exercise that cross-check.
 """
@@ -16,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEigenspace, NotRankOne, NotStochastic
+from .graphs import strong_components
 
 STOCHASTIC_TOL = 1e-12
-#: nu entries below this magnitude are round-off; clamp so nonnegativity holds.
-CLAMP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,9 @@ def check_stochastic(matrix: np.ndarray, tol: float = STOCHASTIC_TOL) -> Stochas
     return StochasticMatrix(m)
 
 
-def _clamp_and_normalize(nu: np.ndarray) -> np.ndarray:
-    nu = nu.copy()
-    nu[np.abs(nu) < CLAMP_TOL] = 0.0
-    return nu / nu.sum()
-
-
 def _perron_from(P: np.ndarray, nu: np.ndarray) -> PerronVector:
-    nu = _clamp_and_normalize(nu)
-    residual = float(np.max(np.abs(P.T @ nu - nu)))
-    return PerronVector(nu=nu, residual=residual)
+    nu = nu / nu.sum()
+    return PerronVector(nu=nu, residual=float(np.max(np.abs(P.T @ nu - nu))))
 
 
 def sia_limit(
@@ -95,22 +90,35 @@ def sia_limit(
     raise NotRankOne(f"no rank-one limit after {max_iter} squarings")
 
 
-def left_eigenvector(P: StochasticMatrix, rank_tol: float = 1e-9) -> PerronVector:
-    """nu with P^T nu = nu, 1^T nu = 1, via SVD null space of (P^T - I).
+def _gth(W: np.ndarray) -> np.ndarray:
+    """Unnormalised stationary vector of the irreducible stochastic block W (overwritten).
 
-    Raises DegenerateEigenspace when the numerical null space has
-    dimension > 1 (eigenvalue 1 not simple: no spanning tree).
+    Left-looking (Crout) GTH: states n-1..1 are eliminated in turn, each
+    reduced row R[k, :k] and scaled column C[:k, k] formed from those stored
+    in W's lower and upper triangles.  It reads off-diagonal entries only and
+    adds only nonnegatives, so no cancellation occurs however weak a link.
     """
-    A = P.entries.T - np.eye(P.n)
-    _, s, vh = np.linalg.svd(A)
-    null_dim = int(np.sum(s < rank_tol * max(1.0, s[0] if len(s) else 1.0)))
-    if null_dim > 1:
-        raise DegenerateEigenspace(
-            f"eigenvalue 1 has numerical multiplicity {null_dim}"
-        )
-    if null_dim == 0:
-        raise DegenerateEigenspace("no null vector found; matrix is not stochastic?")
-    nu = vh[-1]
-    if nu.sum() < 0:
-        nu = -nu
+    n = len(W)
+    for k in range(n - 1, 0, -1):
+        W[k, :k] += W[k, k + 1 :] @ W[k + 1 :, :k]
+        W[:k, k] += W[:k, k + 1 :] @ W[k + 1 :, k]
+        W[:k, k] /= W[k, :k].sum()
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ W[:k, k]
+    return pi
+
+
+def left_eigenvector(P: StochasticMatrix) -> PerronVector:
+    """nu with P^T nu = nu, 1^T nu = 1, by GTH on the root class of P.
+
+    Raises DegenerateEigenspace unless exactly one strong class of P's
+    off-diagonal pattern is closed (else eigenvalue 1 is not simple).
+    """
+    label, closed = strong_components(P.entries)
+    if len(closed) != 1:
+        raise DegenerateEigenspace(f"{len(closed)} closed classes: eigenvalue 1 is not simple")
+    root = np.flatnonzero(label == closed[0])
+    nu = np.zeros(P.n)
+    nu[root] = _gth(P.entries[np.ix_(root, root)])  # fancy indexing copies
     return _perron_from(P.entries, nu)

@@ -63,6 +63,26 @@ class TestDecide:
             decide(sys, 4)
 
 
+def two_cliques_with_bridge(eps: float) -> WeightedDigraph:
+    """Unit 4-cliques on 0-3 and 4-7, joined by a bridge a_34 = a_43 = eps."""
+    w = np.zeros((8, 8))
+    for lo in (0, 4):
+        w[lo : lo + 4, lo : lo + 4] = 1.0
+    np.fill_diagonal(w, 0.0)
+    w[3, 4] = w[4, 3] = eps
+    return WeightedDigraph(w)
+
+
+class TestWeakBridge:
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-14])
+    def test_bridge_predicts_exact_average(self, eps):
+        # a symmetric graph makes I - hL doubly stochastic: nu is uniform
+        sys = HybridSystem(two_cliques_with_bridge(eps), m=4, h=0.1, x0=np.arange(8.0))
+        verdict = decide(sys, 1)
+        assert verdict.solvable
+        assert abs(verdict.predicted_value - 3.5) <= 1e-12
+
+
 class TestDisagreement:
     def test_identical_states(self):
         g = undirected_ring_with_chord(3)

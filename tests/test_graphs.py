@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hybridconsensus import (
+    GossipSchedule,
+    HybridSystem,
     WeightedDigraph,
     build_matrices,
+    decide,
     has_spanning_tree,
-    is_connected_undirected,
     read_edge_list,
     write_edge_list,
 )
@@ -96,19 +98,25 @@ class TestSpanningTree:
 
 
 class TestConnectivity:
+    """On a symmetric graph a spanning tree is connectivity (case 3)."""
+
     def test_path_graph(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
-        assert is_connected_undirected(WeightedDigraph(w))
+        assert has_spanning_tree(WeightedDigraph(w))
 
     def test_isolated_vertex(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
-        assert not is_connected_undirected(WeightedDigraph(w))
+        assert not has_spanning_tree(WeightedDigraph(w))
 
     def test_asymmetric_rejected(self):
+        g = ring_graph(4)
+        sched = GossipSchedule(((0, 1), (1, 2)), np.array([0.5, 0.5]))
         with pytest.raises(AsymmetricGraph):
-            is_connected_undirected(ring_graph(4))
+            sched.validate_against(g)
+        with pytest.raises(AsymmetricGraph):
+            decide(HybridSystem(g, m=2, h=0.1, x0=np.zeros(4)), 3, sched)
 
     def test_matches_spanning_tree_on_symmetric_graphs(self):
         rng = np.random.default_rng(17)
@@ -120,7 +128,9 @@ class TestConnectivity:
             if not np.any(w > 0):
                 w[0, 1] = w[1, 0] = 1.0
             g = WeightedDigraph(w)
-            assert is_connected_undirected(g) == has_spanning_tree(g)
+            # connected iff every walk count of length n - 1 in I + A is positive
+            walks = np.linalg.matrix_power(np.eye(n) + (w > 0), n - 1)
+            assert bool(np.all(walks > 0)) == has_spanning_tree(g)
 
 
 class TestEdgeListFormat:

@@ -1,0 +1,121 @@
+"""Property tests of the structural decision and the root-class nu, over the
+conftest graph generators, with scipy's csgraph as the structural oracle."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from hybridconsensus import (
+    GossipSchedule,
+    HybridSystem,
+    WeightedDigraph,
+    check_stochastic,
+    decide,
+    has_spanning_tree,
+    left_eigenvector,
+    sia_limit,
+)
+from hybridconsensus.analysis import case_matrix
+from hybridconsensus.errors import NotRankOne
+from hybridconsensus.graphs import strong_components
+from conftest import random_spanning_graph, random_split_graph, random_symmetric_connected
+
+# Same examples on every run and no per-example time limit, so these tests
+# neither flake nor time out on a slow host; no example database.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
+
+
+def closed_classes(w: np.ndarray) -> list[np.ndarray]:
+    """Vertex sets of the closed strong classes of the "listens to" graph."""
+    graph = csr_matrix(w > 0)
+    count, label = connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    leaves = set(label[rows][label[rows] != label[cols]].tolist())
+    return [np.flatnonzero(label == c) for c in range(count) if c not in leaves]
+
+
+@st.composite
+def systems(draw):
+    """(system, case, schedule): a spanning or split graph under case 1 or 2,
+    or a connected symmetric graph under gossip, with h inside its bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(["spanning", "split", "symmetric"]))
+    m = draw(st.integers(0, n))
+    frac = draw(st.floats(0.05, 0.95))
+    x0 = rng.uniform(-10.0, 10.0, n)
+    if kind == "symmetric":
+        g = random_symmetric_connected(rng, n)
+        sys = HybridSystem(g, m=m, h=frac / g.weights.max(), x0=x0)
+        return sys, 3, GossipSchedule.uniform(g)
+    if kind == "spanning":
+        g = random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n)))
+    else:
+        g = random_split_graph(rng, n)
+    case = draw(st.sampled_from([1, 2]))
+    d = g.in_degrees()
+    dmax = d.max() if case == 1 else max(d[m:].max(initial=0.0), 1e-9)
+    return HybridSystem(g, m=m, h=frac / dmax, x0=x0), case, None
+
+
+@given(systems())
+def test_solvable_iff_one_closed_class_iff_sia(drawn):
+    sys, case, sched = drawn
+    solvable = decide(sys, case, sched).solvable
+    try:
+        sia_limit(case_matrix(sys, case, sched))
+        sia = True
+    except NotRankOne:
+        sia = False
+    assert solvable == (len(closed_classes(sys.graph.weights)) == 1) == sia
+
+
+@given(systems())
+def test_classes_match_csgraph(drawn):
+    w = drawn[0].graph.weights
+    label, closed = strong_components(w)
+    _, want = connected_components(csr_matrix(w > 0), directed=True, connection="strong")
+    # the same partition: labels correspond one to one
+    pairs = set(zip(label.tolist(), want.tolist()))
+    assert len(pairs) == len(set(want.tolist())) == label.max() + 1
+    got = sorted(np.flatnonzero(label == c).tolist() for c in closed)
+    assert got == sorted(c.tolist() for c in closed_classes(w))
+
+
+@given(systems())
+def test_root_class_nu(drawn):
+    sys, case, sched = drawn
+    roots = closed_classes(sys.graph.weights)
+    if len(roots) != 1:
+        return
+    P = case_matrix(sys, case, sched)
+    nu = left_eigenvector(P).nu
+    off = np.ones(sys.n, dtype=bool)
+    off[roots[0]] = False
+    assert np.all(nu[off] == 0.0) and np.all(nu[~off] > 0.0)
+    _, sia = sia_limit(P)
+    assert np.max(np.abs(nu - sia.nu)) < 1e-10
+    value = decide(sys, case, sched).predicted_value
+    slack = 1e-12 * np.max(np.abs(sys.x0))
+    assert sys.x0.min() - slack <= value <= sys.x0.max() + slack
+
+
+def test_long_directed_path():
+    """Vertex i hears vertex i + 1 only, so the head is n - 1 and a search
+    from vertex 0 runs 2,000 deep, twice Python's default recursion limit:
+    the SCC pass must not recurse."""
+    n, h = 2000, 0.5
+    idx = np.arange(n - 1)
+    w = np.zeros((n, n))
+    w[idx, idx + 1] = 1.0
+    assert has_spanning_tree(WeightedDigraph(w))
+    del w
+    # the case-1 map I - hL, written in place to keep one n x n array alive
+    P = np.eye(n)
+    P[idx, idx] = 1.0 - h
+    P[idx, idx + 1] = h
+    nu = left_eigenvector(check_stochastic(P)).nu
+    assert nu[-1] == 1.0 and not np.any(nu[:-1])

@@ -26,7 +26,7 @@ from hybridconsensus.errors import (
     OutOfWindow,
     SamplingPeriodTooLarge,
 )
-from conftest import random_spanning_graph, random_symmetric_connected
+from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
 def two_node(m=1, h=0.2, x0=(0.0, 1.0)):
@@ -234,6 +234,20 @@ class TestGossipExpectedMatrix:
         np.testing.assert_allclose(E.sum(axis=1), np.ones(3), atol=1e-12)
         # off-diagonal support matches the edge set
         assert np.all(E[~np.eye(3, dtype=bool)] > 0)
+
+    @pytest.mark.parametrize("graph", ["ring_with_chord", "random_symmetric"])
+    def test_matches_pair_matrix_sum(self, graph):
+        rng = np.random.default_rng(41)
+        g = undirected_ring_with_chord() if graph == "ring_with_chord" else (
+            random_symmetric_connected(rng, 12))
+        sys = HybridSystem(g, m=g.n // 2, h=0.9 / g.weights.max(), x0=np.zeros(g.n))
+        edges = g.edges()
+        probs = rng.uniform(0.5, 1.5, len(edges))
+        sched = GossipSchedule(tuple(edges), probs / probs.sum())
+        loop = sum(p * gossip_pair_matrix(sys, i, j).entries
+                   for (i, j), p in zip(sched.edges, sched.probs))
+        E = gossip_expected_matrix(sys, sched).entries
+        assert np.max(np.abs(E - loop)) <= 1e-14
 
 
 class TestInterpolants:
