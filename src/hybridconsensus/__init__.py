@@ -17,9 +17,7 @@ from .engine import (
     simulate_gossip,
 )
 from .graphs import (
-    GraphMatrices,
     WeightedDigraph,
-    build_matrices,
     has_spanning_tree,
     read_edge_list,
     write_edge_list,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsensusVerdict",
     "GossipSchedule",
-    "GraphMatrices",
     "HybridSystem",
     "MonteCarloSummary",
     "PerronVector",
@@ -63,7 +60,6 @@ __all__ = [
     "bound_case1",
     "bound_case2",
     "bound_case3",
-    "build_matrices",
     "case1_matrix",
     "case2_gain",
     "case2_matrix",

@@ -14,19 +14,9 @@ from .engine import (
     monte_carlo_mean,
     simulate_deterministic,
 )
-from .errors import ConsensusError, UnknownCase
-from .graphs import build_matrices, has_spanning_tree, strong_components
-from .protocols import (
-    GossipSchedule,
-    HybridSystem,
-    bound_case1,
-    bound_case2,
-    bound_case3,
-    case1_matrix,
-    case2_gain,
-    case2_matrix,
-    gossip_expected_matrix,
-)
+from .errors import ConsensusError, DegenerateEigenspace
+from .graphs import strong_components
+from .protocols import GossipSchedule, HybridSystem, case2_gain, protocol
 from .spectral import left_eigenvector
 
 GAIN_RESIDUAL_TOL = 1e-10
@@ -41,55 +31,29 @@ class ConsensusVerdict:
     converged: bool
 
 
-def case_matrix(sys: HybridSystem, case: int, sched: GossipSchedule | None):
-    if case == 1:
-        return case1_matrix(sys)
-    if case == 2:
-        return case2_matrix(sys)
-    if case == 3:
-        if sched is None:
-            raise ValueError("case 3 requires a gossip schedule")
-        return gossip_expected_matrix(sys, sched)
-    raise UnknownCase(f"case must be 1, 2 or 3, got {case}")
-
-
-def case_bound(sys: HybridSystem, case: int) -> float:
-    if case == 1:
-        return bound_case1(sys)
-    if case == 2:
-        return bound_case2(sys)
-    if case == 3:
-        return bound_case3(sys)
-    raise UnknownCase(f"case must be 1, 2 or 3, got {case}")
-
-
 def decide(
     sys: HybridSystem, case: int, sched: GossipSchedule | None = None
 ) -> ConsensusVerdict:
     """Solvability and spectrally predicted consensus value (no simulation).
 
-    Cases 1-2 require a directed spanning tree; case 3 requires a connected
-    undirected graph.  The predicted value is nu^T x0 with nu the left
-    Perron vector of the case's iteration (or expected) matrix.
+    The case's iteration (or expected) matrix P links i to j exactly where
+    i hears j (in case 3: over a scheduled edge).  Consensus is solvable
+    exactly when P has one closed class: a directed spanning tree in cases
+    1-2, scheduled edges that connect the graph in case 3.  That is when the
+    left Perron vector nu of P is unique, and the predicted value is nu^T x0.
     """
-    P = case_matrix(sys, case, sched)  # also enforces the h bound
-    solvable = has_spanning_tree(sys.graph)  # on a symmetric graph: connected
-    if case == 3:
-        condition = "graph is connected" if solvable else "graph is not connected"
-    else:
-        condition = (
-            "graph has a directed spanning tree"
-            if solvable
-            else "graph has no directed spanning tree"
-        )
-    bound = case_bound(sys, case)
-    condition += f"; h = {sys.h} < bound = {bound}"
-    if not solvable:
+    spec = protocol(case)
+    P = spec.matrix(sys, sched)  # also enforces the h bound
+    try:
+        nu = left_eigenvector(P).nu
+    except DegenerateEigenspace:
+        nu = None
+    condition = f"{spec.condition[nu is not None]}; h = {sys.h} < bound = {spec.bound(sys)}"
+    if nu is None:
         return ConsensusVerdict(False, condition, None, None, False)
-    nu = left_eigenvector(P).nu
     if case == 2:
         # the predicted value's defining identity: L^T H nu = 0
-        L = build_matrices(sys.graph).laplacian
+        L = sys.graph.laplacian()
         residual = float(np.max(np.abs(L.T @ (case2_gain(sys) * nu))))
         if residual >= GAIN_RESIDUAL_TOL:
             raise ConsensusError(

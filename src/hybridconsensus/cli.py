@@ -19,13 +19,14 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import fields
 from pathlib import Path
 
-from .analysis import case_bound, case_matrix, decide, verify_run
-from .config import ExperimentConfig, build_schedule, build_system, load_config
+from .analysis import decide, verify_run
+from .config import KEYS, ExperimentConfig, build_schedule, build_system, load_config
 from .engine import RunConfig
 from .errors import ConsensusError, ParseError, SamplingPeriodTooLarge
-from .protocols import GossipSchedule, HybridSystem
+from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
 from .reporting import verdict_report, write_trajectory_csv, write_verdict_json
 from .spectral import StochasticMatrix
 
@@ -33,28 +34,21 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONDITION = 2
 
-_OVERRIDE_KEYS = ("case", "m", "h", "x0", "steps", "dense_per_step", "seed", "trials", "probs", "tol")
-
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="experiment config file (key = value)")
-    parser.add_argument("--case", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--h", type=float)
-    parser.add_argument("--x0", help="comma-separated initial state or 'paper'")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--dense-per-step", dest="dense_per_step", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--probs", help="'uniform' or comma-separated edge probabilities")
-    parser.add_argument("--tol", type=float)
+    for key in KEYS:
+        if key.name != "graph":  # the config file names its graph
+            parser.add_argument(
+                "--" + key.name.replace("_", "-"),
+                dest=key.name,
+                type=key.metadata["parse"],
+                help=key.metadata["help"],
+            )
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS if getattr(args, k, None) is not None}
-    if isinstance(overrides.get("probs"), list):
-        overrides["probs"] = ",".join(str(p) for p in overrides["probs"])
-    return load_config(args.config, overrides)
+    return load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})
 
 
 def _setup(cfg: ExperimentConfig) -> tuple[HybridSystem, GossipSchedule | None]:
@@ -74,15 +68,15 @@ def _cmd_check(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _load(args)
     system, _ = _setup(cfg)
-    for case in (1, 2, 3):
-        print(f"bound_case{case} = {case_bound(system, case)!r}")
+    for case, spec in PROTOCOLS.items():
+        print(f"bound_case{case} = {spec.bound(system)!r}")
     return EXIT_OK
 
 
 def _cmd_matrix(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
-    matrix: StochasticMatrix = case_matrix(system, cfg.case, sched)
+    matrix: StochasticMatrix = protocol(cfg.case).matrix(system, sched)
     for row in matrix.entries:
         print(",".join(repr(float(v)) for v in row))
     return EXIT_OK
@@ -91,9 +85,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
-    run_cfg = RunConfig(
-        steps=cfg.steps, dense_per_step=cfg.dense_per_step, seed=cfg.seed, trials=cfg.trials
-    )
+    run_cfg = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
     verdict, traj = verify_run(system, cfg.case, run_cfg, tol=cfg.tol, sched=sched)
     outdir = Path(args.out or os.environ.get("HYBRIDCONSENSUS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import GossipSchedule, HybridSystem, case1_matrix, case2_matrix, pair_gains
+from .protocols import GossipSchedule, HybridSystem, pair_gains, protocol
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class Trajectory:
     dense: np.ndarray  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
     drawn_edges: tuple[tuple[int, int], ...] | None = None  # gossip runs only
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.sample_states[-1]
-
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
@@ -60,22 +56,19 @@ def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
 def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Trajectory:
     """Iterate the case-1/2 sampled map; dense states of continuous agents.
 
-    Agent i < m drifts from x_k[i] along (A x_k - d x_k)[i] by f(tau, d_ii):
-    f = tau under zero-order hold, (1 - e^{-d tau}) / d when self-observing.
+    Agent i < m drifts from x_k[i] along (A x_k - d x_k)[i] by the case's
+    dense gain f(d_ii, tau): tau under zero-order hold, (1 - e^{-d tau}) / d
+    when self-observing.
     """
-    M = (case1_matrix if case == 1 else case2_matrix)(sys).entries
+    spec = protocol(case)
+    M = spec.matrix(sys, None).entries
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k in range(cfg.steps):
         states[k + 1] = M @ states[k]
     a = sys.graph.weights[: sys.m]
     d = a.sum(axis=1)
-    taus = dense_tau_grid(sys.h, cfg.dense_per_step)
-    if case == 1:
-        f = taus
-    else:
-        safe = np.where(d > 0, d, 1.0)[:, None]
-        f = np.where(d[:, None] > 0, -np.expm1(-safe * taus) / safe, taus)
+    f = spec.dense_gain(d[:, None], dense_tau_grid(sys.h, cfg.dense_per_step))
     x = states[:-1]
     pull = x @ a.T - x[:, : sys.m] * d  # (K, m)
     return Trajectory(

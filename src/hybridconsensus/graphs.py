@@ -51,6 +51,10 @@ class WeightedDigraph:
         """d_ii = sum_j a_ij for every vertex."""
         return self.weights.sum(axis=1)
 
+    def laplacian(self) -> np.ndarray:
+        """L = D - A, D = diag(row sums)."""
+        return np.diag(self.in_degrees()) - self.weights
+
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.weights, self.weights.T))
 
@@ -60,18 +64,6 @@ class WeightedDigraph:
             raise AsymmetricGraph("edge enumeration requires a symmetric graph")
         i_idx, j_idx = np.nonzero(np.triu(self.weights))
         return list(zip(i_idx.tolist(), j_idx.tolist()))
-
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Laplacian derived from a graph."""
-
-    laplacian: np.ndarray
-
-
-def build_matrices(g: WeightedDigraph) -> GraphMatrices:
-    """Laplacian L = D - A, D = diag(row sums)."""
-    return GraphMatrices(laplacian=np.diag(g.in_degrees()) - g.weights)
 
 
 def strong_components(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,16 @@ agents share the sampling grid t_k = k*h.
   time; sampled map I - H*L with exponential gains on the continuous rows.
 * Case 3: randomized gossip on a symmetric graph; at each t_k a single edge
   interacts through a pair matrix Phi_ij.
+
+`PROTOCOLS` is the case table: for each case its sampling-period bound,
+matrix builder, consensus condition and intra-sample gain.  `protocol(case)`
+looks a case up and is the one place an unknown case is rejected.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +31,9 @@ from .errors import (
     NotContinuousAgent,
     OutOfWindow,
     SamplingPeriodTooLarge,
+    UnknownCase,
 )
-from .graphs import WeightedDigraph, build_matrices
+from .graphs import WeightedDigraph
 from .spectral import StochasticMatrix, check_stochastic
 
 
@@ -135,9 +141,13 @@ def _require_h(sys: HybridSystem, bound: float, name: str) -> None:
         raise SamplingPeriodTooLarge(sys.h, bound, name)
 
 
-def _exp_gain(d: float, tau: float) -> float:
-    """(1 - e^{-d*tau}) / d, continued by its limit tau at d = 0."""
-    return (1.0 - math.exp(-d * tau)) / d if d > 0 else tau
+def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
+    """(1 - e^{-rate*tau}) / rate elementwise, continued by its limit tau at
+    rate = 0.  -expm1 keeps full precision however weak the link: 1 - exp(-x)
+    keeps none of it once x is below the float spacing at 1 (~1e-16)."""
+    rate = np.asarray(rate, dtype=float)
+    safe = np.where(rate > 0, rate, 1.0)
+    return np.where(rate > 0, -np.expm1(-safe * tau) / safe, tau)
 
 
 # --- iteration matrices ------------------------------------------------------
@@ -154,8 +164,7 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
     if bad.size:
         i = int(bad[0])
         raise SamplingPeriodTooLarge(float(gains[i]), 1.0 / float(d[i]), f"1/d_{i}{i}")
-    L = build_matrices(graph).laplacian
-    return check_stochastic(np.eye(graph.n) - gains[:, None] * L)
+    return check_stochastic(np.eye(graph.n) - gains[:, None] * graph.laplacian())
 
 
 def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
@@ -168,10 +177,8 @@ def case2_gain(sys: HybridSystem) -> np.ndarray:
     """Read-only diagonal of the gain matrix H: exponential gains on
     continuous rows, plain h on discrete rows."""
     _require_h(sys, bound_case2(sys), "bound_case2 (1/max discrete d_ii)")
-    d = sys.graph.in_degrees()
     diag = np.full(sys.n, sys.h)
-    for i in range(sys.m):
-        diag[i] = _exp_gain(float(d[i]), sys.h)
+    diag[: sys.m] = exp_gain(sys.graph.in_degrees()[: sys.m], sys.h)
     diag.setflags(write=False)
     return diag
 
@@ -183,16 +190,14 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     e^{-d_ii h}, off-diagonal gain * a_ij): the gain satisfies
     gain * d_ii < 1 for any h, but evaluating 1 - gain * d_ii in floating
     point can underflow to 0 when d_ii * h is large (the Remark-1 regime
-    where continuous in-degrees exceed 1/h).
+    where continuous in-degrees exceed 1/h).  A continuous row with d_ii = 0
+    comes out as an identity row.
     """
     gains = case2_gain(sys)  # also enforces the h bound
-    d = sys.graph.in_degrees()
-    L = build_matrices(sys.graph).laplacian
-    M = np.eye(sys.n) - gains[:, None] * L
-    for i in range(sys.m):
-        if d[i] > 0:
-            M[i] = gains[i] * sys.graph.weights[i]
-            M[i, i] = math.exp(-d[i] * sys.h)
+    m, w = sys.m, sys.graph.weights
+    M = np.eye(sys.n) - gains[:, None] * sys.graph.laplacian()
+    M[:m] = gains[:m, None] * w[:m]
+    M[range(m), range(m)] = np.exp(-w[:m].sum(axis=1) * sys.h)
     return check_stochastic(M)
 
 
@@ -208,16 +213,13 @@ def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
     moves only at t_{k+1}.  Enforces the case-3 h bound.
     """
     _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
-    gains = np.empty((len(edges), 2))
-    for row, (i, j) in enumerate(edges):
-        a = float(sys.graph.weights[i, j])
-        if sys.is_continuous(j):  # agents 0..m-1 are continuous, so i < j is too
-            gains[row] = (1.0 - math.exp(-2.0 * a * tau)) / 2.0
-        elif sys.is_continuous(i):
-            gains[row] = 1.0 - math.exp(-a * tau), sys.h * a
-        else:
-            gains[row] = sys.h * a
-    return gains
+    i, j = np.array(edges).reshape(-1, 2).T
+    a = sys.graph.weights[i, j]
+    both, mixed, held = -np.expm1(-2.0 * a * tau) / 2.0, -np.expm1(-a * tau), sys.h * a
+    # agents 0..m-1 are continuous, so a continuous j makes i continuous too
+    gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))
+    gj = np.where(j < sys.m, both, held)
+    return np.stack([gi, gj], axis=1)
 
 
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
@@ -248,6 +250,62 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
     return check_stochastic(expected)
 
 
+# --- the case table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """What the paper fixes for one case."""
+
+    bound: Callable[[HybridSystem], float]  # strict sampling-period bound
+    matrix: Callable[[HybridSystem, GossipSchedule | None], StochasticMatrix]
+    # the consensus condition, (fails, holds): exactly one closed class of
+    # the matrix, whose off-diagonal pattern is the interaction graph
+    condition: tuple[str, str]
+    # f(d_ii, tau): continuous agent i moves x_i += f * (A x - d x)_i by
+    # t_k + tau; None for gossip, whose pairs move by `pair_gains`
+    dense_gain: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+
+
+def _gossip_matrix(sys: HybridSystem, sched: GossipSchedule | None) -> StochasticMatrix:
+    if sched is None:
+        raise ValueError("case 3 requires a gossip schedule")
+    return gossip_expected_matrix(sys, sched)
+
+
+_SPANNING_TREE = ("graph has no directed spanning tree", "graph has a directed spanning tree")
+
+# The entries call the builders by their global names when called, so a
+# wrapper later bound to a module attribute (a tracer, a test spy) sees it.
+PROTOCOLS = {
+    1: Protocol(
+        lambda sys: bound_case1(sys),
+        lambda sys, sched: case1_matrix(sys),
+        _SPANNING_TREE,
+        lambda d, tau: tau,
+    ),
+    2: Protocol(
+        lambda sys: bound_case2(sys),
+        lambda sys, sched: case2_matrix(sys),
+        _SPANNING_TREE,
+        lambda d, tau: exp_gain(d, tau),
+    ),
+    3: Protocol(
+        lambda sys: bound_case3(sys),
+        lambda sys, sched: _gossip_matrix(sys, sched),
+        ("scheduled edges do not connect the graph", "scheduled edges connect the graph"),
+        None,
+    ),
+}
+
+
+def protocol(case: int) -> Protocol:
+    """The case table's entry for `case`."""
+    if case not in PROTOCOLS:
+        raise UnknownCase(f"case must be 1, 2 or 3, got {case}")
+    return PROTOCOLS[case]
+
+
 # --- intra-sample closed forms ----------------------------------------------
 
 
@@ -273,10 +331,11 @@ def continuous_interpolant(
     x_k = np.asarray(x_k, dtype=float)
     a_row = sys.graph.weights[i]
     pull = float(a_row @ (x_k - x_k[i]))
-    if case == 1:
+    d = float(a_row.sum())
+    if case == 1 or d == 0:
         factor = tau
     else:
-        factor = _exp_gain(float(a_row.sum()), tau)
+        factor = -math.expm1(-d * tau) / d
     return float(x_k[i] + factor * pull)
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .analysis import ConsensusVerdict, case_bound
-from .config import ExperimentConfig
+from .analysis import ConsensusVerdict
+from .config import KEYS, ExperimentConfig
 from .engine import MonteCarloSummary, Trajectory, dense_tau_grid
-from .protocols import HybridSystem
+from .protocols import PROTOCOLS, HybridSystem
 
 CSV_HEADER = "t,agent,value,kind,record"
 
@@ -62,20 +62,11 @@ def verdict_report(
         "measured_final_disagreement": verdict.measured_final_disagreement,
         "converged": verdict.converged,
         "bounds": {
-            f"case{c}": _finite_or_none(case_bound(sys, c)) for c in (1, 2, 3)
+            f"case{c}": _finite_or_none(spec.bound(sys)) for c, spec in PROTOCOLS.items()
         },
         "config": {
+            **{key.name: getattr(cfg, key.name) for key in KEYS},
             "graph": str(cfg.graph_path),
-            "case": cfg.case,
-            "m": cfg.m,
-            "h": cfg.h,
-            "x0": list(cfg.x0),
-            "steps": cfg.steps,
-            "dense_per_step": cfg.dense_per_step,
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "probs": cfg.probs,
-            "tol": cfg.tol,
         },
     }
 

@@ -16,7 +16,6 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     RunConfig,
-    build_matrices,
     case1_matrix,
     case2_gain,
     case2_matrix,
@@ -66,7 +65,7 @@ def test_criterion_1_spectral_vs_dynamic_agreement():
         g = random_spanning_graph(rng, n, extra=n, w_lo=0.05, w_hi=1.0)
         h = 0.9 / g.in_degrees().max()
         sys_ = HybridSystem(g, m=n // 2, h=h, x0=rng.uniform(-10, 10, n))
-        L = build_matrices(g).laplacian
+        L = g.laplacian()
         predicted = laplacian_left_null(L) @ sys_.x0
         M = case1_matrix(sys_).entries
         x = np.array(sys_.x0)
@@ -106,7 +105,7 @@ def test_criterion_2_case2_gain_law():
         P = case2_matrix(sys_)  # raises unless row-stochastic
         assert np.diag(P.entries).min() > 0
         limit, nu = sia_limit(P)
-        L = build_matrices(g).laplacian
+        L = g.laplacian()
         residual = float(np.max(np.abs(L.T @ (case2_gain(sys_) * nu.nu))))
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-10

@@ -12,6 +12,7 @@ from hybridconsensus import (
     simulate_deterministic,
     verify_run,
 )
+from hybridconsensus import analysis, graphs, spectral
 from hybridconsensus.errors import ConsensusError, SamplingPeriodTooLarge, UnknownCase
 from conftest import random_spanning_graph, random_split_graph, undirected_ring_with_chord
 
@@ -62,6 +63,35 @@ class TestDecide:
         with pytest.raises(UnknownCase):
             decide(sys, 4)
 
+    def test_partial_gossip_schedule_not_solvable(self):
+        # a 4-cycle whose schedule never draws (1, 2) or (0, 3): the drawn
+        # edges leave two closed classes although the graph is connected
+        w = np.zeros((4, 4))
+        for i in range(4):
+            w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
+        sys = HybridSystem(WeightedDigraph(w), m=2, h=0.1, x0=np.arange(4.0))
+        sched = GossipSchedule(((0, 1), (2, 3)), np.array([0.5, 0.5]))
+        verdict = decide(sys, 3, sched)
+        assert not verdict.solvable and verdict.predicted_value is None
+        verdict, _ = verify_run(sys, 3, RunConfig(steps=20, trials=4), sched=sched)
+        assert not verdict.solvable and not verdict.converged
+
+    def test_one_strong_components_pass(self, monkeypatch):
+        calls, real = [], graphs.strong_components
+
+        def counting(w):
+            calls.append(len(w))
+            return real(w)
+
+        for mod in (graphs, spectral, analysis):  # every module that binds the name
+            monkeypatch.setattr(mod, "strong_components", counting)
+        g = undirected_ring_with_chord()
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
+        for case, sched in ((1, None), (2, None), (3, GossipSchedule.uniform(g))):
+            calls.clear()
+            decide(sys, case, sched)
+            assert calls == [6]
+
 
 def two_cliques_with_bridge(eps: float) -> WeightedDigraph:
     """Unit 4-cliques on 0-3 and 4-7, joined by a bridge a_34 = a_43 = eps."""
@@ -81,6 +111,25 @@ class TestWeakBridge:
         verdict = decide(sys, 1)
         assert verdict.solvable
         assert abs(verdict.predicted_value - 3.5) <= 1e-12
+
+    @pytest.mark.parametrize("m, eps", [(4, 1e-12), (4, 1e-16), (8, 1e-16), (8, 1e-17)])
+    def test_gossip_bridge_predicts_average(self, m, eps):
+        # E(Phi) is symmetric up to O(eps h) on the bridge: nu is uniform to
+        # far below the tolerance, and the bridge keeps it one class
+        g = two_cliques_with_bridge(eps)
+        sys = HybridSystem(g, m=m, h=0.1, x0=np.arange(8.0))
+        verdict = decide(sys, 3, GossipSchedule.uniform(g))
+        assert verdict.solvable
+        assert abs(verdict.predicted_value - 3.5) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-17])
+    def test_weak_self_observing_pair(self, eps):
+        # L^T H nu = 0 with H = h I + O(eps h^2): nu = (2, 1) / 3 + O(eps h)
+        g = WeightedDigraph(np.array([[0.0, eps], [2.0 * eps, 0.0]]))
+        sys = HybridSystem(g, m=2, h=0.1, x0=np.array([0.0, 1.0]))
+        verdict = decide(sys, 2)
+        assert verdict.solvable
+        assert abs(verdict.predicted_value - 1.0 / 3.0) <= 1e-12
 
 
 class TestDisagreement:

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from hybridconsensus.config import PAPER_H, PAPER_X0, build_schedule, build_system, load_config
+from hybridconsensus.cli import main
+from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, build_schedule, build_system, load_config
 from hybridconsensus.errors import DimensionMismatch, ParseError, UnknownCase
 
 
@@ -25,6 +26,13 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 SMALL_GRAPH = "n 2\n1 2 1.0\n2 1 1.0\n"
+
+# a 3-vertex path under case 1, and a value other than the base or default for every flag
+BASE = {"graph": "g.edges", "case": "1", "m": "1", "h": "0.2", "x0": "0, 1, 2"}
+OVERRIDES = {
+    "case": "3", "m": "2", "h": "0.3", "x0": "2, 1, 0", "steps": "7", "dense_per_step": "3",
+    "seed": "5", "trials": "9", "probs": "0.25, 0.75", "tol": "0.001",
+}
 
 
 class TestLoadConfig:
@@ -151,6 +159,21 @@ class TestCliSubcommands:
         result = run_cli("check", str(presets_dir / "example1.cfg"), "--h", "0.5")
         verdict = json.loads(result.stdout)
         assert verdict["config"]["h"] == 0.5
+
+    @pytest.mark.parametrize("key", sorted(OVERRIDES))
+    def test_flag_equals_file_entry(self, tmp_path, capsys, key):
+        assert set(OVERRIDES) == {k.name for k in KEYS} - {"graph"}  # every flag
+        (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
+
+        def check(name, entries, *flags):
+            text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+            assert main(["check", str(write_cfg(tmp_path, text, name)), *flags]) == 0
+            return capsys.readouterr().out
+
+        by_file = check("file.cfg", {**BASE, key: OVERRIDES[key]})
+        by_flag = check("flag.cfg", BASE, "--" + key.replace("_", "-"), OVERRIDES[key])
+        assert by_file == by_flag
+        assert json.loads(by_flag)["config"][key] != json.loads(check("base.cfg", BASE))["config"][key]
 
 
 class TestDeterminism:

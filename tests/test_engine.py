@@ -16,6 +16,7 @@ from hybridconsensus import (
     simulate_gossip,
 )
 from hybridconsensus.engine import dense_tau_grid
+from hybridconsensus.errors import UnknownCase
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -33,6 +34,12 @@ class TestSimulateDeterministic:
     def test_one_step_by_hand(self):
         traj = simulate_deterministic(two_node(), 1, RunConfig(steps=1))
         np.testing.assert_allclose(traj.sample_states[1], [0.2, 0.8], atol=1e-15)
+
+    def test_unknown_case_raises(self):
+        with pytest.raises(UnknownCase):
+            simulate_deterministic(two_node(), 7, RunConfig(steps=1))
+        with pytest.raises(ValueError, match="gossip schedule"):
+            simulate_deterministic(two_node(), 3, RunConfig(steps=1))
 
     def test_sample_grid_spacing(self):
         traj = simulate_deterministic(two_node(h=0.25), 1, RunConfig(steps=4))

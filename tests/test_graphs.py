@@ -5,7 +5,6 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     WeightedDigraph,
-    build_matrices,
     decide,
     has_spanning_tree,
     read_edge_list,
@@ -42,27 +41,27 @@ class TestConstruction:
 class TestBuildMatrices:
     def test_two_node_symmetric(self):
         g = WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        L = build_matrices(g).laplacian
+        L = g.laplacian()
         np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_single_edge(self):
         g = WeightedDigraph(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        L = build_matrices(g).laplacian
+        L = g.laplacian()
         np.testing.assert_array_equal(L, [[0.0, 0.0], [-1.0, 1.0]])
 
     def test_six_ring_hand_expansion(self):
         g = ring_graph(6)
-        mats = build_matrices(g)
+        L = g.laplacian()
         expected = np.eye(6)
         for i in range(6):
             expected[i, (i - 1) % 6] = -1.0
-        np.testing.assert_array_equal(mats.laplacian, expected)
+        np.testing.assert_array_equal(L, expected)
 
     def test_row_sums_zero_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             g = random_spanning_graph(rng, int(rng.integers(2, 10)), extra=5)
-            L = build_matrices(g).laplacian
+            L = g.laplacian()
             assert np.max(np.abs(L @ np.ones(g.n))) <= 1e-12
 
 

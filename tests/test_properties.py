@@ -17,9 +17,9 @@ from hybridconsensus import (
     left_eigenvector,
     sia_limit,
 )
-from hybridconsensus.analysis import case_matrix
 from hybridconsensus.errors import NotRankOne
 from hybridconsensus.graphs import strong_components
+from hybridconsensus.protocols import protocol
 from conftest import random_spanning_graph, random_split_graph, random_symmetric_connected
 
 # Same examples on every run and no per-example time limit, so these tests
@@ -66,7 +66,7 @@ def test_solvable_iff_one_closed_class_iff_sia(drawn):
     sys, case, sched = drawn
     solvable = decide(sys, case, sched).solvable
     try:
-        sia_limit(case_matrix(sys, case, sched))
+        sia_limit(protocol(case).matrix(sys, sched))
         sia = True
     except NotRankOne:
         sia = False
@@ -91,7 +91,7 @@ def test_root_class_nu(drawn):
     roots = closed_classes(sys.graph.weights)
     if len(roots) != 1:
         return
-    P = case_matrix(sys, case, sched)
+    P = protocol(case).matrix(sys, sched)
     nu = left_eigenvector(P).nu
     off = np.ones(sys.n, dtype=bool)
     off[roots[0]] = False
