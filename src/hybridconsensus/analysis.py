@@ -52,9 +52,9 @@ def decide(
     if nu is None:
         return ConsensusVerdict(False, condition, None, None, False)
     if case == 2:
-        # the predicted value's defining identity: L^T H nu = 0
-        L = sys.graph.laplacian()
-        residual = float(np.max(np.abs(L.T @ (case2_gain(sys) * nu))))
+        # the predicted value's defining identity: L^T H nu = D y - A^T y = 0, y = H nu
+        y, graph = case2_gain(sys) * nu, sys.graph
+        residual = float(np.max(np.abs(graph.in_degrees() * y - graph.weights.T @ y)))
         if residual >= GAIN_RESIDUAL_TOL:
             raise ConsensusError(
                 f"case-2 gain identity violated: |L^T H nu| = {residual:.3e}"

@@ -194,10 +194,9 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     comes out as an identity row.
     """
     gains = case2_gain(sys)  # also enforces the h bound
-    m, w = sys.m, sys.graph.weights
-    M = np.eye(sys.n) - gains[:, None] * sys.graph.laplacian()
-    M[:m] = gains[:m, None] * w[:m]
-    M[range(m), range(m)] = np.exp(-w[:m].sum(axis=1) * sys.h)
+    m, d = sys.m, sys.graph.in_degrees()
+    M = gains[:, None] * sys.graph.weights  # g_i a_ij; a has a zero diagonal
+    np.fill_diagonal(M, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
     return check_stochastic(M)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hybridconsensus import WeightedDigraph
+from hybridconsensus.engine import MonteCarloSummary, dense_tau_grid
+from hybridconsensus.reporting import CSV_HEADER
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -87,3 +89,23 @@ def random_symmetric_connected(rng: np.random.Generator, n: int,
         if i != j:
             w[i, j] = w[j, i] = rng.uniform(w_lo, w_hi)
     return WeightedDigraph(w)
+
+
+def reference_csv_lines(sys, traj) -> list[str]:
+    """The per-row formatter `trajectory_csv_lines` replaced, kept as the
+    reference oracle: one f-string, two reprs per row."""
+    lines = [CSV_HEADER]
+    if isinstance(traj, MonteCarloSummary):
+        states, dense, taus = traj.mean_states, [], []
+    else:
+        states, dense = traj.sample_states, traj.dense.tolist()
+        taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
+    kinds = ["continuous" if sys.is_continuous(i) else "discrete" for i in range(sys.n)]
+    for k, (t, row) in enumerate(zip(traj.sample_times.tolist(), states.tolist())):
+        for agent, value in enumerate(row):
+            lines.append(f"{t!r},{agent + 1},{value!r},{kinds[agent]},sample")
+        if k < len(dense):
+            for agent, values in enumerate(dense[k]):
+                for tau, value in zip(taus, values):
+                    lines.append(f"{k * sys.h + tau!r},{agent + 1},{value!r},{kinds[agent]},dense")
+    return lines

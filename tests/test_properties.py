@@ -1,5 +1,8 @@
 """Property tests of the structural decision and the root-class nu, over the
-conftest graph generators, with scipy's csgraph as the structural oracle."""
+conftest graph generators, with scipy's csgraph as the structural oracle;
+and of the CSV writer against the per-row reference formatter."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,17 +13,27 @@ from scipy.sparse.csgraph import connected_components
 from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
+    RunConfig,
     WeightedDigraph,
     check_stochastic,
     decide,
     has_spanning_tree,
     left_eigenvector,
+    monte_carlo_mean,
     sia_limit,
+    simulate_deterministic,
+    simulate_gossip,
 )
 from hybridconsensus.errors import NotRankOne
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
-from conftest import random_spanning_graph, random_split_graph, random_symmetric_connected
+from hybridconsensus.reporting import trajectory_csv_lines
+from conftest import (
+    random_spanning_graph,
+    random_split_graph,
+    random_symmetric_connected,
+    reference_csv_lines,
+)
 
 # Same examples on every run and no per-example time limit, so these tests
 # neither flake nor time out on a slow host; no example database.
@@ -101,6 +114,29 @@ def test_root_class_nu(drawn):
     value = decide(sys, case, sched).predicted_value
     slack = 1e-12 * np.max(np.abs(sys.x0))
     assert sys.x0.min() - slack <= value <= sys.x0.max() + slack
+
+
+@given(
+    systems(),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.lists(st.sampled_from([0.0, -0.0]), max_size=4),
+    st.booleans(),
+)
+def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
+    """Byte-identical rows for any run: deterministic, one gossip run or a
+    Monte-Carlo mean, with leading agents started at signed zeros."""
+    sys, case, sched = drawn
+    x0 = sys.x0.copy()
+    x0[: len(zeros)] = zeros  # n >= 4
+    # a Python float h: the reference writes a numpy scalar's times as "np.float64(...)"
+    sys = replace(sys, x0=x0, h=float(sys.h))
+    cfg = RunConfig(steps=steps, dense_per_step=dense, trials=2)
+    if case != 3:
+        traj = simulate_deterministic(sys, case, cfg)
+    else:
+        traj = (monte_carlo_mean if mean else simulate_gossip)(sys, sched, cfg)
+    assert trajectory_csv_lines(sys, traj) == reference_csv_lines(sys, traj)
 
 
 def test_long_directed_path():
