@@ -27,7 +27,7 @@ from .config import KEYS, ExperimentConfig, build_schedule, build_system, load_c
 from .engine import RunConfig
 from .errors import ConsensusError, ParseError, SamplingPeriodTooLarge
 from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
-from .reporting import verdict_report, write_trajectory_csv, write_verdict_json
+from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
 from .spectral import StochasticMatrix
 
 EXIT_OK = 0
@@ -77,8 +77,8 @@ def _cmd_matrix(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
     matrix: StochasticMatrix = protocol(cfg.case).matrix(system, sched)
-    for row in matrix.entries:
-        print(",".join(repr(float(v)) for v in row))
+    for row in matrix_rows(matrix.entries):
+        print(row)
     return EXIT_OK
 
 

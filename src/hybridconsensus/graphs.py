@@ -127,7 +127,7 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     """Parse the `n <count>` / `i j w` edge-list format."""
     path = Path(path)
     n = None
-    entries: list[tuple[int, int, float]] = []
+    entries: dict[tuple[int, int], tuple[float, int]] = {}  # (i, j) -> (w, line number)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,12 +151,14 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
             raise ParseError(f"{path}:{lineno}: bad edge entry") from exc
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"{path}:{lineno}: index out of range 1..{n}")
-        entries.append((i - 1, j - 1, w))
+        first = entries.setdefault((i, j), (w, lineno))[1]
+        if first != lineno:
+            raise ParseError(f"{path}:{lineno}: duplicate edge {i} {j} (first on line {first})")
     if n is None:
         raise ParseError(f"{path}: missing 'n <count>' header")
     weights = np.zeros((n, n))
-    for i, j, w in entries:
-        weights[i, j] = w
+    for (i, j), (w, _) in entries.items():
+        weights[i - 1, j - 1] = w
     try:
         return WeightedDigraph(weights)
     except InvalidGraph as exc:

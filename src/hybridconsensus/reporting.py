@@ -2,12 +2,15 @@
 
 Floats are written with repr (the shortest string that round-trips), so
 identical runs produce byte-identical files and values read back exactly.
-Files are written as bytes with `\n` line ends on any platform.
+Files are written as bytes with `\n` line ends on any platform.  The CSV is
+streamed in blocks of whole sampling steps: memory is set by the block.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -18,54 +21,77 @@ from .engine import MonteCarloSummary, Trajectory, dense_tau_grid
 from .protocols import PROTOCOLS, HybridSystem
 
 CSV_HEADER = "t,agent,value,kind,record"
+BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
+
+
+def _strs(x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(repr, x.ravel().tolist())), dtype=object).reshape(x.shape)
 
 
 def _reprs(x: np.ndarray) -> list[str]:
     """repr of every float in x, computed once per distinct bit pattern.
     Keyed on bits, not values: -0.0 == 0.0, but their reprs differ."""
     bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    return _strs(bits.view(np.float64))[inverse].tolist()
 
 
-def trajectory_csv_lines(sys: HybridSystem, traj: Trajectory | MonteCarloSummary) -> list[str]:
-    """Rows `t,agent,value,kind,record`; agent ids are 1-based as in the
-    edge-list format.  Block k is the n sample rows at t_k, then the dense
-    rows of interval k at t_k + tau, agent by agent; the last block has
-    sample rows only.  Monte-Carlo summaries emit their mean states."""
+def matrix_rows(entries: np.ndarray) -> Iterator[str]:
+    """Rows of a matrix as comma-separated reprs."""
+    text, n = _reprs(np.asarray(entries, dtype=np.float64).ravel()), entries.shape[1]
+    return (",".join(text[i : i + n]) for i in range(0, len(text), n))
+
+
+def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory | MonteCarloSummary) -> Iterator[str]:
+    """The header line, then blocks of about BLOCK_ROWS rows `t,agent,value,kind,record`.
+    A block holds whole steps: step k is the n sample rows at t_k, then the
+    dense rows of interval k at t_k + tau, agent by agent; the last step has
+    sample rows only.  Agent ids are 1-based; Monte-Carlo gives mean states."""
     mc = isinstance(traj, MonteCarloSummary)
-    states = traj.mean_states if mc else traj.sample_states
-    dense = np.empty((0, sys.m, 0)) if mc else traj.dense
-    (K, m, d), n, times = dense.shape, sys.n, traj.sample_times
-    dense_t = np.arange(K)[:, None] * sys.h + dense_tau_grid(sys.h, d)  # k*h + tau
-    t = _reprs(np.r_[np.hstack([np.repeat(times[:K, None], n, 1), np.tile(dense_t, m)]).ravel(),
-                     np.repeat(times[K:], n)])
-    value = _reprs(np.r_[np.hstack([states[:K], dense.reshape(K, m * d)]).ravel(),
-                         states[K:].ravel()])
+    states, times = traj.mean_states if mc else traj.sample_states, traj.sample_times
+    dense = np.empty((len(times) - 1, sys.m, 0)) if mc else traj.dense  # MC: d = 0
+    (K, m, d), n, taus = dense.shape, sys.n, dense_tau_grid(sys.h, dense.shape[2])
     agents = [f",{i + 1}," for i in range(n)]
-    ends = [",continuous,sample"] * m + [",discrete,sample"] * (n - m)  # agents < m continuous
-    tail = len(times) - K
-    agent = (agents + [a for a in agents[:m] for _ in range(d)]) * K + agents * tail
-    end = (ends + [",continuous,dense"] * (m * d)) * K + ends * tail
-    return [CSV_HEADER, *map("".join, zip(t, agent, value, end))]
+    agent = agents + [a for a in agents[:m] for _ in range(d)]  # one step's rows
+    ends = [",continuous,sample\n"] * m + [",discrete,sample\n"] * (n - m)  # agents < m continuous
+    end_nl = ends + [",continuous,dense\n"] * (m * d)
+    yield CSV_HEADER + "\n"
+    per_block = max(1, BLOCK_ROWS // len(agent))
+    for k0 in range(0, K, per_block):
+        k = np.arange(k0, min(k0 + per_block, K))
+        t = np.repeat(_strs(times[k])[:, None], len(agent), 1)
+        t[:, n:] = np.tile(_strs(k[:, None] * sys.h + taus), m)  # k*h + tau
+        yield _rows(t, agent, np.hstack([states[k], dense[k].reshape(len(k), m * d)]), end_nl)
+    yield _rows(np.repeat(_strs(times[K:]), n), agents, states[K:], ends)
 
 
-def write_trajectory_csv(
-    sys: HybridSystem, traj: Trajectory | MonteCarloSummary, path: str | Path
-) -> None:
-    lines = trajectory_csv_lines(sys, traj)
-    with open(path, "wb") as f:  # in blocks of rows: no whole-file copy of the text
-        for i in range(0, len(lines), 8192):
-            f.write(("\n".join(lines[i : i + 8192]) + "\n").encode())
+def _rows(t: np.ndarray, agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
+    """Whole steps of rows as one string: every field in one flat list, joined once."""
+    out: list = [None] * (4 * values.size)
+    out[0::4], out[1::4] = t.ravel().tolist(), agent * len(values)
+    out[2::4], out[3::4] = _reprs(values.ravel()), end_nl * len(values)
+    return "".join(out)
+
+
+def write_trajectory_csv(sys: HybridSystem, traj: Trajectory | MonteCarloSummary,
+                         path: str | Path) -> None:
+    """Stream the CSV to a temporary file beside `path`, renamed over it when complete."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for block in trajectory_csv_blocks(sys, traj):
+                f.write(block.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _finite_or_none(value: float) -> float | None:
     return value if value == value and abs(value) != float("inf") else None
 
 
-def verdict_report(
-    cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusVerdict
-) -> dict:
+def verdict_report(cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusVerdict) -> dict:
     return {
         "solvable": verdict.solvable,
         "condition": verdict.condition,

@@ -92,8 +92,8 @@ def random_symmetric_connected(rng: np.random.Generator, n: int,
 
 
 def reference_csv_lines(sys, traj) -> list[str]:
-    """The per-row formatter `trajectory_csv_lines` replaced, kept as the
-    reference oracle: one f-string, two reprs per row."""
+    """The original per-row formatter, kept as the reference oracle for
+    `reporting.trajectory_csv_blocks`: one f-string, two reprs per row."""
     lines = [CSV_HEADER]
     if isinstance(traj, MonteCarloSummary):
         states, dense, taus = traj.mean_states, [], []

@@ -158,3 +158,10 @@ class TestEdgeListFormat:
         path.write_text("n 2\n3 1 1.0\n")
         with pytest.raises(ParseError):
             read_edge_list(path)
+
+    def test_duplicate_edge_rejected(self, tmp_path):
+        # the last line used to win silently: a_12 read as 2.0
+        path = tmp_path / "g.edges"
+        path.write_text("n 2\n1 2 0.5\n2 1 1.0\n1 2 2.0\n")
+        with pytest.raises(ParseError, match=r"g\.edges:4: duplicate edge 1 2 \(first on line 2\)"):
+            read_edge_list(path)

@@ -27,7 +27,7 @@ from hybridconsensus import (
 from hybridconsensus.errors import NotRankOne
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
-from hybridconsensus.reporting import trajectory_csv_lines
+from hybridconsensus.reporting import trajectory_csv_blocks
 from conftest import (
     random_spanning_graph,
     random_split_graph,
@@ -136,7 +136,8 @@ def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
         traj = simulate_deterministic(sys, case, cfg)
     else:
         traj = (monte_carlo_mean if mean else simulate_gossip)(sys, sched, cfg)
-    assert trajectory_csv_lines(sys, traj) == reference_csv_lines(sys, traj)
+    want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
+    assert "".join(trajectory_csv_blocks(sys, traj)) == want
 
 
 def test_long_directed_path():

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,8 +15,10 @@ from hybridconsensus import (
     simulate_deterministic,
     verify_run,
 )
+from hybridconsensus import cli, reporting
 from hybridconsensus.config import build_schedule, build_system, load_config
-from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_lines
+from hybridconsensus.protocols import protocol
+from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
 from conftest import PRESETS, reference_csv_lines
 
 
@@ -26,10 +30,19 @@ def chain3(h: float, m: int = 2, x0=(1.0, -2.0, 3.0)) -> HybridSystem:
 
 
 def assert_matches_reference(sys: HybridSystem, traj) -> None:
-    got, want = trajectory_csv_lines(sys, traj), reference_csv_lines(sys, traj)
-    assert len(got) == len(want)
-    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
-    assert not bad, f"{len(bad)} rows differ, first {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+    """Byte equality with the reference at the default block size and at
+    blocks of one step, of one row less or more than a step, and of a step."""
+    want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
+    width = sys.n + (0 if isinstance(traj, MonteCarloSummary) else sys.m * traj.dense.shape[2])
+    for block_rows in (reporting.BLOCK_ROWS, 1, width - 1, width, width + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reporting, "BLOCK_ROWS", block_rows)
+            got = "".join(trajectory_csv_blocks(sys, traj))
+        if got != want:
+            got_rows, want_rows = got.split("\n"), want.split("\n")
+            i = next((i for i, (a, b) in enumerate(zip(got_rows, want_rows)) if a != b), None)
+            pytest.fail(f"BLOCK_ROWS={block_rows}: {len(got_rows)} rows against "
+                        f"{len(want_rows)}, first difference at row {i}")
 
 
 class TestTrajectoryCsv:
@@ -38,7 +51,7 @@ class TestTrajectoryCsv:
         # into the wrong sampling interval
         sys = chain3(0.3)
         traj = simulate_deterministic(sys, 1, RunConfig(steps=30_000, dense_per_step=4))
-        lines = trajectory_csv_lines(sys, traj)
+        lines = "".join(trajectory_csv_blocks(sys, traj)).splitlines()
         assert lines[0] == CSV_HEADER
         t_k, dense_rows, misplaced = None, 0, 0
         for line in lines[1:]:
@@ -87,3 +100,58 @@ class TestCsvMatchesReference:
         sys = chain3(0.3, m=m, x0=(-0.0, -2.0, 3.0))
         traj = simulate_deterministic(sys, case, RunConfig(steps=steps, dense_per_step=dense))
         assert_matches_reference(sys, traj)
+
+
+class TestWriteTrajectoryCsv:
+    def test_peak_memory_is_set_by_the_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reporting, "BLOCK_ROWS", 4096)
+        sys = chain3(0.3)
+        traj = simulate_deterministic(sys, 1, RunConfig(steps=20_000))
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(sys, traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, f"peak {peak} B for a {path.stat().st_size} B file"
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, exc):
+        sys = chain3(0.3)
+        traj = simulate_deterministic(sys, 1, RunConfig(steps=50))
+        path = tmp_path / "trajectory.csv"
+        path.write_bytes(b"old\n")
+        blocks = reporting.trajectory_csv_blocks
+
+        def interrupted(*args):
+            it = blocks(*args)
+            yield next(it)  # the header
+            yield next(it)  # the first block of steps
+            raise exc("stopped in the second block")
+
+        monkeypatch.setattr(reporting, "BLOCK_ROWS", 100)
+        monkeypatch.setattr(reporting, "trajectory_csv_blocks", interrupted)
+        with pytest.raises(exc):
+            write_trajectory_csv(sys, traj, path)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["trajectory.csv"]
+
+
+class TestMatrixOutput:
+    def case3_config(self, tmp_path):
+        (tmp_path / "g.edges").write_text("n 3\n1 2 0.7\n2 1 0.7\n2 3 1.3\n3 2 1.3\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("graph = g.edges\ncase = 3\nm = 2\nh = 0.1\nx0 = 1, -2, 3\n"
+                       "probs = 0.375, 0.625\n")
+        return cfg
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "case3"])
+    def test_matches_per_entry_repr(self, tmp_path, capsys, name):
+        path = self.case3_config(tmp_path) if name == "case3" else PRESETS / f"{name}.cfg"
+        cfg = load_config(path)
+        sched = build_schedule(cfg) if cfg.case == 3 else None
+        entries = protocol(cfg.case).matrix(build_system(cfg), sched).entries
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
+        assert cli.main(["matrix", str(path)]) == 0
+        assert capsys.readouterr().out == want
