@@ -8,9 +8,9 @@ Subcommands::
     hybridconsensus matrix CONFIG   # dump the iteration / expected matrix
 
 Exit codes: 0 success (for `run`: converged matches solvable), 1 I/O or
-parse failure, 2 condition violation (h over bound, bad dimensions, or a
-converged/solvable mismatch).  HYBRIDCONSENSUS_OUTDIR sets the default
-output directory for `run`.
+parse failure, 2 condition violation (h over bound, bad dimensions, a
+non-finite or out-of-range value, or a converged/solvable mismatch).
+HYBRIDCONSENSUS_OUTDIR sets the default output directory for `run`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,16 @@ import os
 import sys as _sys
 from dataclasses import fields
 from pathlib import Path
+
+# OpenBLAS reads this once, when numpy loads it, so it must be set before the
+# imports below.  After the library loads and after each threaded call, an idle
+# OpenBLAS worker spins for 2**timeout cycles; the default 28 (about 0.1 s)
+# makes a short CLI process burn about a third more CPU than its wall time.
+# 2**20 cycles (about 0.4 ms) still hands back-to-back BLAS calls over without
+# a wake-up; thread count and work split are unchanged, so outputs are too.
+# A timeout the user set under either of OpenBLAS's names is kept.
+if "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .analysis import decide, verify_run
 from .config import KEYS, ExperimentConfig, build_schedule, build_system, load_config
@@ -61,7 +71,8 @@ def _cmd_check(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
     verdict = decide(system, cfg.case, sched)
-    print(json.dumps(verdict_report(cfg, system, verdict), indent=2, sort_keys=True))
+    report = verdict_report(cfg, system, verdict)
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ required::
     seed = 0                      # gossip seed; trial r uses seed + r
     trials = 1000                 # Monte-Carlo trials, case 3 only
     probs = uniform               # or an explicit comma list, one per edge
-    tol = 1e-8                    # convergence tolerance
+    tol = 1e-8                    # convergence tolerance, positive and finite
 
 `x0 = paper` expands to the benchmark initial state
 [-13, 14, 3, -9, -3, 6], with h = 0.2 unless h is given, and requires a
@@ -23,6 +23,7 @@ required::
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -136,6 +137,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             values["h"] = PAPER_H
     if values["h"] is None:
         raise ParseError("missing required key 'h'")
+    if not (values["tol"] > 0 and math.isfinite(values["tol"])):
+        raise ValueError(f"tol must be positive and finite, got {values['tol']}")
     if len(values["x0"]) != graph.n:
         raise DimensionMismatch(f"x0 has length {len(values['x0'])}, graph has n = {graph.n}")
     return ExperimentConfig(graph_path=graph_path, **values)

@@ -55,6 +55,10 @@ class HybridSystem:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got shape {x0.shape}")
+        finite = np.isfinite(x0)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"x0 must be finite, got x0[{bad}] = {float(x0[bad])}")
         x0 = x0.copy()
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -85,10 +89,11 @@ class GossipSchedule:
             raise InvalidSchedule("edges must be ordered pairs (i, j) with i < j")
         if len(set(edges)) != len(edges):
             raise InvalidSchedule("duplicate edge in schedule")
-        # p in (0, 1]; the single-edge schedule necessarily has p = 1.
-        if np.any(probs <= 0) or np.any(probs > 1):
+        # p in (0, 1]; the single-edge schedule necessarily has p = 1.  Both
+        # tests are written so that NaN, which compares False, fails them.
+        if not np.all((probs > 0) & (probs <= 1)):
             raise InvalidSchedule("each probability must lie in (0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidSchedule(f"probabilities must sum to 1, got {probs.sum()!r}")
         order = sorted(range(len(edges)), key=lambda k: edges[k])
         edges = tuple(edges[k] for k in order)

@@ -109,4 +109,5 @@ def verdict_report(cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusV
 
 
 def write_verdict_json(report: dict, path: str | Path) -> None:
-    Path(path).write_bytes((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_bytes((text + "\n").encode())

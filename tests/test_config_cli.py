@@ -19,6 +19,15 @@ def run_cli(*args, env=None):
     )
 
 
+def strict_json(text):
+    """Parse `text`, refusing NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -75,6 +84,13 @@ class TestLoadConfig:
                 write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\nbogus = 3\n")
             )
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, tol):
+        (tmp_path / "g.edges").write_text(SMALL_GRAPH)
+        text = f"graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\ntol = {tol}\n"
+        with pytest.raises(ValueError, match="tol"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_explicit_probs(self, tmp_path):
         (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
         cfg = load_config(
@@ -95,6 +111,28 @@ class TestCliExitCodes:
     def test_missing_graph_is_io_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "graph = missing.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n")
         assert run_cli("run", str(cfg)).returncode == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("check", "example3.cfg", "--probs", ",".join(["nan"] * 7)), "probability"),
+            (("check", "example1.cfg", "--x0", "nan,1,2,3,4,5", "--h", "0.2"), "x0"),
+            (("run", "example1.cfg", "--x0", "inf,1,2,3,4,5", "--h", "0.2"), "x0"),
+            (("run", "example1.cfg", "--tol", "-1"), "tol"),
+        ],
+        ids=["nan-probs", "nan-x0", "inf-x0", "negative-tol"],
+    )
+    def test_nonfinite_or_nonpositive_input_is_condition_error(
+        self, tmp_path, presets_dir, args, message
+    ):
+        command, cfg, *flags = args
+        if command == "run":
+            flags += ["--out", str(tmp_path)]
+        result = run_cli(command, str(presets_dir / cfg), *flags)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "NaN" not in result.stdout
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_h_over_bound_is_condition_error(self, tmp_path, presets_dir):
         result = run_cli("run", str(presets_dir / "example1.cfg"), "--h", "2.0", "--out", str(tmp_path))
@@ -147,6 +185,15 @@ class TestCliSubcommands:
         verdict = json.loads(result.stdout)
         assert verdict["solvable"]
         assert verdict["predicted_value"] == pytest.approx(-1 / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("preset", ["example1.cfg", "example2.cfg", "example3.cfg"])
+    def test_output_is_strict_json(self, tmp_path, presets_dir, capsys, preset):
+        cfg = str(presets_dir / preset)
+        assert main(["check", cfg]) == 0
+        strict_json(capsys.readouterr().out)
+        short_run = ["--steps", "80", "--trials", "50", "--tol", "1.0", "--out", str(tmp_path)]
+        assert main(["run", cfg, *short_run]) == 0
+        strict_json((tmp_path / "verdict.json").read_text())
 
     def test_matrix_dump_is_row_stochastic(self, presets_dir):
         result = run_cli("matrix", str(presets_dir / "example1.cfg"))

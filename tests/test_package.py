@@ -1,0 +1,79 @@
+"""The lazy package namespace, and the OpenBLAS spin timeout the CLI sets
+before numpy loads.  Each test runs a fresh interpreter whose environment
+holds neither OpenBLAS timeout variable unless the test presets one."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TIMEOUT_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+
+# records OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first imported
+NUMPY_IMPORT_SPY = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+"""
+
+
+def run_python(code: str, **preset: str) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if k not in TIMEOUT_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(preset)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_import_loads_no_numpy_and_leaves_environ_alone():
+    out = run_python(
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import hybridconsensus\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before, hybridconsensus.__version__)\n"
+    )
+    assert out == ["False", "True", "0.1.0"]
+
+
+def test_cli_sets_timeout_before_numpy_loads():
+    out = run_python(
+        NUMPY_IMPORT_SPY
+        + "import hybridconsensus.cli\n"
+        + "print(seen, os.environ['OPENBLAS_THREAD_TIMEOUT'], 'GOTO_THREAD_TIMEOUT' in os.environ)\n"
+    )
+    assert out == ["['20']", "20", "False"]
+
+
+@pytest.mark.parametrize("var", TIMEOUT_VARS)
+def test_user_timeout_is_kept(var):
+    out = run_python(
+        "import os\n"
+        "import hybridconsensus.cli\n"
+        f"print(*(os.environ.get(v) for v in {TIMEOUT_VARS!r}))\n",
+        **{var: "28"},
+    )
+    assert out == ["28" if v == var else "None" for v in TIMEOUT_VARS]
+
+
+def test_every_exported_name_resolves():
+    out = run_python(
+        "import hybridconsensus as hc\n"
+        "listed = set(hc.__all__)\n"
+        "assert listed <= set(dir(hc)), listed - set(dir(hc))\n"
+        "for name in hc.__all__:\n"
+        "    exec(f'from hybridconsensus import {name}')\n"
+        "    assert getattr(hc, name) is eval(name), name\n"
+        "try:\n"
+        "    hc.no_such_name\n"
+        "except AttributeError:\n"
+        "    print(len(listed), len(hc.__all__))\n"
+    )
+    assert out == ["33", "33"]

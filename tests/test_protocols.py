@@ -201,6 +201,18 @@ class TestGossipSchedule:
         sched = GossipSchedule(((0, 1),), np.array([1.0]))
         assert sched.probs[0] == 1.0
 
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_probs_rejected(self, probs):
+        with pytest.raises(InvalidSchedule):
+            GossipSchedule(((0, 1), (1, 2)), np.array(probs))
+
+
+class TestHybridSystem:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_x0_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"x0\[1\]"):
+            HybridSystem(undirected_ring_with_chord(3), m=1, h=0.1, x0=[0.0, bad, 1.0])
+
 
 class TestGossipExpectedMatrix:
     def test_single_edge_equals_pair_matrix(self):

@@ -138,6 +138,17 @@ class TestWriteTrajectoryCsv:
         assert os.listdir(tmp_path) == ["trajectory.csv"]
 
 
+class TestStrictJson:
+    def test_verdict_json_refuses_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            reporting.write_verdict_json({"predicted_value": math.nan}, tmp_path / "verdict.json")
+
+    def test_check_refuses_non_finite(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verdict_report", lambda *args: {"predicted_value": math.inf})
+        assert cli.main(["check", str(PRESETS / "example1.cfg")]) == cli.EXIT_CONDITION
+        assert capsys.readouterr().out == ""
+
+
 class TestMatrixOutput:
     def case3_config(self, tmp_path):
         (tmp_path / "g.edges").write_text("n 3\n1 2 0.7\n2 1 0.7\n2 3 1.3\n3 2 1.3\n")
