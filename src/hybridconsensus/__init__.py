@@ -12,22 +12,15 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analysis": (
-        "ConsensusVerdict",
-        "decide",
-        "disagreement",
-        "nonconsensus_witness",
-        "verify_run",
-    ),
+    "analysis": ("ConsensusVerdict", "decide", "disagreement", "verify_run"),
     "engine": (
         "MonteCarloSummary",
         "RunConfig",
         "Trajectory",
         "monte_carlo_mean",
         "simulate_deterministic",
-        "simulate_gossip",
     ),
-    "graphs": ("WeightedDigraph", "has_spanning_tree", "read_edge_list", "write_edge_list"),
+    "graphs": ("WeightedDigraph", "read_edge_list"),
     "protocols": (
         "GossipSchedule",
         "HybridSystem",
@@ -37,19 +30,9 @@ _EXPORTS = {
         "case1_matrix",
         "case2_gain",
         "case2_matrix",
-        "continuous_interpolant",
         "gossip_expected_matrix",
-        "gossip_interpolant",
-        "gossip_pair_matrix",
-        "iteration_matrix",
     ),
-    "spectral": (
-        "PerronVector",
-        "StochasticMatrix",
-        "check_stochastic",
-        "left_eigenvector",
-        "sia_limit",
-    ),
+    "spectral": ("PerronVector", "StochasticMatrix", "check_stochastic", "left_eigenvector"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

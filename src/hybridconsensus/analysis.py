@@ -15,7 +15,6 @@ from .engine import (
     simulate_deterministic,
 )
 from .errors import ConsensusError, DegenerateEigenspace
-from .graphs import strong_components
 from .protocols import GossipSchedule, HybridSystem, case2_gain, protocol
 from .spectral import left_eigenvector
 
@@ -67,21 +66,6 @@ def disagreement(traj: Trajectory | MonteCarloSummary, at: int = -1) -> float:
     states = traj.mean_states if isinstance(traj, MonteCarloSummary) else traj.sample_states
     x = states[at]
     return float(x.max() - x.min())
-
-
-def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
-    """Initial state pinning two closed classes at 0 and 1.
-
-    Exists exactly when the graph has no spanning tree; the two classes
-    never hear each other, so disagreement stays at 1 forever.
-    """
-    label, closed = strong_components(sys.graph.weights)
-    if len(closed) < 2:
-        raise ConsensusError("graph has a spanning tree; no witness exists")
-    x0 = np.full(sys.n, 0.5)
-    x0[label == closed[0]] = 0.0
-    x0[label == closed[1]] = 1.0
-    return x0
 
 
 def verify_run(

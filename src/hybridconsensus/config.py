@@ -31,7 +31,7 @@ import numpy as np
 
 from .engine import RunConfig
 from .errors import DimensionMismatch, ParseError
-from .graphs import WeightedDigraph, read_edge_list
+from .graphs import WeightedDigraph, content_lines, read_edge_list
 from .protocols import GossipSchedule, HybridSystem, protocol
 
 PAPER_X0 = (-13.0, 14.0, 3.0, -9.0, -3.0, 6.0)
@@ -81,10 +81,7 @@ KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 
 def _parse_pairs(path: Path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)

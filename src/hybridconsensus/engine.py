@@ -1,5 +1,5 @@
-"""Trajectory execution: sampled-map iteration, dense intra-sample states,
-seeded gossip runs and Monte-Carlo aggregation.
+"""Trajectory execution: sampled-map iteration with dense intra-sample
+states (cases 1-2), and the Monte-Carlo mean of seeded gossip runs (case 3).
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
 pair reproduces a trajectory bit-for-bit on any platform.  Gossip edges
@@ -38,7 +38,6 @@ class Trajectory:
     sample_times: np.ndarray  # (K+1,)
     sample_states: np.ndarray  # (K+1, n)
     dense: np.ndarray  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
-    drawn_edges: tuple[tuple[int, int], ...] | None = None  # gossip runs only
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,29 @@ def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
-def _gossip(
-    sys: HybridSystem, sched: GossipSchedule, steps: int, seed: int, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run `trials` independent gossip chains side by side; trial r draws
-    its edges with seed + r.  Each draw is applied as a two-row update of
-    the (trials, n) state, and the mean and standard error over trials are
-    kept per step.  Returns the drawn edge indices (steps, trials), the
-    means and the standard errors (steps + 1, n)."""
+def monte_carlo_mean(
+    sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
+) -> MonteCarloSummary:
+    """Empirical mean and standard error of the sampled states over
+    independent gossip trials; trial r draws its edges with seed cfg.seed + r.
+
+    The trials run side by side: each draw is applied as a two-row update
+    of the (trials, n) state, and the mean and standard error over trials
+    are kept per step.
+    """
+    if cfg.trials < 2:
+        raise ValueError("monte_carlo_mean needs trials >= 2")
     sched.validate_against(sys.graph)
     edges = np.array(sched.edges)
     gains = pair_gains(sys, sched.edges, sys.h)  # also enforces the h bound
-    choice = np.stack([_draw_edges(sched, steps, seed + r) for r in range(trials)], axis=1)
-    x = np.tile(sys.x0, (trials, 1))
-    rows = np.arange(trials)
-    mean = np.empty((steps + 1, sys.n))
-    stderr = np.zeros((steps + 1, sys.n))
-    for k in range(steps + 1):
+    choice = np.stack(
+        [_draw_edges(sched, cfg.steps, cfg.seed + r) for r in range(cfg.trials)], axis=1
+    )
+    x = np.tile(sys.x0, (cfg.trials, 1))
+    rows = np.arange(cfg.trials)
+    mean = np.empty((cfg.steps + 1, sys.n))
+    stderr = np.empty((cfg.steps + 1, sys.n))
+    for k in range(cfg.steps + 1):
         if k:
             e = choice[k - 1]
             i, j = edges[e, 0], edges[e, 1]
@@ -110,44 +115,7 @@ def _gossip(
             x[rows, i] = xi + gains[e, 0] * (xj - xi)
             x[rows, j] = xj + gains[e, 1] * (xi - xj)
         mean[k] = x.mean(axis=0)
-        if trials > 1:
-            stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(trials)
-    return choice, mean, stderr
-
-
-def simulate_gossip(
-    sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
-) -> Trajectory:
-    """One seeded gossip run: at each t_k a single edge is drawn i.i.d. and
-    its pair matrix applied; everyone else holds state.  Between samples
-    only the drawn endpoints move, so only their dense states change."""
-    choice, states, _ = _gossip(sys, sched, cfg.steps, cfg.seed, trials=1)
-    choice = choice[:, 0]
-    edges = np.array(sched.edges)[choice]  # (K, 2)
-    x = states[:-1]
-    dense = np.repeat(x[:, : sys.m, None], cfg.dense_per_step, axis=2)
-    for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
-        g = pair_gains(sys, sched.edges, tau)[choice]  # (K, 2) drawn endpoints' gains
-        for end in (0, 1):
-            k = np.flatnonzero(edges[:, end] < sys.m)  # steps moving a continuous agent
-            i, j = edges[k, end], edges[k, 1 - end]
-            dense[k, i, col] = x[k, i] + g[k, end] * (x[k, j] - x[k, i])
-    return Trajectory(
-        sample_times=np.arange(cfg.steps + 1) * sys.h,
-        sample_states=states,
-        dense=dense,
-        drawn_edges=tuple(sched.edges[c] for c in choice),
-    )
-
-
-def monte_carlo_mean(
-    sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
-) -> MonteCarloSummary:
-    """Empirical mean and standard error of the sampled states over
-    independent gossip trials; trial r runs with seed cfg.seed + r."""
-    if cfg.trials < 2:
-        raise ValueError("monte_carlo_mean needs trials >= 2")
-    _, mean, stderr = _gossip(sys, sched, cfg.steps, cfg.seed, cfg.trials)
+        stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     return MonteCarloSummary(
         sample_times=np.arange(cfg.steps + 1) * sys.h, mean_states=mean, stderr=stderr
     )

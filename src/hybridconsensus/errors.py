@@ -23,11 +23,6 @@ class NotStochastic(ConsensusError):
         super().__init__(f"row {row} violates stochasticity (residual {residual:.3e})")
 
 
-class NotRankOne(ConsensusError):
-    """Matrix powers did not converge to a rank-one limit; the associated
-    graph lacks a spanning tree."""
-
-
 class DegenerateEigenspace(ConsensusError):
     """The eigenvalue 1 is not simple: P has no single closed class."""
 
@@ -40,18 +35,6 @@ class SamplingPeriodTooLarge(ConsensusError):
         self.bound = bound
         self.bound_name = bound_name
         super().__init__(f"h = {h} must be strictly below {bound_name} = {bound}")
-
-
-class NotAnEdge(ConsensusError):
-    """The requested pair (i, j) carries zero weight."""
-
-
-class OutOfWindow(ConsensusError):
-    """Intra-sample offset tau lies outside (0, h]."""
-
-
-class NotContinuousAgent(ConsensusError):
-    """An intra-sample evaluation was requested for a discrete-time agent."""
 
 
 class InvalidSchedule(ConsensusError):

@@ -1,5 +1,5 @@
-"""Weighted digraphs, Laplacians and the structure the consensus theorems
-condition on.
+"""Weighted digraphs, the structure the consensus theorems condition on, and
+the edge-list file format.
 
 Convention: ``a[i, j] > 0`` means agent ``i`` receives information from
 agent ``j`` (``j`` is a neighbour of ``i``).  All structure comes from one
@@ -13,6 +13,7 @@ fails.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ class WeightedDigraph:
             raise InvalidGraph("self-loops (nonzero diagonal) are not allowed")
         if not np.any(w > 0):
             raise InvalidGraph("graph must contain at least one edge")
-        w = w.copy()
+        w = w + 0.0  # a copy, with any -0.0 weight made +0.0
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -50,10 +51,6 @@ class WeightedDigraph:
     def in_degrees(self) -> np.ndarray:
         """d_ii = sum_j a_ij for every vertex."""
         return self.weights.sum(axis=1)
-
-    def laplacian(self) -> np.ndarray:
-        """L = D - A, D = diag(row sums)."""
-        return np.diag(self.in_degrees()) - self.weights
 
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.weights, self.weights.T))
@@ -110,12 +107,6 @@ def strong_components(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return label, np.flatnonzero(closed)
 
 
-def has_spanning_tree(g: WeightedDigraph) -> bool:
-    """True iff some root's information reaches every vertex, i.e. exactly
-    one class is closed.  On a symmetric graph this is connectivity."""
-    return len(strong_components(g.weights)[1]) == 1
-
-
 # --- edge-list file format ---------------------------------------------------
 #
 #   # optional comments
@@ -123,15 +114,26 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
 #   1 2 0.5        ->  a_12 = 0.5  (1-based indices)
 
 
+def content_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of every line of the UTF-8 text file `path` that
+    holds more than a `#` comment, with the comment and outer blanks cut."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_edge_list(path: str | Path) -> WeightedDigraph:
     """Parse the `n <count>` / `i j w` edge-list format."""
     path = Path(path)
     n = None
     entries: dict[tuple[int, int], tuple[float, int]] = {}  # (i, j) -> (w, line number)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(path):
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
@@ -163,14 +165,3 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
         return WeightedDigraph(weights)
     except InvalidGraph as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def write_edge_list(g: WeightedDigraph, path: str | Path) -> None:
-    """Write the edge-list format; weights use repr so reads are bit-exact."""
-    lines = [f"n {g.n}"]
-    for i in range(g.n):
-        for j in range(g.n):
-            w = g.weights[i, j]
-            if w > 0:
-                lines.append(f"{i + 1} {j + 1} {float(w)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

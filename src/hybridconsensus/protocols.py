@@ -1,4 +1,4 @@
-"""One-step iteration matrices and intra-sample closed forms for the three
+"""One-step iteration matrices and intra-sample gains for the three
 consensus protocols of a hybrid (continuous/discrete) multi-agent system.
 
 Agents 0..m-1 are continuous-time, agents m..n-1 are discrete-time; all
@@ -9,7 +9,11 @@ agents share the sampling grid t_k = k*h.
 * Case 2: continuous agents additionally observe their own state in real
   time; sampled map I - H*L with exponential gains on the continuous rows.
 * Case 3: randomized gossip on a symmetric graph; at each t_k a single edge
-  interacts through a pair matrix Phi_ij.
+  interacts through a pair matrix Phi_ij, whose gains `pair_gains` gives;
+  the builder returns their expected matrix E(Phi).
+
+Cases 1 and 2 share one writer of I - diag(g) L, where L = D - A and
+d_ii = sum_j a_ij: g_i a_ij off the diagonal, and the diagonal in closed form.
 
 `PROTOCOLS` is the case table: for each case its sampling-period bound,
 matrix builder, consensus condition and intra-sample gain.  `protocol(case)`
@@ -24,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricGraph,
-    InvalidSchedule,
-    NotAnEdge,
-    NotContinuousAgent,
-    OutOfWindow,
-    SamplingPeriodTooLarge,
-    UnknownCase,
-)
+from .errors import AsymmetricGraph, InvalidSchedule, SamplingPeriodTooLarge, UnknownCase
 from .graphs import WeightedDigraph
 from .spectral import StochasticMatrix, check_stochastic
 
@@ -66,9 +62,6 @@ class HybridSystem:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def is_continuous(self, i: int) -> bool:
-        return 0 <= i < self.m
 
 
 @dataclass(frozen=True)
@@ -158,24 +151,18 @@ def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
 # --- iteration matrices ------------------------------------------------------
 
 
-def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMatrix:
-    """I - diag(gains) * L for gains 0 < h_i < 1/d_ii (h_i arbitrary positive
-    when d_ii = 0); stochastic with positive diagonal by construction."""
-    gains = np.asarray(gains, dtype=float)
-    d = graph.in_degrees()
-    if np.any(gains <= 0):
-        raise ValueError("gains must be positive")
-    bad = np.nonzero((d > 0) & (gains * d >= 1.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise SamplingPeriodTooLarge(float(gains[i]), 1.0 / float(d[i]), f"1/d_{i}{i}")
-    return check_stochastic(np.eye(graph.n) - gains[:, None] * graph.laplacian())
+def _sampled_map(graph: WeightedDigraph, gains: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
+    """I - diag(gains) * L written directly: gains_i * a_ij off the diagonal,
+    `diag` (the closed form of 1 - gains_i * d_ii) on it."""
+    M = gains[:, None] * graph.weights  # a has a zero diagonal
+    np.fill_diagonal(M, diag)
+    return check_stochastic(M)
 
 
 def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
     """Sampled map I - h*L of the zero-order-hold protocol."""
     _require_h(sys, bound_case1(sys), "bound_case1 (1/max d_ii)")
-    return iteration_matrix(sys.graph, np.full(sys.n, sys.h))
+    return _sampled_map(sys.graph, np.full(sys.n, sys.h), 1.0 - sys.h * sys.graph.in_degrees())
 
 
 def case2_gain(sys: HybridSystem) -> np.ndarray:
@@ -200,15 +187,13 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     """
     gains = case2_gain(sys)  # also enforces the h bound
     m, d = sys.m, sys.graph.in_degrees()
-    M = gains[:, None] * sys.graph.weights  # g_i a_ij; a has a zero diagonal
-    np.fill_diagonal(M, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
-    return check_stochastic(M)
+    return _sampled_map(sys.graph, gains, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
 
 
 def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
     """Gains (g_i, g_j), one row per edge (i, j) with i < j, of the pair
     update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over the window
-    (t_k, t_k + tau]; Phi_ij takes tau = h.
+    (t_k, t_k + tau]; the pair matrix Phi_ij takes tau = h.
 
     The factor depends on the kinds of the two endpoints:
     continuous-continuous averages symmetrically with factor
@@ -224,23 +209,6 @@ def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
     gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))
     gj = np.where(j < sys.m, both, held)
     return np.stack([gi, gj], axis=1)
-
-
-def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
-    """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
-    if not sys.graph.is_symmetric():
-        raise AsymmetricGraph("gossip requires a symmetric graph")
-    if not 0 <= i < j < sys.n:
-        raise NotAnEdge(f"need 0 <= i < j < n, got ({i}, {j})")
-    if sys.graph.weights[i, j] <= 0:
-        raise NotAnEdge(f"({i}, {j}) carries zero weight")
-    gi, gj = pair_gains(sys, [(i, j)], sys.h)[0]
-    phi = np.eye(sys.n)
-    phi[i, i] -= gi
-    phi[i, j] += gi
-    phi[j, j] -= gj
-    phi[j, i] += gj
-    return check_stochastic(phi)
 
 
 def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> StochasticMatrix:
@@ -308,67 +276,3 @@ def protocol(case: int) -> Protocol:
     if case not in PROTOCOLS:
         raise UnknownCase(f"case must be 1, 2 or 3, got {case}")
     return PROTOCOLS[case]
-
-
-# --- intra-sample closed forms ----------------------------------------------
-
-
-def _check_window(sys: HybridSystem, tau: float) -> None:
-    if not 0.0 < tau <= sys.h:
-        raise OutOfWindow(f"tau = {tau} outside (0, {sys.h}]")
-
-
-def continuous_interpolant(
-    case: int, sys: HybridSystem, x_k: np.ndarray, i: int, tau: float
-) -> float:
-    """State of continuous agent i at t_k + tau under case 1 or 2.
-
-    Case 1 drifts linearly toward the frozen neighbour mix; case 2 relaxes
-    exponentially toward it.  At tau = h both coincide with row i of the
-    corresponding one-step matrix.
-    """
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
-    if not sys.is_continuous(i):
-        raise NotContinuousAgent(f"agent {i} is discrete (m = {sys.m})")
-    _check_window(sys, tau)
-    x_k = np.asarray(x_k, dtype=float)
-    a_row = sys.graph.weights[i]
-    pull = float(a_row @ (x_k - x_k[i]))
-    d = float(a_row.sum())
-    if case == 1 or d == 0:
-        factor = tau
-    else:
-        factor = -math.expm1(-d * tau) / d
-    return float(x_k[i] + factor * pull)
-
-
-def gossip_interpolant(
-    sys: HybridSystem,
-    x_k: np.ndarray,
-    selected: tuple[int, int] | None,
-    i: int,
-    tau: float,
-) -> float:
-    """State of continuous agent i at t_k + tau during a gossip interval.
-
-    A participating agent relaxes toward its partner with weight beta:
-    (1 + e^{-2a tau})/2 for a continuous partner, e^{-a tau} for a
-    discrete one.  Unselected agents hold their sampled state.
-    """
-    if not sys.is_continuous(i):
-        raise NotContinuousAgent(f"agent {i} is discrete (m = {sys.m})")
-    _check_window(sys, tau)
-    x_k = np.asarray(x_k, dtype=float)
-    if selected is None or i not in selected:
-        return float(x_k[i])
-    a, b = selected
-    partner = b if i == a else a
-    w = float(sys.graph.weights[i, partner])
-    if w <= 0:
-        raise NotAnEdge(f"selected pair ({a}, {b}) is not an edge")
-    if sys.is_continuous(partner):
-        beta = (1.0 + math.exp(-2.0 * w * tau)) / 2.0
-    else:
-        beta = math.exp(-w * tau)
-    return float(beta * x_k[i] + (1.0 - beta) * x_k[partner])

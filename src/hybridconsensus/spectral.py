@@ -1,15 +1,11 @@
-"""Stochastic-matrix analysis.
+"""Stochastic-matrix analysis: the row-stochasticity check and the
+consensus weight vector nu.
 
-Two independent routes to the consensus weight vector nu:
-
-* ``sia_limit``      -- power iteration (repeated squaring) until the matrix
-                        powers collapse to a rank-one limit 1 * nu^T;
-* ``left_eigenvector`` -- nu is supported on the one closed strongly
-                        connected class of P (the root class) and solved
-                        there by subtraction-free Grassmann-Taksar-Heyman
-                        elimination (Oper. Res. 1985); zero elsewhere.
-
-The two must agree whenever both succeed; tests exercise that cross-check.
+``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
+closed strongly connected class of P (the root class) and solved there by
+subtraction-free Grassmann-Taksar-Heyman elimination (Oper. Res. 1985), so
+weak links keep full accuracy; it is zero elsewhere.  The tests cross-check
+it against the rank-one limit of the powers of P (the SIA route).
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEigenspace, NotRankOne, NotStochastic
+from .errors import DegenerateEigenspace, NotStochastic
 from .graphs import strong_components
 
 STOCHASTIC_TOL = 1e-12
@@ -59,37 +55,6 @@ def check_stochastic(matrix: np.ndarray, tol: float = STOCHASTIC_TOL) -> Stochas
     return StochasticMatrix(m)
 
 
-def _perron_from(P: np.ndarray, nu: np.ndarray) -> PerronVector:
-    nu = nu / nu.sum()
-    return PerronVector(nu=nu, residual=float(np.max(np.abs(P.T @ nu - nu))))
-
-
-def sia_limit(
-    P: StochasticMatrix, tol: float = 1e-12, max_iter: int = 200
-) -> tuple[np.ndarray, PerronVector]:
-    """Limit of P^k by repeated squaring; raises NotRankOne if the powers
-    settle on (or never reach) a limit whose rows disagree.
-
-    A NotRankOne outcome signals that the graph associated with P has no
-    spanning tree (necessity direction of the SIA equivalence).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    Q = P.entries
-    for _ in range(max_iter):
-        Q_next = Q @ Q
-        if np.max(np.abs(Q_next - Q)) < tol:
-            spread = float(np.max(Q_next.max(axis=0) - Q_next.min(axis=0)))
-            if spread < tol:
-                nu = Q_next.mean(axis=0)
-                return Q_next, _perron_from(P.entries, nu)
-            raise NotRankOne(
-                f"powers converged but rows disagree (column spread {spread:.3e})"
-            )
-        Q = Q_next
-    raise NotRankOne(f"no rank-one limit after {max_iter} squarings")
-
-
 def _gth(W: np.ndarray) -> np.ndarray:
     """Unnormalised stationary vector of the irreducible stochastic block W (overwritten).
 
@@ -121,4 +86,5 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     root = np.flatnonzero(label == closed[0])
     nu = np.zeros(P.n)
     nu[root] = _gth(P.entries[np.ix_(root, root)])  # fancy indexing copies
-    return _perron_from(P.entries, nu)
+    nu /= nu.sum()
+    return PerronVector(nu=nu, residual=float(np.max(np.abs(P.entries.T @ nu - nu))))

@@ -100,7 +100,7 @@ def reference_csv_lines(sys, traj) -> list[str]:
     else:
         states, dense = traj.sample_states, traj.dense.tolist()
         taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
-    kinds = ["continuous" if sys.is_continuous(i) else "discrete" for i in range(sys.n)]
+    kinds = ["continuous" if i < sys.m else "discrete" for i in range(sys.n)]
     for k, (t, row) in enumerate(zip(traj.sample_times.tolist(), states.tolist())):
         for agent, value in enumerate(row):
             lines.append(f"{t!r},{agent + 1},{value!r},{kinds[agent]},sample")

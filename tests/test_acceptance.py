@@ -19,19 +19,22 @@ from hybridconsensus import (
     case1_matrix,
     case2_gain,
     case2_matrix,
-    continuous_interpolant,
     gossip_expected_matrix,
-    gossip_interpolant,
-    gossip_pair_matrix,
-    has_spanning_tree,
-    iteration_matrix,
     left_eigenvector,
     monte_carlo_mean,
+    simulate_deterministic,
+)
+from hybridconsensus.config import PAPER_X0
+from hybridconsensus.protocols import pair_gains
+from oracles import (
+    NotRankOne,
+    gossip_interpolant,
+    has_spanning_tree,
+    iteration_matrix,
+    laplacian,
     nonconsensus_witness,
     sia_limit,
 )
-from hybridconsensus.config import PAPER_X0
-from hybridconsensus.errors import NotRankOne
 from conftest import (
     PRESETS,
     random_spanning_graph,
@@ -65,7 +68,7 @@ def test_criterion_1_spectral_vs_dynamic_agreement():
         g = random_spanning_graph(rng, n, extra=n, w_lo=0.05, w_hi=1.0)
         h = 0.9 / g.in_degrees().max()
         sys_ = HybridSystem(g, m=n // 2, h=h, x0=rng.uniform(-10, 10, n))
-        L = g.laplacian()
+        L = laplacian(g)
         predicted = laplacian_left_null(L) @ sys_.x0
         M = case1_matrix(sys_).entries
         x = np.array(sys_.x0)
@@ -105,7 +108,7 @@ def test_criterion_2_case2_gain_law():
         P = case2_matrix(sys_)  # raises unless row-stochastic
         assert np.diag(P.entries).min() > 0
         limit, nu = sia_limit(P)
-        L = g.laplacian()
+        L = laplacian(g)
         residual = float(np.max(np.abs(L.T @ (case2_gain(sys_) * nu.nu))))
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-10
@@ -198,8 +201,10 @@ def test_criterion_5_gossip_mean_consensus():
 
 
 def test_criterion_6_endpoint_consistency():
-    """Intra-sample closed forms at tau = h coincide with the one-step
-    matrix rows to < 1e-12, over 10^4 randomized triples."""
+    """Intra-sample states at tau = h coincide with the one-step update to
+    < 1e-12, over 10^4 randomized triples: the dense state `run` writes
+    against the case-1/2 matrix row, and the gossip closed form against the
+    pair update from `pair_gains`."""
     rng = np.random.default_rng(2028)
     worst = 0.0
     checked = 0
@@ -212,11 +217,12 @@ def test_criterion_6_endpoint_consistency():
             d = g.in_degrees()
             cap = d[m:].max() if (case == 2 and m < n) else d.max()
             h = rng.uniform(0.1, 0.9) / max(cap, 0.5)
-            sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n))
+            sys_ = HybridSystem(g, m=m, h=h, x0=rng.uniform(-1, 1, n))
             M = (case1_matrix if case == 1 else case2_matrix)(sys_).entries
-            x = rng.uniform(-1, 1, n)
+            cfg = RunConfig(steps=1, dense_per_step=int(rng.integers(1, 4)))
+            dense = simulate_deterministic(sys_, case, cfg).dense
             i = int(rng.integers(0, m))
-            gap = abs(continuous_interpolant(case, sys_, x, i, h) - M[i] @ x)
+            gap = abs(dense[0, i, -1] - M[i] @ sys_.x0)
         else:
             g = random_symmetric_connected(rng, n if n >= 2 else 2)
             m = int(rng.integers(1, n + 1))
@@ -224,13 +230,14 @@ def test_criterion_6_endpoint_consistency():
             sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n))
             edges = g.edges()
             i, j = edges[int(rng.integers(0, len(edges)))]
-            M = gossip_pair_matrix(sys_, i, j).entries
             x = rng.uniform(-1, 1, n)
-            participants = [a for a in (i, j) if sys_.is_continuous(a)]
+            participants = [a for a in (i, j) if a < m]
             if not participants:
                 continue
             agent = participants[int(rng.integers(0, len(participants)))]
-            gap = abs(gossip_interpolant(sys_, x, (i, j), agent, h) - M[agent] @ x)
+            g_agent = pair_gains(sys_, [(i, j)], h)[0, int(agent == j)]
+            update = x[agent] + g_agent * (x[i + j - agent] - x[agent])
+            gap = abs(gossip_interpolant(sys_, x, (i, j), agent, h) - update)
         worst = max(worst, float(gap))
         assert gap < 1e-12
         checked += 1

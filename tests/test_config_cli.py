@@ -35,6 +35,8 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 SMALL_GRAPH = "n 2\n1 2 1.0\n2 1 1.0\n"
+SMALL_CFG = "graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n"
+NOT_UTF8 = b"# caf\xe9 \xff\xfe\n"  # Latin-1, then two bytes no UTF-8 text holds
 
 # a 3-vertex path under case 1, and a value other than the base or default for every flag
 BASE = {"graph": "g.edges", "case": "1", "m": "1", "h": "0.2", "x0": "0, 1, 2"}
@@ -91,6 +93,14 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="tol"):
             load_config(write_cfg(tmp_path, text))
 
+    def test_undecodable_config_is_parse_error(self, tmp_path):
+        # read_text raised UnicodeDecodeError, a ValueError: exit 2, file unnamed
+        (tmp_path / "g.edges").write_text(SMALL_GRAPH)
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(SMALL_CFG.encode() + NOT_UTF8)
+        with pytest.raises(ParseError, match=r"exp\.cfg:6: not UTF-8 text"):
+            load_config(path)
+
     def test_explicit_probs(self, tmp_path):
         (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
         cfg = load_config(
@@ -107,6 +117,14 @@ class TestLoadConfig:
 class TestCliExitCodes:
     def test_missing_config_is_io_error(self):
         assert run_cli("run", "/nonexistent/exp.cfg").returncode == 1
+
+    @pytest.mark.parametrize("bad, where", [("graph", "g.edges:4"), ("config", "exp.cfg:6")])
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys, bad, where):
+        (tmp_path / "g.edges").write_bytes(SMALL_GRAPH.encode() + (NOT_UTF8 if bad == "graph" else b""))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(SMALL_CFG.encode() + (NOT_UTF8 if bad == "config" else b""))
+        assert main(["check", str(cfg)]) == 1
+        assert f"{where}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_graph_is_io_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "graph = missing.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n")

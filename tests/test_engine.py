@@ -7,16 +7,13 @@ from hybridconsensus import (
     RunConfig,
     WeightedDigraph,
     case1_matrix,
-    continuous_interpolant,
-    gossip_interpolant,
-    gossip_pair_matrix,
     gossip_expected_matrix,
     monte_carlo_mean,
     simulate_deterministic,
-    simulate_gossip,
 )
-from hybridconsensus.engine import dense_tau_grid
+from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import UnknownCase
+from oracles import continuous_interpolant, gossip_interpolant, gossip_pair_matrix, simulate_gossip
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -121,7 +118,7 @@ class TestSimulateGossip:
     def test_single_edge_deterministic(self):
         sys = two_node(m=1)
         sched = GossipSchedule(((0, 1),), np.array([1.0]))
-        traj = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
+        traj, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
         phi = gossip_pair_matrix(sys, 0, 1).entries
         x = np.array([0.0, 1.0])
         for k in range(5):
@@ -133,30 +130,27 @@ class TestSimulateGossip:
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
         sched = GossipSchedule.uniform(g)
         cfg = RunConfig(steps=50, dense_per_step=2, seed=42)
-        t0 = simulate_gossip(sys, sched, cfg)
-        t1 = simulate_gossip(sys, sched, cfg)
+        t0, drawn0 = simulate_gossip(sys, sched, cfg)
+        t1, drawn1 = simulate_gossip(sys, sched, cfg)
         np.testing.assert_array_equal(t0.sample_states, t1.sample_states)
-        assert t0.drawn_edges == t1.drawn_edges
+        assert drawn0 == drawn1
         np.testing.assert_array_equal(t0.dense, t1.dense)
 
     def test_replay_of_logged_draws(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0]))
         sched = GossipSchedule.uniform(g)
-        traj = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
+        traj, drawn = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
         x = np.array(sys.x0)
-        for k, (i, j) in enumerate(traj.drawn_edges):
+        for k, (i, j) in enumerate(drawn):
             x = gossip_pair_matrix(sys, i, j).entries @ x
             np.testing.assert_allclose(traj.sample_states[k + 1], x, atol=1e-15)
 
     def test_drawn_edges_are_stable(self):
         # inverse-CDF draws from PCG64(seed) over the sorted edge list
-        g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
-        traj = simulate_gossip(
-            sys, GossipSchedule.uniform(g), RunConfig(steps=16, dense_per_step=0, seed=2015)
-        )
-        assert traj.drawn_edges == (
+        sched = GossipSchedule.uniform(undirected_ring_with_chord())
+        drawn = tuple(sched.edges[e] for e in _draw_edges(sched, 16, 2015))
+        assert drawn == (
             (1, 2), (0, 3), (3, 4), (4, 5), (0, 3), (0, 1), (2, 3), (4, 5),
             (0, 5), (4, 5), (3, 4), (4, 5), (0, 1), (0, 5), (0, 1), (2, 3),
         )
@@ -169,11 +163,11 @@ class TestSimulateGossip:
             x0 = rng.uniform(-10, 10, n)
             sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / g.weights.max(), x0=x0)
             cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
-            traj = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
+            traj, drawn = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
             assert traj.dense.shape == (12, sys.m, 3)
             taus = dense_tau_grid(sys.h, 3)
             for k, i, j in np.ndindex(traj.dense.shape):
-                x_k, edge = traj.sample_states[k], traj.drawn_edges[k]
+                x_k, edge = traj.sample_states[k], drawn[k]
                 want = gossip_interpolant(sys, x_k, edge, i, taus[j])
                 assert abs(traj.dense[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
 
@@ -181,7 +175,7 @@ class TestSimulateGossip:
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
         sched = GossipSchedule.uniform(g)
-        traj = simulate_gossip(sys, sched, RunConfig(steps=200, dense_per_step=0, seed=5))
+        traj, _ = simulate_gossip(sys, sched, RunConfig(steps=200, dense_per_step=0, seed=5))
         states = traj.sample_states
         assert np.all(np.diff(states.max(axis=1)) <= 1e-12)
         assert np.all(np.diff(states.min(axis=1)) >= -1e-12)
@@ -192,7 +186,7 @@ class TestMonteCarlo:
         sys = two_node(m=1)
         sched = GossipSchedule(((0, 1),), np.array([1.0]))
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=10, trials=20))
-        det = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
+        det, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
         np.testing.assert_allclose(mc.mean_states, det.sample_states, atol=1e-14)
         np.testing.assert_allclose(mc.stderr, 0.0, atol=1e-14)
 
@@ -213,9 +207,9 @@ class TestMonteCarlo:
         # reference: one full pair matrix per drawn edge, trial r seeded seed + r
         all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
         for r in range(cfg.trials):
-            edges = simulate_gossip(
+            _, edges = simulate_gossip(
                 sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-            ).drawn_edges
+            )
             x = np.array(x0)
             all_states[r, 0] = x
             for k, (i, j) in enumerate(edges):

@@ -6,11 +6,10 @@ from hybridconsensus import (
     HybridSystem,
     WeightedDigraph,
     decide,
-    has_spanning_tree,
     read_edge_list,
-    write_edge_list,
 )
 from hybridconsensus.errors import AsymmetricGraph, InvalidGraph, ParseError
+from oracles import has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 
 
@@ -41,17 +40,17 @@ class TestConstruction:
 class TestBuildMatrices:
     def test_two_node_symmetric(self):
         g = WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        L = g.laplacian()
+        L = laplacian(g)
         np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_single_edge(self):
         g = WeightedDigraph(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        L = g.laplacian()
+        L = laplacian(g)
         np.testing.assert_array_equal(L, [[0.0, 0.0], [-1.0, 1.0]])
 
     def test_six_ring_hand_expansion(self):
         g = ring_graph(6)
-        L = g.laplacian()
+        L = laplacian(g)
         expected = np.eye(6)
         for i in range(6):
             expected[i, (i - 1) % 6] = -1.0
@@ -61,7 +60,7 @@ class TestBuildMatrices:
         rng = np.random.default_rng(11)
         for _ in range(50):
             g = random_spanning_graph(rng, int(rng.integers(2, 10)), extra=5)
-            L = g.laplacian()
+            L = laplacian(g)
             assert np.max(np.abs(L @ np.ones(g.n))) <= 1e-12
 
 
@@ -157,6 +156,12 @@ class TestEdgeListFormat:
         path = tmp_path / "g.edges"
         path.write_text("n 2\n3 1 1.0\n")
         with pytest.raises(ParseError):
+            read_edge_list(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"n 2\n1 2 1.0\n2 1 \xff\xfe\n")
+        with pytest.raises(ParseError, match=r"g\.edges:3: not UTF-8 text"):
             read_edge_list(path)
 
     def test_duplicate_edge_rejected(self, tmp_path):

@@ -13,19 +13,10 @@ from hybridconsensus import (
     case1_matrix,
     case2_gain,
     case2_matrix,
-    continuous_interpolant,
     gossip_expected_matrix,
-    gossip_interpolant,
-    gossip_pair_matrix,
-    iteration_matrix,
 )
-from hybridconsensus.errors import (
-    InvalidSchedule,
-    NotAnEdge,
-    NotContinuousAgent,
-    OutOfWindow,
-    SamplingPeriodTooLarge,
-)
+from hybridconsensus.errors import InvalidSchedule, SamplingPeriodTooLarge
+from oracles import continuous_interpolant, gossip_interpolant, gossip_pair_matrix, iteration_matrix
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -139,6 +130,44 @@ class TestCase2:
                     assert gain[i] < min(sys.h, 1 / d[i])
 
 
+def weak_signed_graph(rng: np.random.Generator) -> WeightedDigraph:
+    """A random spanning-tree graph with some links scaled down to ~1e-17
+    and some absent links, and diagonal entries, stored as -0.0."""
+    n = int(rng.integers(2, 9))
+    w = np.array(random_spanning_graph(rng, n, extra=n, w_lo=0.1, w_hi=2.0).weights)
+    weak = (w > 0) & (rng.random((n, n)) < 0.3)
+    w[weak] *= 1e-17
+    w[(w == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    return WeightedDigraph(w)
+
+
+class TestSampledMapWriter:
+    """Cases 1 and 2 write I - diag(g) L straight from the weights; the
+    oracle builds it from the Laplacian."""
+
+    def test_case1_bitwise_equals_laplacian_form(self):
+        rng = np.random.default_rng(89)
+        for _ in range(300):
+            g = weak_signed_graph(rng)
+            sys = HybridSystem(g, m=int(rng.integers(0, g.n + 1)),
+                               h=rng.uniform(0.05, 0.95) / g.in_degrees().max(), x0=np.zeros(g.n))
+            got = case1_matrix(sys).entries
+            want = iteration_matrix(g, np.full(g.n, sys.h)).entries  # I - h*L
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_case2_matches_laplacian_form_within_ulps(self):
+        # continuous diagonals are e^{-d h} here, 1 - g*d in the oracle
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            g = weak_signed_graph(rng)
+            m = int(rng.integers(0, g.n + 1))
+            h = rng.uniform(0.05, 0.95) / max(g.in_degrees()[m:].max(initial=0.0), 0.5)
+            sys = HybridSystem(g, m=m, h=h, x0=np.zeros(g.n))
+            got = case2_matrix(sys).entries
+            want = iteration_matrix(g, case2_gain(sys)).entries
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+
+
 class TestGossipPairMatrix:
     def test_cc_pair(self):
         M = gossip_pair_matrix(two_node(m=2), 0, 1).entries
@@ -181,7 +210,7 @@ class TestGossipPairMatrix:
         w[0, 1] = w[1, 0] = 1.0
         w[1, 2] = w[2, 1] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=0, h=0.2, x0=np.zeros(3))
-        with pytest.raises(NotAnEdge):
+        with pytest.raises(ValueError):
             gossip_pair_matrix(sys, 0, 2)
 
 
@@ -288,12 +317,12 @@ class TestInterpolants:
     def test_out_of_window(self):
         sys = two_node(m=1)
         for tau in (0.0, -0.1, 0.21):
-            with pytest.raises(OutOfWindow):
+            with pytest.raises(ValueError, match="outside"):
                 continuous_interpolant(1, sys, np.zeros(2), 0, tau)
 
     def test_discrete_agent_rejected(self):
         sys = two_node(m=1)
-        with pytest.raises(NotContinuousAgent):
+        with pytest.raises(ValueError, match="discrete"):
             continuous_interpolant(1, sys, np.zeros(2), 1, 0.1)
 
 
@@ -331,7 +360,7 @@ class TestGossipInterpolant:
             M = gossip_pair_matrix(sys, i, j).entries
             x = rng.uniform(-1, 1, 5)
             for agent in (i, j):
-                if sys.is_continuous(agent):
+                if agent < sys.m:
                     got = gossip_interpolant(sys, x, (i, j), agent, sys.h)
                     assert abs(got - M[agent] @ x) < 1e-12
 

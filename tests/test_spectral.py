@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hybridconsensus import check_stochastic, left_eigenvector, sia_limit
-from hybridconsensus.errors import DegenerateEigenspace, NotRankOne, NotStochastic
+from hybridconsensus import check_stochastic, left_eigenvector
+from hybridconsensus.errors import DegenerateEigenspace, NotStochastic
+from oracles import NotRankOne, sia_limit
 
 
 def P(entries):
