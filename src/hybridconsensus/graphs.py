@@ -122,7 +122,9 @@ def content_lines(path: Path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # "\n" only, as grep -n counts: str.splitlines also breaks at \f, U+2028 and
+    # other characters a comment may hold.  read_text made \r\n and \r into \n.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -2,7 +2,8 @@
 
 Floats are written with repr (the shortest string that round-trips), so
 identical runs produce byte-identical files and values read back exactly.
-Files are written as bytes with `\n` line ends on any platform.  The CSV is
+Files are written as bytes with `\n` line ends on any platform, each to a
+temporary file that replaces the target only once complete.  The CSV is
 streamed in blocks of whole sampling steps: memory is set by the block.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,25 @@ def _rows(t: np.ndarray, agent: list[str], values: np.ndarray, end_nl: list[str]
     return "".join(out)
 
 
-def write_trajectory_csv(sys: HybridSystem, traj: Trajectory | MonteCarloSummary,
-                         path: str | Path) -> None:
-    """Stream the CSV to a temporary file beside `path`, renamed over it when complete."""
+def _write_replacing(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside `path`, renamed over it when
+    complete: a failed or interrupted write leaves any old file as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            for block in trajectory_csv_blocks(sys, traj):
-                f.write(block.encode())
+            for chunk in chunks:
+                f.write(chunk.encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_trajectory_csv(sys: HybridSystem, traj: Trajectory | MonteCarloSummary,
+                         path: str | Path) -> None:
+    """Stream the CSV to `path`, block by block, through a temporary file."""
+    _write_replacing(path, trajectory_csv_blocks(sys, traj))
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -109,5 +116,4 @@ def verdict_report(cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusV
 
 
 def write_verdict_json(report: dict, path: str | Path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_bytes((text + "\n").encode())
+    _write_replacing(path, [json.dumps(report, indent=2, sort_keys=True, allow_nan=False), "\n"])

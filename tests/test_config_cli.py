@@ -101,6 +101,17 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match=r"exp\.cfg:6: not UTF-8 text"):
             load_config(path)
 
+    @pytest.mark.parametrize("brk", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
+    def test_line_break_characters_in_comments(self, tmp_path, brk):
+        # str.splitlines broke lines at these: "b" was read as a line without "="
+        (tmp_path / "g.edges").write_text(SMALL_GRAPH)
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(f"# a{brk}b\n{SMALL_CFG}".encode())
+        assert load_config(path).h == 0.1
+        path.write_bytes(f"# a{brk}# b\nbogus\n{SMALL_CFG}".encode())  # numbered 3 before
+        with pytest.raises(ParseError, match=r"exp\.cfg:2: expected 'key = value'"):
+            load_config(path)
+
     def test_explicit_probs(self, tmp_path):
         (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
         cfg = load_config(
@@ -150,6 +161,26 @@ class TestCliExitCodes:
         assert result.returncode == 2
         assert message in result.stderr
         assert "NaN" not in result.stdout
+        assert not (tmp_path / "verdict.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize(
+        "preset, flag, value, floor",
+        [
+            ("example1.cfg", "steps", "-3", 0),
+            ("example1.cfg", "dense_per_step", "-1", 0),
+            ("example1.cfg", "trials", "0", 1),
+            ("example3.cfg", "trials", "1", 2),  # the Monte-Carlo stderr needs two
+        ],
+        ids=["steps", "dense_per_step", "trials", "case3-trials"],
+    )
+    def test_check_and_run_reject_the_same_counts(
+        self, tmp_path, presets_dir, capsys, command, preset, flag, value, floor
+    ):
+        # check used to accept all four; run failed inside RunConfig or monte_carlo_mean
+        args = [command, str(presets_dir / preset), "--" + flag.replace("_", "-"), value]
+        assert main(args + (["--out", str(tmp_path)] if command == "run" else [])) == 2
+        assert f"error: {flag} must be >= {floor}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
     def test_h_over_bound_is_condition_error(self, tmp_path, presets_dir):

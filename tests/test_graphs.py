@@ -170,3 +170,13 @@ class TestEdgeListFormat:
         path.write_text("n 2\n1 2 0.5\n2 1 1.0\n1 2 2.0\n")
         with pytest.raises(ParseError, match=r"g\.edges:4: duplicate edge 1 2 \(first on line 2\)"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("brk", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
+    def test_line_break_characters_in_comments(self, tmp_path, brk):
+        # str.splitlines broke lines at these: "b" was read as an edge on line 3
+        path = tmp_path / "g.edges"
+        path.write_bytes(f"n 2\n# a{brk}b\n1 2 1.0\n2 1 1.0\n".encode())
+        assert read_edge_list(path).weights[0, 1] == 1.0
+        path.write_bytes(f"n 2\n# a{brk}# b\n1 2\n".encode())  # numbered 4 before
+        with pytest.raises(ParseError, match=r"g\.edges:3: expected 'i j w'"):
+            read_edge_list(path)

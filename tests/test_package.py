@@ -1,5 +1,6 @@
-"""The lazy package namespace, and the OpenBLAS spin timeout the CLI sets
-before numpy loads.  Each test runs a fresh interpreter whose environment
+"""The lazy package namespace, the OpenBLAS spin timeout the CLI sets
+before numpy loads, and the import-time heap the CLI alone freezes against
+garbage collection.  Each test runs a fresh interpreter whose environment
 holds neither OpenBLAS timeout variable unless the test presets one."""
 
 import os
@@ -61,6 +62,25 @@ def test_user_timeout_is_kept(var):
         **{var: "28"},
     )
     assert out == ["28" if v == var else "None" for v in TIMEOUT_VARS]
+
+
+def test_cli_import_freezes_the_import_time_heap():
+    out = run_python(
+        "import gc, numpy\n"
+        "n = len(gc.get_objects())\n"
+        "import hybridconsensus.cli\n"
+        "print(gc.get_freeze_count() >= n)\n"
+    )
+    assert out == ["True"]
+
+
+def test_library_import_freezes_nothing():
+    out = run_python(
+        "import gc, hybridconsensus\n"
+        "hybridconsensus.decide\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    assert out == ["0"]
 
 
 # test oracles, not package API: the tests hold them in tests/oracles.py

@@ -138,6 +138,23 @@ class TestWriteTrajectoryCsv:
         assert os.listdir(tmp_path) == ["trajectory.csv"]
 
 
+class TestWriteVerdictJson:
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, exc):
+        # verdict.json was written in place, so the old file was gone before the write ended
+        path = tmp_path / "verdict.json"
+        path.write_bytes(b"old\n")
+
+        def interrupted(src, dst):
+            raise exc("stopped before the rename")
+
+        monkeypatch.setattr(reporting.os, "replace", interrupted)
+        with pytest.raises(exc):
+            reporting.write_verdict_json({"solvable": True}, path)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["verdict.json"]
+
+
 class TestStrictJson:
     def test_verdict_json_refuses_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
