@@ -51,9 +51,11 @@ def decide(
     if nu is None:
         return ConsensusVerdict(False, condition, None, None, False)
     if case == 2:
-        # the predicted value's defining identity: L^T H nu = D y - A^T y = 0, y = H nu
-        y, graph = case2_gain(sys) * nu, sys.graph
-        residual = float(np.max(np.abs(graph.in_degrees() * y - graph.weights.T @ y)))
+        # the predicted value's defining identity: L^T H nu = D y - A^T y = 0, y = H nu,
+        # with (A^T y)_j summed over the graph's edges i -> j
+        y, g = case2_gain(sys) * nu, sys.graph
+        a_t_y = np.bincount(g.cols, weights=g.vals * y[g.rows], minlength=sys.n)
+        residual = float(np.max(np.abs(g.in_degrees() * y - a_t_y)))
         if residual >= GAIN_RESIDUAL_TOL:
             raise ConsensusError(
                 f"case-2 gain identity violated: |L^T H nu| = {residual:.3e}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,57 +22,93 @@ import numpy as np
 from .errors import AsymmetricGraph, InvalidGraph, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """Nonnegative n x n adjacency structure, immutable after construction."""
+    """Nonnegative n x n adjacency structure, immutable after construction.
+
+    `weights` is the stored form.  `rows`, `cols` and `vals` are its positive
+    entries, sorted by row, then column: the structure, the case matrices
+    and the checks are computed from them, so that only the in-degrees
+    read all n^2 weights.
+    """
 
     weights: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
+    cols: np.ndarray = field(init=False, repr=False)
+    vals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InvalidGraph(f"weights must be a square matrix, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        rows, cols = np.nonzero(w)
+        self._adopt(w + 0.0, rows, cols, w[rows, cols])  # a copy, with any -0.0 made +0.0
+
+    @classmethod
+    def _from_entries(cls, weights: np.ndarray, rows, cols, vals) -> WeightedDigraph:
+        """The graph with a[rows, cols] = vals, its nonzero entries sorted by
+        row, then column, no position twice: the reader's, which skips the
+        scan for entries and the copy.  `weights` is an all-zero n x n
+        array, which the graph fills and keeps."""
+        graph = cls.__new__(cls)
+        graph._adopt(weights, rows, cols, vals)
+        return graph
+
+    def _adopt(self, w: np.ndarray, rows, cols, vals) -> None:
+        """Check the nonzero entries (a zero weight passes every check), write
+        them into `w`, and keep them, `w` and the in-degrees read-only."""
+        if not np.all(np.isfinite(vals)):
             raise InvalidGraph("weights must be finite")
-        if np.any(w < 0):
+        if np.any(vals < 0):
             raise InvalidGraph("weights must be nonnegative")
-        if np.any(np.diag(w) != 0):
+        if np.any(rows == cols):
             raise InvalidGraph("self-loops (nonzero diagonal) are not allowed")
-        if not np.any(w > 0):
+        if not len(vals):
             raise InvalidGraph("graph must contain at least one edge")
-        w = w + 0.0  # a copy, with any -0.0 weight made +0.0
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        w[rows, cols] = vals
+        # numpy's pairwise row sums: `bounds` prints 1/max d_ii, whose last bit
+        # a sum over the entries alone (np.bincount) can change
+        degrees = w.sum(axis=1)
+        for name, value in (("weights", w), ("rows", rows), ("cols", cols), ("vals", vals),
+                            ("_in_degrees", degrees)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
     def in_degrees(self) -> np.ndarray:
-        """d_ii = sum_j a_ij for every vertex."""
-        return self.weights.sum(axis=1)
+        """d_ii = sum_j a_ij for every vertex (read-only, computed once)."""
+        return self._in_degrees
 
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.weights, self.weights.T))
+        t = np.lexsort((self.rows, self.cols))  # the transpose's entries, sorted by row
+        return bool(
+            np.array_equal(self.cols[t], self.rows)
+            and np.array_equal(self.rows[t], self.cols)
+            and np.array_equal(self.vals[t], self.vals)
+        )
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered positive-weight pairs (i, j), i < j, of a symmetric graph."""
         if not self.is_symmetric():
             raise AsymmetricGraph("edge enumeration requires a symmetric graph")
-        i_idx, j_idx = np.nonzero(np.triu(self.weights))
-        return list(zip(i_idx.tolist(), j_idx.tolist()))
+        upper = self.rows < self.cols
+        return list(zip(self.rows[upper].tolist(), self.cols[upper].tolist()))
 
 
-def strong_components(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def strong_components(
+    n: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(label, closed): the strong class of every vertex of the "listens
-    to" graph of a nonnegative square array (edge i -> j wherever w[i, j] > 0
-    and i != j), and the labels of the closed classes, which no edge leaves.
+    to" graph on vertices 0..n-1 with the edges rows[e] -> cols[e] (sorted
+    by row, none from a vertex to itself), and the labels of the closed
+    classes, which no edge leaves.
 
     One iterative pass of Tarjan's algorithm (SIAM J. Comput. 1972), so no
-    recursion however long the paths; O(n + e) after the O(n^2) scan of w.
+    recursion however long the paths; O(n + e).
     """
-    n = len(w)
-    rows, cols = np.nonzero((np.asarray(w) > 0) & ~np.eye(n, dtype=bool))
     start, succ = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
     index, low, label, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
     tick, count = itertools.count(), 0
@@ -130,40 +166,71 @@ def content_lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_edge_list(path: str | Path) -> WeightedDigraph:
-    """Parse the `n <count>` / `i j w` edge-list format."""
-    path = Path(path)
-    n = None
-    entries: dict[tuple[int, int], tuple[float, int]] = {}  # (i, j) -> (w, line number)
-    for lineno, line in content_lines(path):
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError(f"{path}:{lineno}: expected header 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad vertex count") from exc
-            if n < 1:
-                raise ParseError(f"{path}:{lineno}: vertex count must be positive")
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i j w'")
-        try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad edge entry") from exc
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"{path}:{lineno}: index out of range 1..{n}")
-        first = entries.setdefault((i, j), (w, lineno))[1]
-        if first != lineno:
-            raise ParseError(f"{path}:{lineno}: duplicate edge {i} {j} (first on line {first})")
-    if n is None:
-        raise ParseError(f"{path}: missing 'n <count>' header")
-    weights = np.zeros((n, n))
-    for (i, j), (w, _) in entries.items():
-        weights[i - 1, j - 1] = w
+def _columns(fields: list[list[str]]) -> tuple[list[int], list[int], list[float]]:
+    """The i, j and w columns of `i j w` token lines, read by int, int and float."""
+    i, j, w = zip(*fields) if fields else ((), (), ())
+    return list(map(int, i)), list(map(int, j)), list(map(float, w))
+
+
+def _parses(tokens: list[str]) -> bool:
     try:
-        return WeightedDigraph(weights)
+        _columns([tokens])
+    except ValueError:
+        return False
+    return True
+
+
+def read_edge_list(path: str | Path) -> WeightedDigraph:
+    """Parse the `n <count>` / `i j w` edge-list format.
+
+    The edge lines are read column by column.  Their checks run in the
+    order a line-by-line reader makes them, each on the lines before the
+    first that an earlier check rejected, so the error raised names the
+    first bad line.  Duplicate `i j` pairs are found by sorting.
+    """
+    path = Path(path)
+    lines = content_lines(path)
+    lineno, line = next(lines, (None, ""))
+    if lineno is None:
+        raise ParseError(f"{path}: missing 'n <count>' header")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise ParseError(f"{path}:{lineno}: expected header 'n <count>'")
+    try:
+        n = int(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad vertex count") from exc
+    if n < 1:
+        raise ParseError(f"{path}:{lineno}: vertex count must be positive")
+    try:
+        weights = np.zeros((n, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond any address space
+        raise ParseError(f"{path}:{lineno}: no room for {n} x {n} weights: {exc}") from exc
+
+    body = list(lines)
+    fields = [text.split() for _, text in body]
+    bad = next((k for k, tokens in enumerate(fields) if len(tokens) != 3), len(fields))
+    error = "expected 'i j w'"
+    try:
+        i, j, w = _columns(fields[:bad])
+    except ValueError:
+        bad, error = next(k for k in range(bad) if not _parses(fields[k])), "bad edge entry"
+        i, j, w = _columns(fields[:bad])
+    if i and not (1 <= min(i) and max(i) <= n and 1 <= min(j) and max(j) <= n):
+        bad = next(k for k, ij in enumerate(zip(i, j)) if not all(1 <= x <= n for x in ij))
+        error = f"index out of range 1..{n}"
+    rows, cols = np.array(i[:bad], dtype=np.intp) - 1, np.array(j[:bad], dtype=np.intp) - 1
+    order = np.argsort(rows * n + cols, kind="stable")  # by row, then column, then line
+    rows, cols, vals = rows[order], cols[order], np.array(w[:bad], dtype=float)[order]
+    (again,) = np.nonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if again.size:  # the first line that repeats an earlier one
+        s = again[np.argmin(order[again + 1])]
+        bad, first = int(order[s + 1]), body[order[s]][0]
+        error = f"duplicate edge {rows[s] + 1} {cols[s] + 1} (first on line {first})"
+    if bad < len(body):
+        raise ParseError(f"{path}:{body[bad][0]}: {error}")
+    nonzero = vals != 0  # a 0.0 or -0.0 line is no edge, and leaves +0.0
+    try:
+        return WeightedDigraph._from_entries(weights, rows[nonzero], cols[nonzero], vals[nonzero])
     except InvalidGraph as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -12,8 +12,10 @@ agents share the sampling grid t_k = k*h.
   interacts through a pair matrix Phi_ij, whose gains `pair_gains` gives;
   the builder returns their expected matrix E(Phi).
 
-Cases 1 and 2 share one writer of I - diag(g) L, where L = D - A and
-d_ii = sum_j a_ij: g_i a_ij off the diagonal, and the diagonal in closed form.
+Every builder returns its matrix in edge form (see `spectral`), written from
+the graph's edges.  Cases 1 and 2 share one writer of I - diag(g) L, where
+L = D - A and d_ii = sum_j a_ij: g_i a_ij on the edges, and the diagonal in
+closed form.
 
 `PROTOCOLS` is the case table: for each case its sampling-period bound,
 matrix builder, consensus condition and intra-sample gain.  `protocol(case)`
@@ -130,8 +132,7 @@ def bound_case2(sys: HybridSystem) -> float:
 
 def bound_case3(sys: HybridSystem) -> float:
     """Strict bound 1 / max_ij a_ij."""
-    amax = float(sys.graph.weights.max())
-    return 1.0 / amax if amax > 0 else math.inf
+    return 1.0 / float(sys.graph.vals.max())  # a graph has at least one edge
 
 
 def _require_h(sys: HybridSystem, bound: float, name: str) -> None:
@@ -152,11 +153,10 @@ def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
 
 
 def _sampled_map(graph: WeightedDigraph, gains: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
-    """I - diag(gains) * L written directly: gains_i * a_ij off the diagonal,
-    `diag` (the closed form of 1 - gains_i * d_ii) on it."""
-    M = gains[:, None] * graph.weights  # a has a zero diagonal
-    np.fill_diagonal(M, diag)
-    return check_stochastic(M)
+    """I - diag(gains) * L in edge form: gains_i * a_ij on the graph's
+    edges, `diag` (the closed form of 1 - gains_i * d_ii) on the diagonal."""
+    vals = gains[graph.rows] * graph.vals
+    return check_stochastic(StochasticMatrix(diag, graph.rows, graph.cols, vals))
 
 
 def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
@@ -213,13 +213,17 @@ def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
 
 def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> StochasticMatrix:
     """Probability-weighted mean of the pair matrices, E(Phi) = I + sum_ij
-    p_ij (Phi_ij - I), scattered in one pass from the pair gains."""
+    p_ij (Phi_ij - I), in edge form from the pair gains: p_ij g_i at (i, j),
+    p_ij g_j at (j, i).  The diagonal accumulates from 1 in edge order, the
+    i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j."""
     sched.validate_against(sys.graph)
     i, j = np.array(sched.edges).T
     g = (pair_gains(sys, sched.edges, sys.h) * sched.probs[:, None]).T
-    expected = np.eye(sys.n)
-    np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
-    return check_stochastic(expected)
+    diag = np.ones(sys.n)
+    np.add.at(diag, np.r_[i, j], -np.r_[g[0], g[1]])
+    rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[g[0], g[1]]
+    order = np.lexsort((cols, rows))
+    return check_stochastic(StochasticMatrix(diag, rows[order], cols[order], vals[order]))
 
 
 # --- the case table -----------------------------------------------------------

@@ -1,6 +1,10 @@
 """Stochastic-matrix analysis: the row-stochasticity check and the
 consensus weight vector nu.
 
+Matrices are held in edge form, the diagonal plus the nonzero off-diagonal
+entries, so that checking and solving cost O(n + e) beyond the root-class
+block; the dense n x n form is built only when a caller reads `entries`.
+
 ``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
 closed strongly connected class of P (the root class) and solved there by
 subtraction-free Grassmann-Taksar-Heyman elimination (Oper. Res. 1985), so
@@ -11,6 +15,7 @@ it against the rank-one limit of the powers of P (the SIA route).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,15 +25,29 @@ from .graphs import strong_components
 STOCHASTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """A verified row-stochastic matrix."""
+    """A square matrix in edge form: its diagonal `diag`, and its nonzero
+    off-diagonal entries `vals` at (`rows`, `cols`), sorted by row, then
+    column.  The dense `entries` is built on first use.  `check_stochastic`
+    returns the ones it has verified."""
 
-    entries: np.ndarray
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.diag)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        m = np.zeros((self.n, self.n))
+        m[self.rows, self.cols] = self.vals
+        np.fill_diagonal(m, self.diag)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
@@ -39,20 +58,36 @@ class PerronVector:
     residual: float  # max-norm of P^T nu - nu
 
 
-def check_stochastic(matrix: np.ndarray, tol: float = STOCHASTIC_TOL) -> StochasticMatrix:
-    """Wrap `matrix` after verifying nonnegativity and unit row sums."""
+def _edge_form(matrix: np.ndarray) -> StochasticMatrix:
+    """A dense square array's diagonal and nonzero off-diagonal entries."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotStochastic(-1, float("nan"))
-    negative = (m < 0).any(axis=1)
-    residual = np.abs(m.sum(axis=1) - 1.0)
-    bad = np.flatnonzero(negative | (residual > tol))
+    rows, cols = np.nonzero(m)
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    return StochasticMatrix(m.diagonal().copy(), rows, cols, m[rows, cols])
+
+
+def check_stochastic(
+    matrix: np.ndarray | StochasticMatrix, tol: float = STOCHASTIC_TOL
+) -> StochasticMatrix:
+    """`matrix`, a dense square array or the edge form, after verifying
+    nonnegativity and unit row sums; zero off-diagonal entries are dropped."""
+    P = matrix if isinstance(matrix, StochasticMatrix) else _edge_form(matrix)
+    negative = P.diag < 0
+    negative[P.rows[P.vals < 0]] = True
+    residual = np.abs(np.bincount(P.rows, weights=P.vals, minlength=P.n) + P.diag - 1.0)
+    bad = np.flatnonzero(negative | ~(residual <= tol))  # a NaN residual fails too
     if bad.size:
         row = int(bad[0])
-        raise NotStochastic(row, float(m[row].min() if negative[row] else residual[row]))
-    m = m.copy()
-    m.setflags(write=False)
-    return StochasticMatrix(m)
+        least = np.min(P.vals[P.rows == row], initial=P.diag[row])
+        raise NotStochastic(row, float(least if negative[row] else residual[row]))
+    if not np.all(P.vals):
+        keep = P.vals != 0
+        P = StochasticMatrix(P.diag, P.rows[keep], P.cols[keep], P.vals[keep])
+    for a in (P.diag, P.rows, P.cols, P.vals):
+        a.setflags(write=False)
+    return P
 
 
 def _gth(W: np.ndarray) -> np.ndarray:
@@ -80,11 +115,21 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     Raises DegenerateEigenspace unless exactly one strong class of P's
     off-diagonal pattern is closed (else eigenvalue 1 is not simple).
     """
-    label, closed = strong_components(P.entries)
+    label, closed = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
         raise DegenerateEigenspace(f"{len(closed)} closed classes: eigenvalue 1 is not simple")
     root = np.flatnonzero(label == closed[0])
+    inside = label[P.rows] == closed[0]  # every edge out of the closed root class
+    at = np.empty(P.n, dtype=np.intp)
+    at[root] = np.arange(len(root))
+    block = np.zeros((len(root), len(root)))  # P's root-class block
+    block[at[P.rows[inside]], at[P.cols[inside]]] = P.vals[inside]
+    np.fill_diagonal(block, P.diag[root])
     nu = np.zeros(P.n)
-    nu[root] = _gth(P.entries[np.ix_(root, root)])  # fancy indexing copies
+    nu[root] = _gth(block)
     nu /= nu.sum()
-    return PerronVector(nu=nu, residual=float(np.max(np.abs(P.entries.T @ nu - nu))))
+    # P^T nu, summed over the root class's edges: nu is zero elsewhere
+    pt_nu = P.diag * nu + np.bincount(
+        P.cols[inside], weights=P.vals[inside] * nu[P.rows[inside]], minlength=P.n
+    )
+    return PerronVector(nu=nu, residual=float(np.max(np.abs(pt_nu - nu))))

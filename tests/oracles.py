@@ -24,7 +24,7 @@ from hybridconsensus import (
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import AsymmetricGraph, ConsensusError, SamplingPeriodTooLarge
 from hybridconsensus.graphs import strong_components
-from hybridconsensus.protocols import pair_gains
+from hybridconsensus.protocols import case2_gain, pair_gains
 
 
 class NotRankOne(Exception):
@@ -43,7 +43,7 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 def has_spanning_tree(g: WeightedDigraph) -> bool:
     """True iff some root's information reaches every vertex, i.e. exactly
     one class is closed.  On a symmetric graph this is connectivity."""
-    return len(strong_components(g.weights)[1]) == 1
+    return len(strong_components(g.n, g.rows, g.cols)[1]) == 1
 
 
 def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
@@ -52,7 +52,8 @@ def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
     Exists exactly when the graph has no spanning tree; the two classes
     never hear each other, so disagreement stays at 1 forever.
     """
-    label, closed = strong_components(sys.graph.weights)
+    g = sys.graph
+    label, closed = strong_components(g.n, g.rows, g.cols)
     if len(closed) < 2:
         raise ConsensusError("graph has a spanning tree; no witness exists")
     x0 = np.full(sys.n, 0.5)
@@ -87,6 +88,30 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
         i = int(bad[0])
         raise SamplingPeriodTooLarge(float(gains[i]), 1.0 / float(d[i]), f"1/d_{i}{i}")
     return check_stochastic(np.eye(graph.n) - gains[:, None] * laplacian(graph))
+
+
+def case_matrix_dense(
+    sys: HybridSystem, case: int, sched: GossipSchedule | None = None
+) -> np.ndarray:
+    """The case matrix as an n x n array built from the dense weights.  Cases
+    1-2: g_i a_ij off the diagonal, and on it the closed form 1 - g_i d_ii
+    (e^{-d_ii h} on case 2's continuous rows).  Case 3: I plus every pair
+    gain, scattered by np.add.at in the order (i, i), (i, j), (j, j), (j, i).
+    The package builds the same matrix from the edges, bit for bit."""
+    if case == 3:
+        i, j = np.array(sched.edges).T
+        g = (pair_gains(sys, sched.edges, sys.h) * sched.probs[:, None]).T
+        expected = np.eye(sys.n)
+        np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
+        return expected
+    d, m = sys.graph.in_degrees(), sys.m
+    gains = np.full(sys.n, sys.h) if case == 1 else case2_gain(sys)
+    M = gains[:, None] * sys.graph.weights
+    if case == 1:
+        np.fill_diagonal(M, 1.0 - sys.h * d)
+    else:
+        np.fill_diagonal(M, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
+    return M
 
 
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:

@@ -81,9 +81,9 @@ class TestDecide:
     def test_one_strong_components_pass(self, monkeypatch):
         calls, real = [], graphs.strong_components
 
-        def counting(w):
-            calls.append(len(w))
-            return real(w)
+        def counting(n, rows, cols):
+            calls.append(n)
+            return real(n, rows, cols)
 
         binders = [mod for mod in list(loaded_modules.values())
                    if getattr(mod, "__dict__", {}).get("strong_components") is real]

@@ -141,6 +141,15 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, "graph = missing.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n")
         assert run_cli("run", str(cfg)).returncode == 1
 
+    def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path):
+        # 10^8 x 10^8 weights need 71 PiB, more than any x86-64 user address space, so the
+        # allocation fails at once on every host; it used to escape as a MemoryError traceback
+        (tmp_path / "g.edges").write_text("n 100000000\n1 2 1.0\n2 1 1.0\n")
+        result = run_cli("check", str(write_cfg(tmp_path, SMALL_CFG)))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "g.edges:1: no room for 100000000 x 100000000 weights" in result.stderr
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -171,13 +180,16 @@ class TestCliExitCodes:
             ("example1.cfg", "dense_per_step", "-1", 0),
             ("example1.cfg", "trials", "0", 1),
             ("example3.cfg", "trials", "1", 2),  # the Monte-Carlo stderr needs two
+            ("example1.cfg", "seed", "-1", 0),
+            ("example3.cfg", "seed", "-1", 0),  # numpy's PCG64 refused it, naming no key
         ],
-        ids=["steps", "dense_per_step", "trials", "case3-trials"],
+        ids=["steps", "dense_per_step", "trials", "case3-trials", "seed", "case3-seed"],
     )
     def test_check_and_run_reject_the_same_counts(
         self, tmp_path, presets_dir, capsys, command, preset, flag, value, floor
     ):
-        # check used to accept all four; run failed inside RunConfig or monte_carlo_mean
+        # check used to accept all six.  run failed inside RunConfig or monte_carlo_mean; a
+        # negative seed failed in numpy's generator, naming no key (case 3), or not at all
         args = [command, str(presets_dir / preset), "--" + flag.replace("_", "-"), value]
         assert main(args + (["--out", str(tmp_path)] if command == "run" else [])) == 2
         assert f"error: {flag} must be >= {floor}, got {value}" in capsys.readouterr().err

@@ -158,6 +158,14 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError):
             read_edge_list(path)
 
+    def test_vertex_count_beyond_memory_rejected(self, tmp_path):
+        # 10^8 x 10^8 weights need 71 PiB, more than any x86-64 user address
+        # space: the allocation fails at once on every host
+        path = tmp_path / "g.edges"
+        path.write_text("# a count no host can hold\nn 100000000\n1 2 1.0\n2 1 1.0\n")
+        with pytest.raises(ParseError, match=r"g\.edges:2: no room for 100000000 x 100000000 "):
+            read_edge_list(path)
+
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_bytes(b"n 2\n1 2 1.0\n2 1 \xff\xfe\n")
@@ -170,6 +178,40 @@ class TestEdgeListFormat:
         path.write_text("n 2\n1 2 0.5\n2 1 1.0\n1 2 2.0\n")
         with pytest.raises(ParseError, match=r"g\.edges:4: duplicate edge 1 2 \(first on line 2\)"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 2 x\n1 2\n", ":2: bad edge entry"),
+            ("1 2\n1 2 x\n", ":2: expected 'i j w'"),
+            ("1 2 1\n4 1 1\n1 2 1\n", ":3: index out of range 1..3"),
+            ("1 2 1\n1 2 1\n4 1 1\n", ":3: duplicate edge 1 2 (first on line 2)"),
+            ("1 2 1\n2 1 1\n2 1 1\n1 2 1\n", ":4: duplicate edge 2 1 (first on line 3)"),
+            ("1 2 1\n3 1 1\n3 1 1\n3 1 1\n", ":4: duplicate edge 3 1 (first on line 3)"),
+            ("1 2 -1\n1 2 1\n", ":3: duplicate edge 1 2 (first on line 2)"),
+            ("2 2 1\n1 2 nan\n", ": weights must be finite"),
+            ("1 2 1e999\n2 3 -1\n", ": weights must be finite"),
+            ("1 2 1\n2 3 -1\n3 3 1\n", ": weights must be nonnegative"),
+            ("1 2 1\n3 3 1\n", ": self-loops (nonzero diagonal) are not allowed"),
+            ("1 1 0.0\n2 1 -0.0\n", ": graph must contain at least one edge"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, body, message):
+        # the edge lines are checked column by column; the error is still the
+        # one a line-by-line reader meets first
+        path = tmp_path / "g.edges"
+        path.write_text("n 3\n" + body)
+        with pytest.raises(ParseError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_zero_weight_lines_are_no_edges(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("n 3\n3 3 0.0\n2 1 1.5\n1 2 -0.0\n1 3 0.25\n")
+        g = read_edge_list(path)
+        want = np.array([[0.0, 0.0, 0.25], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(g.weights.view(np.int64), want.view(np.int64))  # no -0.0
+        assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0, 1], [2, 0], [0.25, 1.5])
 
     @pytest.mark.parametrize("brk", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
     def test_line_break_characters_in_comments(self, tmp_path, brk):

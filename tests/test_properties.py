@@ -1,8 +1,11 @@
 """Property tests of the structural decision and the root-class nu, over the
 conftest graph generators, with scipy's csgraph as the structural oracle;
-and of the CSV writer against the per-row reference formatter."""
+of the edge-form case matrices against their dense formula; and of the CSV
+writer against the per-row reference formatter."""
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,12 +22,14 @@ from hybridconsensus import (
     decide,
     left_eigenvector,
     monte_carlo_mean,
+    read_edge_list,
     simulate_deterministic,
 )
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
+from hybridconsensus.spectral import _gth
 from hybridconsensus.reporting import trajectory_csv_blocks
-from oracles import NotRankOne, has_spanning_tree, sia_limit, simulate_gossip
+from oracles import NotRankOne, case_matrix_dense, has_spanning_tree, sia_limit, simulate_gossip
 from conftest import (
     random_spanning_graph,
     random_split_graph,
@@ -85,8 +90,9 @@ def test_solvable_iff_one_closed_class_iff_sia(drawn):
 
 @given(systems())
 def test_classes_match_csgraph(drawn):
-    w = drawn[0].graph.weights
-    label, closed = strong_components(w)
+    g = drawn[0].graph
+    w = g.weights
+    label, closed = strong_components(g.n, g.rows, g.cols)
     _, want = connected_components(csr_matrix(w > 0), directed=True, connection="strong")
     # the same partition: labels correspond one to one
     pairs = set(zip(label.tolist(), want.tolist()))
@@ -111,6 +117,60 @@ def test_root_class_nu(drawn):
     value = decide(sys, case, sched).predicted_value
     slack = 1e-12 * np.max(np.abs(sys.x0))
     assert sys.x0.min() - slack <= value <= sys.x0.max() + slack
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from([1, 2, 3]),
+       st.floats(0.05, 0.95))
+def test_edge_form_matches_dense_formula(seed, n, case, frac):
+    """An edge list with weak links (down to 1e-17 relative), zero-weight
+    lines (0.0 and -0.0, some on the diagonal) and lines out of order reads
+    back to its weights; the case matrix built from the edges is the dense
+    formula bit for bit; its closed classes are scipy's; and nu is GTH on
+    the dense root block, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if case == 3:
+        w = np.array(random_symmetric_connected(rng, n).weights)
+    elif rng.random() < 0.8 or n < 4:
+        w = np.array(random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n))).weights)
+    else:
+        w = np.array(random_split_graph(rng, n).weights)
+    # weak links, a pair scaled alike both ways so that gossip graphs stay symmetric
+    weak = np.triu(rng.random((n, n)) < 0.3, 1)
+    scale = np.where(weak, 10.0 ** -rng.integers(8, 18, (n, n)), 1.0)
+    w *= scale * scale.T
+    rows, cols = np.nonzero(w)
+    lines = [f"{i + 1} {j + 1} {float(w[i, j])!r}" for i, j in zip(rows, cols)]
+    zi, zj = np.nonzero(w == 0)
+    for k in rng.choice(len(zi), size=min(len(zi), 4), replace=False):
+        lines.append(f"{zi[k] + 1} {zj[k] + 1} {rng.choice(['0.0', '-0.0'])}")
+    rng.shuffle(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_text(f"n {n}\n" + "\n".join(lines) + "\n")
+        g = read_edge_list(path)
+    assert np.array_equal(bits(g.weights), bits(w))
+
+    m = int(rng.integers(0, n + 1))
+    d = g.in_degrees()
+    limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: w.max()}[case]
+    sys = HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n))
+    sched = GossipSchedule.uniform(g) if case == 3 else None
+    P = protocol(case).matrix(sys, sched)
+    assert np.array_equal(bits(P.entries), bits(case_matrix_dense(sys, case, sched)))
+
+    label, closed = strong_components(P.n, P.rows, P.cols)
+    roots = closed_classes(P.entries)
+    assert sorted(np.flatnonzero(label == c).tolist() for c in closed) == sorted(
+        r.tolist() for r in roots)
+    if len(roots) == 1:
+        want = np.zeros(n)
+        want[roots[0]] = _gth(P.entries[np.ix_(roots[0], roots[0])])
+        want /= want.sum()
+        assert np.array_equal(bits(left_eigenvector(P).nu), bits(want))
 
 
 @given(

@@ -33,6 +33,15 @@ class TestCheckStochastic:
         assert exc.value.row == 1
         assert exc.value.residual == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("where", [(1, 1), (1, 0)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan_entry(self, where):
+        # every comparison with NaN is false, so a NaN row used to pass
+        entries = np.array([[1.0, 0.0], [0.5, 0.5]])
+        entries[where] = np.nan
+        with pytest.raises(NotStochastic) as exc:
+            P(entries)
+        assert exc.value.row == 1
+
     def test_negative_entry_reported_before_row_sum(self):
         # row 0 is negative and off-sum: its min entry is the reported value
         with pytest.raises(NotStochastic) as exc:
