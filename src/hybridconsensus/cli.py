@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success (for `run`: converged matches solvable), 1 I/O or
 parse failure, 2 condition violation (h over bound, bad dimensions, a
-non-finite or out-of-range value, or a converged/solvable mismatch).
+non-finite or out-of-range value, a count too large to allocate, or a
+converged/solvable mismatch).
 HYBRIDCONSENSUS_OUTDIR sets the default output directory for `run`.
 """
 
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, OSError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO
-    except (SamplingPeriodTooLarge, ConsensusError, ValueError) as exc:
+    except (SamplingPeriodTooLarge, ConsensusError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONDITION
 

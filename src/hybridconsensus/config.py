@@ -156,4 +156,4 @@ def build_schedule(cfg: ExperimentConfig) -> GossipSchedule:
     if cfg.probs == "uniform":
         return GossipSchedule.uniform(cfg.graph)
     edges = cfg.graph.edges()
-    return GossipSchedule(tuple(edges), np.asarray(cfg.probs, dtype=float))
+    return GossipSchedule(edges, np.asarray(cfg.probs, dtype=float))

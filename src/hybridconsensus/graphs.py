@@ -8,13 +8,18 @@ hears nobody outside itself, so its states evolve on their own.  A directed
 spanning tree exists exactly when one class is closed (the root class);
 two closed classes never hear each other and so witness that consensus
 fails.
+
+A graph is held as its edges alone: the positive entries sorted by row,
+then column, and the in-degrees.  The n x n weights are constructor input,
+which the edge-list reader fills and then lets go.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,39 +29,24 @@ from .errors import AsymmetricGraph, InvalidGraph, ParseError
 
 @dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """Nonnegative n x n adjacency structure, immutable after construction.
+    """Nonnegative n x n adjacency structure, immutable after construction:
+    the positive entries `vals` at (`rows`, `cols`), sorted by row, then
+    column, and the in-degrees.  `weights` is constructor input only."""
 
-    `weights` is the stored form.  `rows`, `cols` and `vals` are its positive
-    entries, sorted by row, then column: the structure, the case matrices
-    and the checks are computed from them, so that only the in-degrees
-    read all n^2 weights.
-    """
-
-    weights: np.ndarray
+    weights: InitVar[np.ndarray]
+    n: int = field(init=False)
     rows: np.ndarray = field(init=False, repr=False)
     cols: np.ndarray = field(init=False, repr=False)
     vals: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __post_init__(self, weights):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InvalidGraph(f"weights must be a square matrix, got shape {w.shape}")
-        rows, cols = np.nonzero(w)
-        self._adopt(w + 0.0, rows, cols, w[rows, cols])  # a copy, with any -0.0 made +0.0
-
-    @classmethod
-    def _from_entries(cls, weights: np.ndarray, rows, cols, vals) -> WeightedDigraph:
-        """The graph with a[rows, cols] = vals, its nonzero entries sorted by
-        row, then column, no position twice: the reader's, which skips the
-        scan for entries and the copy.  `weights` is an all-zero n x n
-        array, which the graph fills and keeps."""
-        graph = cls.__new__(cls)
-        graph._adopt(weights, rows, cols, vals)
-        return graph
-
-    def _adopt(self, w: np.ndarray, rows, cols, vals) -> None:
-        """Check the nonzero entries (a zero weight passes every check), write
-        them into `w`, and keep them, `w` and the in-degrees read-only."""
+        n = w.shape[0]
+        at = np.flatnonzero(w != 0)  # NaN included, -0.0 not
+        rows, cols = np.divmod(at, n)
+        vals = w.ravel()[at]
         if not np.all(np.isfinite(vals)):
             raise InvalidGraph("weights must be finite")
         if np.any(vals < 0):
@@ -65,24 +55,22 @@ class WeightedDigraph:
             raise InvalidGraph("self-loops (nonzero diagonal) are not allowed")
         if not len(vals):
             raise InvalidGraph("graph must contain at least one edge")
-        w[rows, cols] = vals
         # numpy's pairwise row sums: `bounds` prints 1/max d_ii, whose last bit
         # a sum over the entries alone (np.bincount) can change
         degrees = w.sum(axis=1)
-        for name, value in (("weights", w), ("rows", rows), ("cols", cols), ("vals", vals),
+        object.__setattr__(self, "n", n)
+        for name, value in (("rows", rows), ("cols", cols), ("vals", vals),
                             ("_in_degrees", degrees)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
 
     def in_degrees(self) -> np.ndarray:
         """d_ii = sum_j a_ij for every vertex (read-only, computed once)."""
         return self._in_degrees
 
+    @cached_property
     def is_symmetric(self) -> bool:
+        """a_ij = a_ji for every pair (computed on first use)."""
         t = np.lexsort((self.rows, self.cols))  # the transpose's entries, sorted by row
         return bool(
             np.array_equal(self.cols[t], self.rows)
@@ -92,7 +80,7 @@ class WeightedDigraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered positive-weight pairs (i, j), i < j, of a symmetric graph."""
-        if not self.is_symmetric():
+        if not self.is_symmetric:
             raise AsymmetricGraph("edge enumeration requires a symmetric graph")
         upper = self.rows < self.cols
         return list(zip(self.rows[upper].tolist(), self.cols[upper].tolist()))
@@ -229,8 +217,8 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
         error = f"duplicate edge {rows[s] + 1} {cols[s] + 1} (first on line {first})"
     if bad < len(body):
         raise ParseError(f"{path}:{body[bad][0]}: {error}")
-    nonzero = vals != 0  # a 0.0 or -0.0 line is no edge, and leaves +0.0
+    weights[rows, cols] = vals
     try:
-        return WeightedDigraph._from_entries(weights, rows[nonzero], cols[nonzero], vals[nonzero])
+        return WeightedDigraph(weights)
     except InvalidGraph as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -25,8 +25,8 @@ looks a case up and is the one place an unknown case is rejected.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -66,23 +66,32 @@ class HybridSystem:
         return self.graph.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipSchedule:
-    """Edges of a symmetric graph with their selection probabilities."""
+    """Edges of a symmetric graph with their selection probabilities.
 
-    edges: tuple[tuple[int, int], ...]
+    `edges`, pairs (i, j) with i < j, is constructor input only: edge e
+    joins `i[e]` and `j[e]`, sorted by i, then j, and `probs` is in that
+    order.
+    """
+
+    edges: InitVar[Sequence[tuple[int, int]]]
     probs: np.ndarray
+    i: np.ndarray = field(init=False, repr=False)
+    j: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         probs = np.asarray(self.probs, dtype=float)
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
-        if len(edges) != len(probs):
+        ij = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        if len(ij) != len(probs):
             raise InvalidSchedule("edges and probs must have equal length")
-        if len(edges) == 0:
+        if len(ij) == 0:
             raise InvalidSchedule("schedule must list at least one edge")
-        if any(not i < j for i, j in edges):
+        if not np.all(ij[:, 0] < ij[:, 1]):
             raise InvalidSchedule("edges must be ordered pairs (i, j) with i < j")
-        if len(set(edges)) != len(edges):
+        order = np.lexsort((ij[:, 1], ij[:, 0]))
+        i, j = ij[order, 0], ij[order, 1]
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise InvalidSchedule("duplicate edge in schedule")
         # p in (0, 1]; the single-edge schedule necessarily has p = 1.  Both
         # tests are written so that NaN, which compares False, fails them.
@@ -90,26 +99,14 @@ class GossipSchedule:
             raise InvalidSchedule("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidSchedule(f"probabilities must sum to 1, got {probs.sum()!r}")
-        order = sorted(range(len(edges)), key=lambda k: edges[k])
-        edges = tuple(edges[k] for k in order)
-        probs = probs[order].copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "probs", probs)
+        for name, value in (("i", i), ("j", j), ("probs", probs[order])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(cls, graph: WeightedDigraph) -> "GossipSchedule":
         edges = graph.edges()
-        if not edges:
-            raise InvalidSchedule("graph has no edges")
-        return cls(tuple(edges), np.full(len(edges), 1.0 / len(edges)))
-
-    def validate_against(self, graph: WeightedDigraph) -> None:
-        if not graph.is_symmetric():
-            raise AsymmetricGraph("gossip requires a symmetric graph")
-        for i, j in self.edges:
-            if not (0 <= i < graph.n and 0 <= j < graph.n) or graph.weights[i, j] <= 0:
-                raise InvalidSchedule(f"({i}, {j}) is not an edge of the graph")
+        return cls(edges, np.full(len(edges), 1.0 / len(edges)))
 
 
 # --- sampling-period bounds --------------------------------------------------
@@ -190,20 +187,32 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     return _sampled_map(sys.graph, gains, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
 
 
-def pair_gains(sys: HybridSystem, edges, tau: float) -> np.ndarray:
-    """Gains (g_i, g_j), one row per edge (i, j) with i < j, of the pair
-    update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over the window
-    (t_k, t_k + tau]; the pair matrix Phi_ij takes tau = h.
+def pair_gains(sys: HybridSystem, i, j, tau: float) -> np.ndarray:
+    """Gains (g_i, g_j), one row per edge (i[e], j[e]) with i < j, of the
+    pair update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over the
+    window (t_k, t_k + tau]; the pair matrix Phi_ij takes tau = h.
 
     The factor depends on the kinds of the two endpoints:
     continuous-continuous averages symmetrically with factor
     (1 - e^{-2a tau})/2, continuous-discrete mixes factors 1 - e^{-a tau}
     and h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint
-    moves only at t_{k+1}.  Enforces the case-3 h bound.
+    moves only at t_{k+1}.  Raises AsymmetricGraph for an asymmetric graph,
+    InvalidSchedule for a pair that is no edge of it, and enforces the
+    case-3 h bound, in that order.
     """
+    g = sys.graph
+    if not g.is_symmetric:
+        raise AsymmetricGraph("gossip requires a symmetric graph")
+    i, j = np.asarray(i), np.asarray(j)
+    # a_ij is at the key i * n + j among the entries' keys, sorted as the entries are
+    want, keys = i * g.n + j, g.rows * g.n + g.cols
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    edge = (0 <= i) & (i < g.n) & (0 <= j) & (j < g.n) & (keys[at] == want)
+    if not edge.all():
+        bad = np.argmin(edge)
+        raise InvalidSchedule(f"({i[bad]}, {j[bad]}) is not an edge of the graph")
     _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
-    i, j = np.array(edges).reshape(-1, 2).T
-    a = sys.graph.weights[i, j]
+    a = g.vals[at]
     both, mixed, held = -np.expm1(-2.0 * a * tau) / 2.0, -np.expm1(-a * tau), sys.h * a
     # agents 0..m-1 are continuous, so a continuous j makes i continuous too
     gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))
@@ -216,9 +225,8 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
     p_ij (Phi_ij - I), in edge form from the pair gains: p_ij g_i at (i, j),
     p_ij g_j at (j, i).  The diagonal accumulates from 1 in edge order, the
     i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j."""
-    sched.validate_against(sys.graph)
-    i, j = np.array(sched.edges).T
-    g = (pair_gains(sys, sched.edges, sys.h) * sched.probs[:, None]).T
+    i, j = sched.i, sched.j
+    g = (pair_gains(sys, i, j, sys.h) * sched.probs[:, None]).T
     diag = np.ones(sys.n)
     np.add.at(diag, np.r_[i, j], -np.r_[g[0], g[1]])
     rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[g[0], g[1]]

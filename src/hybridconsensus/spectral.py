@@ -1,9 +1,10 @@
 """Stochastic-matrix analysis: the row-stochasticity check and the
 consensus weight vector nu.
 
-Matrices are held in edge form, the diagonal plus the nonzero off-diagonal
-entries, so that checking and solving cost O(n + e) beyond the root-class
-block; the dense n x n form is built only when a caller reads `entries`.
+Matrices are held in edge form only, the diagonal plus the nonzero
+off-diagonal entries, and the check and the solve take that form, so that
+they cost O(n + e) beyond the root-class block; the dense n x n form is
+built only when a caller reads `entries` (`matrix` and the `run` stepper).
 
 ``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
 closed strongly connected class of P (the root class) and solved there by
@@ -58,22 +59,9 @@ class PerronVector:
     residual: float  # max-norm of P^T nu - nu
 
 
-def _edge_form(matrix: np.ndarray) -> StochasticMatrix:
-    """A dense square array's diagonal and nonzero off-diagonal entries."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotStochastic(-1, float("nan"))
-    rows, cols = np.nonzero(m)
-    rows, cols = rows[rows != cols], cols[rows != cols]
-    return StochasticMatrix(m.diagonal().copy(), rows, cols, m[rows, cols])
-
-
-def check_stochastic(
-    matrix: np.ndarray | StochasticMatrix, tol: float = STOCHASTIC_TOL
-) -> StochasticMatrix:
-    """`matrix`, a dense square array or the edge form, after verifying
-    nonnegativity and unit row sums; zero off-diagonal entries are dropped."""
-    P = matrix if isinstance(matrix, StochasticMatrix) else _edge_form(matrix)
+def check_stochastic(P: StochasticMatrix, tol: float = STOCHASTIC_TOL) -> StochasticMatrix:
+    """`P` after verifying nonnegativity and unit row sums; zero off-diagonal
+    entries are dropped."""
     negative = P.diag < 0
     negative[P.rows[P.vals < 0]] = True
     residual = np.abs(np.bincount(P.rows, weights=P.vals, minlength=P.n) + P.diag - 1.0)

@@ -22,7 +22,12 @@ from hybridconsensus import (
     check_stochastic,
 )
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
-from hybridconsensus.errors import AsymmetricGraph, ConsensusError, SamplingPeriodTooLarge
+from hybridconsensus.errors import (
+    AsymmetricGraph,
+    ConsensusError,
+    NotStochastic,
+    SamplingPeriodTooLarge,
+)
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import case2_gain, pair_gains
 
@@ -35,9 +40,16 @@ class NotRankOne(Exception):
 # --- graphs -------------------------------------------------------------------
 
 
+def dense(g: WeightedDigraph) -> np.ndarray:
+    """The n x n weights A, a_ij at (i, j), written from the graph's entries."""
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.cols] = g.vals
+    return a
+
+
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """L = D - A, D = diag(row sums)."""
-    return np.diag(g.in_degrees()) - g.weights
+    return np.diag(g.in_degrees()) - dense(g)
 
 
 def has_spanning_tree(g: WeightedDigraph) -> bool:
@@ -64,16 +76,27 @@ def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
 
 def write_edge_list(g: WeightedDigraph, path: str | Path) -> None:
     """Write the edge-list format; weights use repr so reads are bit-exact."""
-    lines = [f"n {g.n}"]
+    lines, a = [f"n {g.n}"], dense(g)
     for i in range(g.n):
         for j in range(g.n):
-            w = g.weights[i, j]
+            w = a[i, j]
             if w > 0:
                 lines.append(f"{i + 1} {j + 1} {float(w)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 # --- matrices -----------------------------------------------------------------
+
+
+def edge_form(matrix) -> StochasticMatrix:
+    """A dense square array's diagonal and nonzero off-diagonal entries: the
+    form `check_stochastic` takes."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotStochastic(-1, float("nan"))
+    rows, cols = np.nonzero(m)
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    return StochasticMatrix(m.diagonal().copy(), rows, cols, m[rows, cols])
 
 
 def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMatrix:
@@ -87,7 +110,7 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
     if bad.size:
         i = int(bad[0])
         raise SamplingPeriodTooLarge(float(gains[i]), 1.0 / float(d[i]), f"1/d_{i}{i}")
-    return check_stochastic(np.eye(graph.n) - gains[:, None] * laplacian(graph))
+    return check_stochastic(edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph)))
 
 
 def case_matrix_dense(
@@ -99,14 +122,14 @@ def case_matrix_dense(
     gain, scattered by np.add.at in the order (i, i), (i, j), (j, j), (j, i).
     The package builds the same matrix from the edges, bit for bit."""
     if case == 3:
-        i, j = np.array(sched.edges).T
-        g = (pair_gains(sys, sched.edges, sys.h) * sched.probs[:, None]).T
+        i, j = sched.i, sched.j
+        g = (pair_gains(sys, i, j, sys.h) * sched.probs[:, None]).T
         expected = np.eye(sys.n)
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
     d, m = sys.graph.in_degrees(), sys.m
     gains = np.full(sys.n, sys.h) if case == 1 else case2_gain(sys)
-    M = gains[:, None] * sys.graph.weights
+    M = gains[:, None] * dense(sys.graph)
     if case == 1:
         np.fill_diagonal(M, 1.0 - sys.h * d)
     else:
@@ -116,19 +139,19 @@ def case_matrix_dense(
 
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
     """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
-    if not sys.graph.is_symmetric():
+    if not sys.graph.is_symmetric:
         raise AsymmetricGraph("gossip requires a symmetric graph")
     if not 0 <= i < j < sys.n:
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
-    if sys.graph.weights[i, j] <= 0:
+    if dense(sys.graph)[i, j] <= 0:
         raise ValueError(f"({i}, {j}) carries zero weight")
-    gi, gj = pair_gains(sys, [(i, j)], sys.h)[0]
+    gi, gj = pair_gains(sys, [i], [j], sys.h)[0]
     phi = np.eye(sys.n)
     phi[i, i] -= gi
     phi[i, j] += gi
     phi[j, j] -= gj
     phi[j, i] += gj
-    return check_stochastic(phi)
+    return check_stochastic(edge_form(phi))
 
 
 def sia_limit(
@@ -182,7 +205,7 @@ def continuous_interpolant(
         raise ValueError(f"case must be 1 or 2, got {case}")
     _check_window(sys, i, tau)
     x_k = np.asarray(x_k, dtype=float)
-    a_row = sys.graph.weights[i]
+    a_row = dense(sys.graph)[i]
     pull = float(a_row @ (x_k - x_k[i]))
     d = float(a_row.sum())
     if case == 1 or d == 0:
@@ -211,7 +234,7 @@ def gossip_interpolant(
         return float(x_k[i])
     a, b = selected
     partner = b if i == a else a
-    w = float(sys.graph.weights[i, partner])
+    w = float(dense(sys.graph)[i, partner])
     if w <= 0:
         raise ValueError(f"selected pair ({a}, {b}) is not an edge")
     if partner < sys.m:
@@ -233,8 +256,9 @@ def simulate_gossip(
     cfg.seed.  Each sample applies the drawn edge's full pair matrix; between
     samples only the drawn endpoints move, by the pair gains at each tau.
     """
-    sched.validate_against(sys.graph)
-    drawn = tuple(sched.edges[c] for c in _draw_edges(sched, cfg.steps, cfg.seed))
+    pair_gains(sys, sched.i, sched.j, sys.h)  # checks the schedule against the graph
+    c = _draw_edges(sched, cfg.steps, cfg.seed)
+    drawn = tuple(zip(sched.i[c].tolist(), sched.j[c].tolist()))
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, (i, j) in enumerate(drawn):
@@ -243,7 +267,7 @@ def simulate_gossip(
     for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
         for k, edge in enumerate(drawn):
             x = states[k]
-            for end, g in zip(edge, pair_gains(sys, [edge], tau)[0]):
+            for end, g in zip(edge, pair_gains(sys, [edge[0]], [edge[1]], tau)[0]):
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
                     dense[k, end, col] = x[end] + g * (x[other] - x[end])

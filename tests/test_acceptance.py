@@ -27,6 +27,7 @@ from hybridconsensus import (
 from hybridconsensus.config import PAPER_X0
 from hybridconsensus.protocols import pair_gains
 from oracles import (
+    dense,
     NotRankOne,
     gossip_interpolant,
     has_spanning_tree,
@@ -94,7 +95,7 @@ def test_criterion_2_case2_gain_law():
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, n))
         g = random_spanning_graph(rng, n, extra=n, w_lo=0.2, w_hi=1.0)
-        w = np.array(g.weights)
+        w = dense(g)
         h = 0.9 / max(w[m:].sum(axis=1).max(), 0.5) if m < n else 0.5
         # push some continuous rows past the 1/h degree mark (Remark-1 regime)
         for i in range(m):
@@ -176,7 +177,7 @@ def test_criterion_5_gossip_mean_consensus():
     x0 = np.array(PAPER_X0)
     sys_ = HybridSystem(g, m=3, h=0.2, x0=x0)
     sched = GossipSchedule.uniform(g)
-    assert len(sched.edges) == 7 and sched.probs[0] == pytest.approx(1 / 7)
+    assert len(sched.i) == 7 and sched.probs[0] == pytest.approx(1 / 7)
     steps = 600
     mc = monte_carlo_mean(sys_, sched, RunConfig(steps=steps, trials=2000, seed=11))
     E = gossip_expected_matrix(sys_, sched)
@@ -220,13 +221,13 @@ def test_criterion_6_endpoint_consistency():
             sys_ = HybridSystem(g, m=m, h=h, x0=rng.uniform(-1, 1, n))
             M = (case1_matrix if case == 1 else case2_matrix)(sys_).entries
             cfg = RunConfig(steps=1, dense_per_step=int(rng.integers(1, 4)))
-            dense = simulate_deterministic(sys_, case, cfg).dense
+            states = simulate_deterministic(sys_, case, cfg).dense
             i = int(rng.integers(0, m))
-            gap = abs(dense[0, i, -1] - M[i] @ sys_.x0)
+            gap = abs(states[0, i, -1] - M[i] @ sys_.x0)
         else:
             g = random_symmetric_connected(rng, n if n >= 2 else 2)
             m = int(rng.integers(1, n + 1))
-            h = rng.uniform(0.1, 0.9) / g.weights.max()
+            h = rng.uniform(0.1, 0.9) / dense(g).max()
             sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n))
             edges = g.edges()
             i, j = edges[int(rng.integers(0, len(edges)))]
@@ -235,7 +236,7 @@ def test_criterion_6_endpoint_consistency():
             if not participants:
                 continue
             agent = participants[int(rng.integers(0, len(participants)))]
-            g_agent = pair_gains(sys_, [(i, j)], h)[0, int(agent == j)]
+            g_agent = pair_gains(sys_, [i], [j], h)[0, int(agent == j)]
             update = x[agent] + g_agent * (x[i + j - agent] - x[agent])
             gap = abs(gossip_interpolant(sys_, x, (i, j), agent, h) - update)
         worst = max(worst, float(gap))

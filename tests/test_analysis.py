@@ -14,6 +14,7 @@ from hybridconsensus import (
     verify_run,
 )
 from hybridconsensus import graphs, spectral
+from hybridconsensus.cli import main
 from hybridconsensus.errors import ConsensusError, SamplingPeriodTooLarge, UnknownCase
 from oracles import nonconsensus_witness
 from conftest import random_spanning_graph, random_split_graph, undirected_ring_with_chord
@@ -95,6 +96,22 @@ class TestDecide:
         for case, sched in ((1, None), (2, None), (3, GossipSchedule.uniform(g))):
             calls.clear()
             decide(sys, case, sched)
+            assert calls == [6]
+
+    def test_one_symmetry_check_per_command(self, monkeypatch, tmp_path, presets_dir):
+        # case-3 check computed the graph's symmetry twice, and run three times
+        calls, symmetric = [], WeightedDigraph.is_symmetric
+        real = symmetric.func
+
+        def counting(graph):
+            calls.append(graph.n)
+            return real(graph)
+
+        monkeypatch.setattr(symmetric, "func", counting)
+        cfg = str(presets_dir / "example3.cfg")
+        for args in (["check", cfg], ["run", cfg, "--steps", "5", "--trials", "4", "--out", str(tmp_path)]):
+            calls.clear()
+            main(args)
             assert calls == [6]
 
 

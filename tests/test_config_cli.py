@@ -195,6 +195,22 @@ class TestCliExitCodes:
         assert f"error: {flag} must be >= {floor}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize(
+        "preset, flag",
+        [("example1.cfg", "steps"), ("example2.cfg", "dense-per-step"), ("example3.cfg", "steps")],
+    )
+    def test_count_too_large_to_allocate_is_condition_error(
+        self, tmp_path, presets_dir, capsys, preset, flag
+    ):
+        # 10^16 samples or dense points need at least 71 PiB, more than any x86-64 user address
+        # space, so the allocation fails at once on every host; it escaped as a MemoryError traceback
+        out = tmp_path / "out"
+        args = ["run", str(presets_dir / preset), "--" + flag, "10000000000000000", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+        assert not out.exists()
+
     def test_h_over_bound_is_condition_error(self, tmp_path, presets_dir):
         result = run_cli("run", str(presets_dir / "example1.cfg"), "--h", "2.0", "--out", str(tmp_path))
         assert result.returncode == 2

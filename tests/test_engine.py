@@ -13,7 +13,7 @@ from hybridconsensus import (
 )
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import UnknownCase
-from oracles import continuous_interpolant, gossip_interpolant, gossip_pair_matrix, simulate_gossip
+from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, simulate_gossip
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -149,7 +149,8 @@ class TestSimulateGossip:
     def test_drawn_edges_are_stable(self):
         # inverse-CDF draws from PCG64(seed) over the sorted edge list
         sched = GossipSchedule.uniform(undirected_ring_with_chord())
-        drawn = tuple(sched.edges[e] for e in _draw_edges(sched, 16, 2015))
+        e = _draw_edges(sched, 16, 2015)
+        drawn = tuple(zip(sched.i[e].tolist(), sched.j[e].tolist()))
         assert drawn == (
             (1, 2), (0, 3), (3, 4), (4, 5), (0, 3), (0, 1), (2, 3), (4, 5),
             (0, 5), (4, 5), (3, 4), (4, 5), (0, 1), (0, 5), (0, 1), (2, 3),
@@ -161,7 +162,7 @@ class TestSimulateGossip:
             n = int(rng.integers(2, 7))
             g = random_symmetric_connected(rng, n)
             x0 = rng.uniform(-10, 10, n)
-            sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / g.weights.max(), x0=x0)
+            sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / dense(g).max(), x0=x0)
             cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
             traj, drawn = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
             assert traj.dense.shape == (12, sys.m, 3)
@@ -200,7 +201,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(113)
         g = random_symmetric_connected(rng, 5)
         x0 = rng.uniform(-8, 8, 5)
-        sys = HybridSystem(g, m=2, h=0.6 / g.weights.max(), x0=x0)
+        sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0)
         sched = GossipSchedule.uniform(g)
         cfg = RunConfig(steps=30, trials=40, seed=21)
         mc = monte_carlo_mean(sys, sched, cfg)
@@ -223,7 +224,7 @@ class TestMonteCarlo:
     def test_mean_tracks_expected_matrix_power(self):
         rng = np.random.default_rng(103)
         g = random_symmetric_connected(rng, 5)
-        hmax = 1.0 / g.weights.max()
+        hmax = 1.0 / dense(g).max()
         sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5))
         sched = GossipSchedule.uniform(g)
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=40, trials=800, seed=13))

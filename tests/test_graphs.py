@@ -9,7 +9,8 @@ from hybridconsensus import (
     read_edge_list,
 )
 from hybridconsensus.errors import AsymmetricGraph, InvalidGraph, ParseError
-from oracles import has_spanning_tree, laplacian, write_edge_list
+from hybridconsensus.protocols import pair_gains
+from oracles import dense, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 
 
@@ -31,10 +32,17 @@ class TestConstruction:
             with pytest.raises(InvalidGraph):
                 WeightedDigraph(np.array([[0.0, bad], [1.0, 0.0]]))
 
+    def test_negative_zero_is_no_edge(self):
+        # -0.0 entries are no edges, and a row of them has in-degree +0.0
+        g = WeightedDigraph(np.array([[-0.0, 1.0], [-0.0, -0.0]]))
+        assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0], [1], [1.0])
+        assert np.array_equal(g.in_degrees().view(np.int64), np.array([1.0, 0.0]).view(np.int64))
+
     def test_weights_immutable(self):
         g = ring_graph(3)
-        with pytest.raises(ValueError):
-            g.weights[0, 1] = 2.0
+        for stored in (g.rows, g.cols, g.vals, g.in_degrees()):
+            with pytest.raises(ValueError):
+                stored[0] = 2
 
 
 class TestBuildMatrices:
@@ -88,7 +96,7 @@ class TestSpanningTree:
         for _ in range(30):
             g = random_spanning_graph(rng, 7, extra=3, w_lo=0.1)
             assert has_spanning_tree(g)
-            w = np.array(g.weights)
+            w = dense(g)
             i, j = rng.integers(0, 7, size=2)
             if i != j:
                 w[i, j] = 0.5
@@ -111,10 +119,11 @@ class TestConnectivity:
     def test_asymmetric_rejected(self):
         g = ring_graph(4)
         sched = GossipSchedule(((0, 1), (1, 2)), np.array([0.5, 0.5]))
+        sys = HybridSystem(g, m=2, h=0.1, x0=np.zeros(4))
         with pytest.raises(AsymmetricGraph):
-            sched.validate_against(g)
+            pair_gains(sys, sched.i, sched.j, sys.h)
         with pytest.raises(AsymmetricGraph):
-            decide(HybridSystem(g, m=2, h=0.1, x0=np.zeros(4)), 3, sched)
+            decide(sys, 3, sched)
 
     def test_matches_spanning_tree_on_symmetric_graphs(self):
         rng = np.random.default_rng(17)
@@ -138,13 +147,13 @@ class TestEdgeListFormat:
         path = tmp_path / "g.edges"
         write_edge_list(g, path)
         g2 = read_edge_list(path)
-        assert np.array_equal(g.weights, g2.weights)
+        assert np.array_equal(dense(g), dense(g2))
 
     def test_comments_and_header(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# comment\nn 2\n2 1 0.25  # trailing\n")
         g = read_edge_list(path)
-        assert g.weights[1, 0] == 0.25
+        assert dense(g)[1, 0] == 0.25
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -210,7 +219,7 @@ class TestEdgeListFormat:
         path.write_text("n 3\n3 3 0.0\n2 1 1.5\n1 2 -0.0\n1 3 0.25\n")
         g = read_edge_list(path)
         want = np.array([[0.0, 0.0, 0.25], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert np.array_equal(g.weights.view(np.int64), want.view(np.int64))  # no -0.0
+        assert np.array_equal(dense(g).view(np.int64), want.view(np.int64))  # no -0.0
         assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0, 1], [2, 0], [0.25, 1.5])
 
     @pytest.mark.parametrize("brk", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
@@ -218,7 +227,7 @@ class TestEdgeListFormat:
         # str.splitlines broke lines at these: "b" was read as an edge on line 3
         path = tmp_path / "g.edges"
         path.write_bytes(f"n 2\n# a{brk}b\n1 2 1.0\n2 1 1.0\n".encode())
-        assert read_edge_list(path).weights[0, 1] == 1.0
+        assert dense(read_edge_list(path))[0, 1] == 1.0
         path.write_bytes(f"n 2\n# a{brk}# b\n1 2\n".encode())  # numbered 4 before
         with pytest.raises(ParseError, match=r"g\.edges:3: expected 'i j w'"):
             read_edge_list(path)

@@ -16,6 +16,7 @@ import pytest
 
 from hybridconsensus.cli import main
 from hybridconsensus.config import load_config
+from oracles import dense
 
 TESTS = Path(__file__).resolve().parent
 CONFIGS = {
@@ -75,7 +76,7 @@ def test_weighted_fixture_separates_the_row_sums():
     in-degree, and its largest discrete one, differ in the last bit from
     numpy's pairwise row sums.  `bounds` prints 1/max d_ii of both, so the
     digests above would see a switch of summation order."""
-    w = load_config(CONFIGS["weighted"]).graph.weights
+    w = dense(load_config(CONFIGS["weighted"]).graph)
     rows, cols = np.nonzero(w)
     by_entries = np.bincount(rows, weights=w[rows, cols], minlength=len(w))
     degrees, m = w.sum(axis=1), load_config(CONFIGS["weighted"]).m

@@ -29,7 +29,7 @@ from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
 from hybridconsensus.spectral import _gth
 from hybridconsensus.reporting import trajectory_csv_blocks
-from oracles import NotRankOne, case_matrix_dense, has_spanning_tree, sia_limit, simulate_gossip
+from oracles import NotRankOne, case_matrix_dense, dense, edge_form, has_spanning_tree, sia_limit, simulate_gossip
 from conftest import (
     random_spanning_graph,
     random_split_graph,
@@ -64,7 +64,7 @@ def systems(draw):
     x0 = rng.uniform(-10.0, 10.0, n)
     if kind == "symmetric":
         g = random_symmetric_connected(rng, n)
-        sys = HybridSystem(g, m=m, h=frac / g.weights.max(), x0=x0)
+        sys = HybridSystem(g, m=m, h=frac / dense(g).max(), x0=x0)
         return sys, 3, GossipSchedule.uniform(g)
     if kind == "spanning":
         g = random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n)))
@@ -85,13 +85,13 @@ def test_solvable_iff_one_closed_class_iff_sia(drawn):
         sia = True
     except NotRankOne:
         sia = False
-    assert solvable == (len(closed_classes(sys.graph.weights)) == 1) == sia
+    assert solvable == (len(closed_classes(dense(sys.graph))) == 1) == sia
 
 
 @given(systems())
 def test_classes_match_csgraph(drawn):
     g = drawn[0].graph
-    w = g.weights
+    w = dense(g)
     label, closed = strong_components(g.n, g.rows, g.cols)
     _, want = connected_components(csr_matrix(w > 0), directed=True, connection="strong")
     # the same partition: labels correspond one to one
@@ -104,7 +104,7 @@ def test_classes_match_csgraph(drawn):
 @given(systems())
 def test_root_class_nu(drawn):
     sys, case, sched = drawn
-    roots = closed_classes(sys.graph.weights)
+    roots = closed_classes(dense(sys.graph))
     if len(roots) != 1:
         return
     P = protocol(case).matrix(sys, sched)
@@ -133,11 +133,11 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
     the dense root block, bit for bit."""
     rng = np.random.default_rng(seed)
     if case == 3:
-        w = np.array(random_symmetric_connected(rng, n).weights)
+        w = dense(random_symmetric_connected(rng, n))
     elif rng.random() < 0.8 or n < 4:
-        w = np.array(random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n))).weights)
+        w = dense(random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n))))
     else:
-        w = np.array(random_split_graph(rng, n).weights)
+        w = dense(random_split_graph(rng, n))
     # weak links, a pair scaled alike both ways so that gossip graphs stay symmetric
     weak = np.triu(rng.random((n, n)) < 0.3, 1)
     scale = np.where(weak, 10.0 ** -rng.integers(8, 18, (n, n)), 1.0)
@@ -152,7 +152,8 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
         path = Path(tmp) / "g.edges"
         path.write_text(f"n {n}\n" + "\n".join(lines) + "\n")
         g = read_edge_list(path)
-    assert np.array_equal(bits(g.weights), bits(w))
+    assert np.array_equal(bits(dense(g)), bits(w))
+    assert np.array_equal(bits(g.in_degrees()), bits(dense(g).sum(axis=1)))
 
     m = int(rng.integers(0, n + 1))
     d = g.in_degrees()
@@ -213,5 +214,5 @@ def test_long_directed_path():
     P = np.eye(n)
     P[idx, idx] = 1.0 - h
     P[idx, idx + 1] = h
-    nu = left_eigenvector(check_stochastic(P)).nu
+    nu = left_eigenvector(check_stochastic(edge_form(P))).nu
     assert nu[-1] == 1.0 and not np.any(nu[:-1])

@@ -16,7 +16,7 @@ from hybridconsensus import (
     gossip_expected_matrix,
 )
 from hybridconsensus.errors import InvalidSchedule, SamplingPeriodTooLarge
-from oracles import continuous_interpolant, gossip_interpolant, gossip_pair_matrix, iteration_matrix
+from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, iteration_matrix
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
@@ -134,7 +134,7 @@ def weak_signed_graph(rng: np.random.Generator) -> WeightedDigraph:
     """A random spanning-tree graph with some links scaled down to ~1e-17
     and some absent links, and diagonal entries, stored as -0.0."""
     n = int(rng.integers(2, 9))
-    w = np.array(random_spanning_graph(rng, n, extra=n, w_lo=0.1, w_hi=2.0).weights)
+    w = dense(random_spanning_graph(rng, n, extra=n, w_lo=0.1, w_hi=2.0))
     weak = (w > 0) & (rng.random((n, n)) < 0.3)
     w[weak] *= 1e-17
     w[(w == 0) & (rng.random((n, n)) < 0.5)] = -0.0
@@ -219,7 +219,7 @@ class TestGossipSchedule:
         from conftest import undirected_ring_with_chord
 
         sched = GossipSchedule.uniform(undirected_ring_with_chord())
-        assert len(sched.edges) == 7
+        assert len(sched.i) == 7
         np.testing.assert_allclose(sched.probs, np.full(7, 1 / 7))
 
     def test_probs_must_sum_to_one(self):
@@ -281,12 +281,12 @@ class TestGossipExpectedMatrix:
         rng = np.random.default_rng(41)
         g = undirected_ring_with_chord() if graph == "ring_with_chord" else (
             random_symmetric_connected(rng, 12))
-        sys = HybridSystem(g, m=g.n // 2, h=0.9 / g.weights.max(), x0=np.zeros(g.n))
+        sys = HybridSystem(g, m=g.n // 2, h=0.9 / dense(g).max(), x0=np.zeros(g.n))
         edges = g.edges()
         probs = rng.uniform(0.5, 1.5, len(edges))
         sched = GossipSchedule(tuple(edges), probs / probs.sum())
         loop = sum(p * gossip_pair_matrix(sys, i, j).entries
-                   for (i, j), p in zip(sched.edges, sched.probs))
+                   for i, j, p in zip(sched.i, sched.j, sched.probs))
         E = gossip_expected_matrix(sys, sched).entries
         assert np.max(np.abs(E - loop)) <= 1e-14
 
@@ -354,7 +354,7 @@ class TestGossipInterpolant:
         for _ in range(20):
             g = random_symmetric_connected(rng, 5)
             m = int(rng.integers(1, 6))
-            sys = HybridSystem(g, m=m, h=0.2 / g.weights.max(), x0=np.zeros(5))
+            sys = HybridSystem(g, m=m, h=0.2 / dense(g).max(), x0=np.zeros(5))
             edges = g.edges()
             i, j = edges[int(rng.integers(0, len(edges)))]
             M = gossip_pair_matrix(sys, i, j).entries

@@ -3,11 +3,11 @@ import pytest
 
 from hybridconsensus import check_stochastic, left_eigenvector
 from hybridconsensus.errors import DegenerateEigenspace, NotStochastic
-from oracles import NotRankOne, sia_limit
+from oracles import NotRankOne, edge_form, sia_limit
 
 
 def P(entries):
-    return check_stochastic(np.array(entries, dtype=float))
+    return check_stochastic(edge_form(entries))
 
 
 class TestCheckStochastic:
@@ -80,7 +80,7 @@ class TestSiaLimit:
 class TestLeftEigenvector:
     def test_doubly_stochastic_uniform(self):
         M = np.full((4, 4), 0.25)
-        nu = left_eigenvector(check_stochastic(M)).nu
+        nu = left_eigenvector(check_stochastic(edge_form(M))).nu
         np.testing.assert_allclose(nu, np.full(4, 0.25), atol=1e-12)
 
     def test_leader_follower_by_hand(self):
@@ -100,7 +100,7 @@ class TestOracleAgreement:
         for _ in range(40):
             n = int(rng.integers(2, 8))
             raw = rng.uniform(0, 1, (n, n)) + np.eye(n)  # positive diagonal
-            M = check_stochastic(raw / raw.sum(axis=1, keepdims=True))
+            M = check_stochastic(edge_form(raw / raw.sum(axis=1, keepdims=True)))
             _, nu_power = sia_limit(M, tol=tol)
             nu_solve = left_eigenvector(M)
             assert np.max(np.abs(nu_power.nu - nu_solve.nu)) < 10 * tol
@@ -112,4 +112,4 @@ class TestOracleAgreement:
         prod = np.eye(5)
         for _ in range(20):
             prod = prod @ M
-            check_stochastic(prod, tol=1e-10)
+            check_stochastic(edge_form(prod), tol=1e-10)
