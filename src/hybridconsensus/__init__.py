@@ -13,13 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": ("ConsensusVerdict", "decide", "disagreement", "verify_run"),
-    "engine": (
-        "MonteCarloSummary",
-        "RunConfig",
-        "Trajectory",
-        "monte_carlo_mean",
-        "simulate_deterministic",
-    ),
+    "engine": ("RunConfig", "Trajectory", "monte_carlo_mean", "simulate_deterministic"),
     "graphs": ("WeightedDigraph", "read_edge_list"),
     "protocols": (
         "GossipSchedule",

@@ -7,13 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    MonteCarloSummary,
-    RunConfig,
-    Trajectory,
-    monte_carlo_mean,
-    simulate_deterministic,
-)
+from .engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
 from .errors import ConsensusError, DegenerateEigenspace
 from .protocols import GossipSchedule, HybridSystem, case2_gain, protocol
 from .spectral import left_eigenvector
@@ -63,10 +57,9 @@ def decide(
     return ConsensusVerdict(True, condition, float(nu @ sys.x0), None, False)
 
 
-def disagreement(traj: Trajectory | MonteCarloSummary, at: int = -1) -> float:
-    """max_i x_i - min_i x_i at a sampled instant (mean states for MC runs)."""
-    states = traj.mean_states if isinstance(traj, MonteCarloSummary) else traj.sample_states
-    x = states[at]
+def disagreement(traj: Trajectory, at: int = -1) -> float:
+    """max_i x_i - min_i x_i at a sampled instant (mean states for case 3)."""
+    x = traj.sample_states[at]
     return float(x.max() - x.min())
 
 
@@ -76,26 +69,23 @@ def verify_run(
     cfg: RunConfig,
     tol: float = 1e-8,
     sched: GossipSchedule | None = None,
-) -> tuple[ConsensusVerdict, Trajectory | MonteCarloSummary]:
+) -> tuple[ConsensusVerdict, Trajectory]:
     """Simulate and fill in the measured half of the verdict.
 
     converged requires both the final disagreement and the per-agent gap to
-    the predicted value to fall below tol; for case 3 the gap tolerance is
-    widened to the 4-standard-error band of the Monte-Carlo mean.
+    the predicted value to fall below tol, widened by the 4-standard-error
+    band of the Monte-Carlo mean (zero in cases 1-2).
     """
     verdict = decide(sys, case, sched)
     if case == 3:
-        traj: Trajectory | MonteCarloSummary = monte_carlo_mean(sys, sched, cfg)
-        final = traj.mean_states[-1]
-        slack = 4.0 * traj.stderr[-1]
+        traj = monte_carlo_mean(sys, sched, cfg)
     else:
         traj = simulate_deterministic(sys, case, cfg)
-        final = traj.sample_states[-1]
-        slack = np.zeros(sys.n)
     measured = disagreement(traj)
     converged = False
     if verdict.solvable:
-        gap = np.abs(final - verdict.predicted_value)
+        slack = 4.0 * traj.stderr[-1]
+        gap = np.abs(traj.sample_states[-1] - verdict.predicted_value)
         converged = bool(measured < tol + float(slack.max()) and np.all(gap < tol + slack))
     verdict = replace(verdict, measured_final_disagreement=measured, converged=converged)
     return verdict, traj

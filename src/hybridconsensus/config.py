@@ -136,13 +136,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise ParseError("missing required key 'h'")
     if not (values["tol"] > 0 and math.isfinite(values["tol"])):
         raise ValueError(f"tol must be positive and finite, got {values['tol']}")
-    # the floors `run` needs, checked here so that `check` accepts the same configs;
-    # case 3's standard error over trials needs two of them, and its generator a seed >= 0
-    floors = {"steps": 0, "dense_per_step": 0, "seed": 0,
-              "trials": 2 if values["case"] == 3 else 1}
-    for name, floor in floors.items():
-        if values[name] < floor:
-            raise ValueError(f"{name} must be >= {floor}, got {values[name]}")
+    # run's counts, checked here so that `check` rejects the same configs as `run`
+    RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)},
+              min_trials=2 if values["case"] == 3 else 1)
     if len(values["x0"]) != graph.n:
         raise DimensionMismatch(f"x0 has length {len(values['x0'])}, graph has n = {graph.n}")
     return ExperimentConfig(graph_path=graph_path, **values)

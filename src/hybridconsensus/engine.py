@@ -10,7 +10,7 @@ sorted edge order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -19,32 +19,33 @@ from .protocols import GossipSchedule, HybridSystem, pair_gains, protocol
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's counts.  Each has a floor, checked here for every caller;
+    `min_trials` raises the trials floor (case 3's standard error needs two)."""
+
     steps: int
     dense_per_step: int = 10
     seed: int = 0
     trials: int = 1000
+    min_trials: InitVar[int] = 1
 
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.dense_per_step < 0:
-            raise ValueError("dense_per_step must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+    def __post_init__(self, min_trials):
+        for name, floor in (("steps", 0), ("dense_per_step", 0), ("seed", 0),
+                            ("trials", min_trials)):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A run's sampled states, and its continuous agents' states between samples.
+    Case 3 gives the mean over trials, with its standard error and no dense
+    states; cases 1-2 give one run, whose standard error is zero."""
+
     sample_times: np.ndarray  # (K+1,)
     sample_states: np.ndarray  # (K+1, n)
     dense: np.ndarray  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
-
-
-@dataclass(frozen=True)
-class MonteCarloSummary:
-    sample_times: np.ndarray
-    mean_states: np.ndarray  # (K+1, n) empirical mean over trials
-    stderr: np.ndarray  # (K+1, n) standard error of the mean
+    stderr: np.ndarray  # (K+1, n) standard error of the mean over trials
 
 
 def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
@@ -77,20 +78,16 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
         sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=states,
         dense=x[:, :m, None] + f * pull[:, :, None],
+        stderr=np.broadcast_to(0.0, states.shape),  # read-only zeros, no memory
     )
 
 
 def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cum = np.cumsum(sched.probs)
-    cum[-1] = 1.0  # guard against round-off in the last bin
-    u = rng.random(steps)
-    return np.searchsorted(cum, u, side="right")
+    u = np.random.Generator(np.random.PCG64(seed)).random(steps)
+    return np.searchsorted(sched.cumulative, u, side="right")
 
 
-def monte_carlo_mean(
-    sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
-) -> MonteCarloSummary:
+def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -> Trajectory:
     """Empirical mean and standard error of the sampled states over
     independent gossip trials; trial r draws its edges with seed cfg.seed + r.
 
@@ -101,10 +98,10 @@ def monte_carlo_mean(
     if cfg.trials < 2:
         raise ValueError("monte_carlo_mean needs trials >= 2")
     gains = pair_gains(sys, sched.i, sched.j, sys.h)  # also checks the schedule and h
+    x = np.tile(sys.x0, (cfg.trials, 1))  # first: a trial count too large fails at once
     choice = np.stack(
         [_draw_edges(sched, cfg.steps, cfg.seed + r) for r in range(cfg.trials)], axis=1
     )
-    x = np.tile(sys.x0, (cfg.trials, 1))
     rows = np.arange(cfg.trials)
     mean = np.empty((cfg.steps + 1, sys.n))
     stderr = np.empty((cfg.steps + 1, sys.n))
@@ -117,6 +114,9 @@ def monte_carlo_mean(
             x[rows, j] = xj + gains[e, 1] * (xi - xj)
         mean[k] = x.mean(axis=0)
         stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
-    return MonteCarloSummary(
-        sample_times=np.arange(cfg.steps + 1) * sys.h, mean_states=mean, stderr=stderr
+    return Trajectory(
+        sample_times=np.arange(cfg.steps + 1) * sys.h,
+        sample_states=mean,
+        dense=np.empty((cfg.steps, sys.m, 0)),
+        stderr=stderr,
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .graphs import WeightedDigraph
 from .spectral import StochasticMatrix, check_stochastic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridSystem:
     """Graph, agent-kind split, sampling period and initial state."""
 
@@ -102,6 +103,14 @@ class GossipSchedule:
         for name, value in (("i", i), ("j", j), ("probs", probs[order])):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """The cumulative probabilities, for drawing edges by inverse CDF."""
+        cum = np.cumsum(self.probs)
+        cum[-1] = 1.0  # guard against round-off in the last bin
+        cum.setflags(write=False)
+        return cum
 
     @classmethod
     def uniform(cls, graph: WeightedDigraph) -> "GossipSchedule":

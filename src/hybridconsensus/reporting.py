@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import ConsensusVerdict
 from .config import KEYS, ExperimentConfig
-from .engine import MonteCarloSummary, Trajectory, dense_tau_grid
+from .engine import Trajectory, dense_tau_grid
 from .protocols import PROTOCOLS, HybridSystem
 
 CSV_HEADER = "t,agent,value,kind,record"
@@ -42,14 +42,12 @@ def matrix_rows(entries: np.ndarray) -> Iterator[str]:
     return (",".join(text[i : i + n]) for i in range(0, len(text), n))
 
 
-def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory | MonteCarloSummary) -> Iterator[str]:
+def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     """The header line, then blocks of about BLOCK_ROWS rows `t,agent,value,kind,record`.
     A block holds whole steps: step k is the n sample rows at t_k, then the
     dense rows of interval k at t_k + tau, agent by agent; the last step has
-    sample rows only.  Agent ids are 1-based; Monte-Carlo gives mean states."""
-    mc = isinstance(traj, MonteCarloSummary)
-    states, times = traj.mean_states if mc else traj.sample_states, traj.sample_times
-    dense = np.empty((len(times) - 1, sys.m, 0)) if mc else traj.dense  # MC: d = 0
+    sample rows only.  Agent ids are 1-based; case 3 gives mean states, no dense rows."""
+    states, times, dense = traj.sample_states, traj.sample_times, traj.dense
     (K, m, d), n, taus = dense.shape, sys.n, dense_tau_grid(sys.h, dense.shape[2])
     agents = [f",{i + 1}," for i in range(n)]
     agent = agents + [a for a in agents[:m] for _ in range(d)]  # one step's rows
@@ -88,8 +86,7 @@ def _write_replacing(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_trajectory_csv(sys: HybridSystem, traj: Trajectory | MonteCarloSummary,
-                         path: str | Path) -> None:
+def write_trajectory_csv(sys: HybridSystem, traj: Trajectory, path: str | Path) -> None:
     """Stream the CSV to `path`, block by block, through a temporary file."""
     _write_replacing(path, trajectory_csv_blocks(sys, traj))
 

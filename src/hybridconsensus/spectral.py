@@ -51,7 +51,7 @@ class StochasticMatrix:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronVector:
     """Normalized nonnegative left eigenvector for eigenvalue 1."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridconsensus import WeightedDigraph
-from hybridconsensus.engine import MonteCarloSummary, dense_tau_grid
+from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.reporting import CSV_HEADER
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
@@ -95,11 +95,8 @@ def reference_csv_lines(sys, traj) -> list[str]:
     """The original per-row formatter, kept as the reference oracle for
     `reporting.trajectory_csv_blocks`: one f-string, two reprs per row."""
     lines = [CSV_HEADER]
-    if isinstance(traj, MonteCarloSummary):
-        states, dense, taus = traj.mean_states, [], []
-    else:
-        states, dense = traj.sample_states, traj.dense.tolist()
-        taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
+    states, dense = traj.sample_states, traj.dense.tolist()
+    taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
     kinds = ["continuous" if i < sys.m else "discrete" for i in range(sys.n)]
     for k, (t, row) in enumerate(zip(traj.sample_times.tolist(), states.tolist())):
         for agent, value in enumerate(row):

@@ -272,4 +272,4 @@ def simulate_gossip(
                 if end < sys.m:
                     dense[k, end, col] = x[end] + g * (x[other] - x[end])
     times = np.arange(cfg.steps + 1) * sys.h
-    return Trajectory(sample_times=times, sample_states=states, dense=dense), drawn
+    return Trajectory(times, states, dense, np.broadcast_to(0.0, states.shape)), drawn

@@ -185,13 +185,13 @@ def test_criterion_5_gossip_mean_consensus():
     for _ in range(steps):
         power = E.entries @ power
     band = np.maximum(4.0 * mc.stderr[-1], 1e-12)
-    entry_gaps = np.abs(mc.mean_states[-1] - power)
+    entry_gaps = np.abs(mc.sample_states[-1] - power)
     nu = left_eigenvector(E).nu
     predicted = float(nu @ x0)
     power_gap = float(np.max(np.abs(power - predicted)))
-    mean_gap = float(np.max(np.abs(mc.mean_states[-1] - predicted)))
+    mean_gap = float(np.max(np.abs(mc.sample_states[-1] - predicted)))
     ok = bool(np.all(entry_gaps <= band)) and power_gap < 1e-5 and np.all(
-        np.abs(mc.mean_states[-1] - predicted) <= band + 1e-5
+        np.abs(mc.sample_states[-1] - predicted) <= band + 1e-5
     )
     report(
         "5 gossip mean-sense consensus",

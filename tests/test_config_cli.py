@@ -7,6 +7,7 @@ import pytest
 
 from hybridconsensus.cli import main
 from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, build_schedule, build_system, load_config
+from hybridconsensus.engine import RunConfig
 from hybridconsensus.errors import DimensionMismatch, ParseError, UnknownCase
 
 
@@ -196,14 +197,36 @@ class TestCliExitCodes:
         assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize(
+        "preset, flag, value",
+        [
+            ("example1.cfg", "steps", -1),
+            ("example1.cfg", "dense_per_step", -1),
+            ("example1.cfg", "seed", -1),
+            ("example1.cfg", "trials", 0),
+            ("example3.cfg", "trials", 0),
+            ("example3.cfg", "trials", 1),
+        ],
+    )
+    def test_run_config_raises_the_cli_message(self, presets_dir, capsys, preset, flag, value):
+        # the floors are written once, in RunConfig; load_config reaches them through it
+        args = ["check", str(presets_dir / preset), "--" + flag.replace("_", "-"), str(value)]
+        assert main(args) == 2
+        min_trials = 2 if load_config(presets_dir / preset).case == 3 else 1
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**{"steps": 0, flag: value}, min_trials=min_trials)
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize(
         "preset, flag",
-        [("example1.cfg", "steps"), ("example2.cfg", "dense-per-step"), ("example3.cfg", "steps")],
+        [("example1.cfg", "steps"), ("example2.cfg", "dense-per-step"), ("example3.cfg", "steps"),
+         ("example3.cfg", "trials")],
     )
     def test_count_too_large_to_allocate_is_condition_error(
         self, tmp_path, presets_dir, capsys, preset, flag
     ):
-        # 10^16 samples or dense points need at least 71 PiB, more than any x86-64 user address
-        # space, so the allocation fails at once on every host; it escaped as a MemoryError traceback
+        # 10^16 samples, dense points or trials need at least 71 PiB, more than any x86-64 user
+        # address space, so the allocation fails at once on every host; it escaped as a
+        # MemoryError traceback, and case 3 drew every trial's edges before it allocated
         out = tmp_path / "out"
         args = ["run", str(presets_dir / preset), "--" + flag, "10000000000000000", "--out", str(out)]
         assert main(args) == 2

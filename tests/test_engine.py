@@ -188,7 +188,7 @@ class TestMonteCarlo:
         sched = GossipSchedule(((0, 1),), np.array([1.0]))
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=10, trials=20))
         det, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
-        np.testing.assert_allclose(mc.mean_states, det.sample_states, atol=1e-14)
+        np.testing.assert_allclose(mc.sample_states, det.sample_states, atol=1e-14)
         np.testing.assert_allclose(mc.stderr, 0.0, atol=1e-14)
 
     def test_single_trial_rejected(self):
@@ -217,7 +217,7 @@ class TestMonteCarlo:
                 x = gossip_pair_matrix(sys, i, j).entries @ x
                 all_states[r, k + 1] = x
         tol = 1e-12 * np.abs(x0).max()
-        np.testing.assert_allclose(mc.mean_states, all_states.mean(axis=0), rtol=0, atol=tol)
+        np.testing.assert_allclose(mc.sample_states, all_states.mean(axis=0), rtol=0, atol=tol)
         stderr = all_states.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
         np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=tol)
 
@@ -234,7 +234,7 @@ class TestMonteCarlo:
         for k in range(1, 41):
             predicted = E @ predicted
             band = np.maximum(4.0 * mc.stderr[k], 1e-12)
-            hits += int(np.sum(np.abs(mc.mean_states[k] - predicted) <= band))
+            hits += int(np.sum(np.abs(mc.sample_states[k] - predicted) <= band))
             total += 5
         assert hits / total >= 0.95
 

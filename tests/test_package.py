@@ -105,4 +105,4 @@ def test_every_exported_name_resolves():
         "except AttributeError:\n"
         "    print(len(listed), len(hc.__all__))\n"
     )
-    assert out == ["24", "24"]
+    assert out == ["23", "23"]

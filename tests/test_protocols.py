@@ -6,6 +6,7 @@ import pytest
 from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
+    RunConfig,
     WeightedDigraph,
     bound_case1,
     bound_case2,
@@ -14,6 +15,8 @@ from hybridconsensus import (
     case2_gain,
     case2_matrix,
     gossip_expected_matrix,
+    left_eigenvector,
+    simulate_deterministic,
 )
 from hybridconsensus.errors import InvalidSchedule, SamplingPeriodTooLarge
 from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, iteration_matrix
@@ -241,6 +244,26 @@ class TestHybridSystem:
     def test_nonfinite_x0_rejected(self, bad):
         with pytest.raises(ValueError, match=r"x0\[1\]"):
             HybridSystem(undirected_ring_with_chord(3), m=1, h=0.1, x0=[0.0, bad, 1.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_node().graph,
+        two_node,
+        lambda: GossipSchedule(((0, 1),), np.array([1.0])),
+        lambda: case1_matrix(two_node()),
+        lambda: left_eigenvector(case1_matrix(two_node())),
+        lambda: simulate_deterministic(two_node(), 1, RunConfig(steps=2)),
+    ],
+    ids=["WeightedDigraph", "HybridSystem", "GossipSchedule", "StochasticMatrix", "PerronVector",
+         "Trajectory"],
+)
+def test_array_dataclasses_compare_by_identity(make):
+    # the generated __eq__ and __hash__ compared and hashed the array fields, and raised
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestGossipExpectedMatrix:

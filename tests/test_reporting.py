@@ -8,7 +8,6 @@ import pytest
 
 from hybridconsensus import (
     HybridSystem,
-    MonteCarloSummary,
     RunConfig,
     Trajectory,
     WeightedDigraph,
@@ -33,7 +32,7 @@ def assert_matches_reference(sys: HybridSystem, traj) -> None:
     """Byte equality with the reference at the default block size and at
     blocks of one step, of one row less or more than a step, and of a step."""
     want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
-    width = sys.n + (0 if isinstance(traj, MonteCarloSummary) else sys.m * traj.dense.shape[2])
+    width = sys.n + sys.m * traj.dense.shape[2]
     for block_rows in (reporting.BLOCK_ROWS, 1, width - 1, width, width + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "BLOCK_ROWS", block_rows)
@@ -86,9 +85,9 @@ class TestCsvMatchesReference:
         times = np.arange(3) * sys.h
         states = np.resize(special, (3, 3))
         assert_matches_reference(
-            sys, Trajectory(times, states, np.resize(special[::-1], (2, 2, 4)))
+            sys, Trajectory(times, states, np.resize(special[::-1], (2, 2, 4)), np.zeros((3, 3)))
         )
-        assert_matches_reference(sys, MonteCarloSummary(times, states, np.zeros((3, 3))))
+        assert_matches_reference(sys, Trajectory(times, states, np.empty((2, 2, 0)), np.zeros((3, 3))))
 
     @pytest.mark.parametrize("case", [1, 2])
     @pytest.mark.parametrize(
