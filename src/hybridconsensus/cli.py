@@ -37,7 +37,7 @@ if "GOTO_THREAD_TIMEOUT" not in os.environ:
 from .analysis import decide, verify_run
 from .config import KEYS, ExperimentConfig, build_schedule, build_system, load_config
 from .engine import RunConfig
-from .errors import ConsensusError, ParseError, SamplingPeriodTooLarge
+from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
 from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
 from .spectral import StochasticMatrix
@@ -147,10 +147,10 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, OSError, ParseError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO
-    except (SamplingPeriodTooLarge, ConsensusError, ValueError, MemoryError) as exc:
+    except (ConsensusError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONDITION
 

@@ -54,30 +54,29 @@ def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
 
 
 def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Trajectory:
-    """Iterate the case-1/2 sampled map; dense states of continuous agents.
+    """Iterate the case-1/2 sampled map on its edges; dense states of continuous agents.
 
-    Agent i < m drifts from x_k[i] along (A x_k - d x_k)[i] by the case's
-    dense gain f(d_ii, tau): tau under zero-order hold, (1 - e^{-d tau}) / d
-    when self-observing.
+    Agent i < m moves from x_k[i] along (A x_k - d x_k)[i] by the case's dense
+    gain f(d_ii, tau): tau under zero-order hold, (1 - e^{-d tau}) / d when
+    self-observing.  So at t_k + tau it is the blend (1 - s) x_k[i] + s x_{k+1}[i]
+    of two samples, s = f(d_ii, tau) / f(d_ii, h), and exactly x_{k+1}[i] at h.
     """
-    spec = protocol(case)
-    M = spec.matrix(sys, None).entries
-    states = np.empty((cfg.steps + 1, sys.n))
+    spec, n, m = protocol(case), sys.n, sys.m
+    P, ii = spec.matrix(sys, None), np.arange(n)
+    # one bincount a step, with the diagonal folded in last in each row
+    rows, cols, vals = np.r_[P.rows, ii], np.r_[P.cols, ii], np.r_[P.vals, P.diag]
+    states = np.empty((cfg.steps + 1, n))
     states[0] = sys.x0
-    for k in range(cfg.steps):
-        states[k + 1] = M @ states[k]
-    g, m = sys.graph, sys.m
-    cont = np.searchsorted(g.rows, m)  # the continuous rows' edges come first
-    a = np.zeros((m, sys.n))
-    a[g.rows[:cont], g.cols[:cont]] = g.vals[:cont]
-    d = g.in_degrees()[:m]
-    f = spec.dense_gain(d[:, None], dense_tau_grid(sys.h, cfg.dense_per_step))
-    x = states[:-1]
-    pull = x @ a.T - x[:, :m] * d  # (K, m)
+    for k, x in enumerate(states[:-1]):
+        states[k + 1] = np.bincount(rows, vals * x[cols], minlength=n)
+    f = spec.dense_gain(sys.graph.in_degrees()[:m, None], dense_tau_grid(sys.h, cfg.dense_per_step))
+    s = f / f[..., -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
+    dense = (1 - s) * states[:-1, :m, None]
+    dense += s * states[1:, :m, None]
     return Trajectory(
         sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=states,
-        dense=x[:, :m, None] + f * pull[:, :, None],
+        dense=dense,
         stderr=np.broadcast_to(0.0, states.shape),  # read-only zeros, no memory
     )
 
@@ -98,13 +97,13 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
     if cfg.trials < 2:
         raise ValueError("monte_carlo_mean needs trials >= 2")
     gains = pair_gains(sys, sched.i, sched.j, sys.h)  # also checks the schedule and h
-    x = np.tile(sys.x0, (cfg.trials, 1))  # first: a trial count too large fails at once
-    choice = np.stack(
-        [_draw_edges(sched, cfg.steps, cfg.seed + r) for r in range(cfg.trials)], axis=1
-    )
+    # a trial or step count too large to allocate fails here, before any draw
+    x = np.tile(sys.x0, (cfg.trials, 1))
+    mean, stderr = np.empty((2, cfg.steps + 1, sys.n))
+    choice = np.empty((cfg.steps, cfg.trials), np.intp)
+    for r in range(cfg.trials):
+        choice[:, r] = _draw_edges(sched, cfg.steps, cfg.seed + r)
     rows = np.arange(cfg.trials)
-    mean = np.empty((cfg.steps + 1, sys.n))
-    stderr = np.empty((cfg.steps + 1, sys.n))
     for k in range(cfg.steps + 1):
         if k:
             e = choice[k - 1]

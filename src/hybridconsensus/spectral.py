@@ -4,7 +4,7 @@ consensus weight vector nu.
 Matrices are held in edge form only, the diagonal plus the nonzero
 off-diagonal entries, and the check and the solve take that form, so that
 they cost O(n + e) beyond the root-class block; the dense n x n form is
-built only when a caller reads `entries` (`matrix` and the `run` stepper).
+built only when a caller reads `entries` (the `matrix` command).
 
 ``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
 closed strongly connected class of P (the root class) and solved there by
@@ -30,8 +30,8 @@ STOCHASTIC_TOL = 1e-12
 class StochasticMatrix:
     """A square matrix in edge form: its diagonal `diag`, and its nonzero
     off-diagonal entries `vals` at (`rows`, `cols`), sorted by row, then
-    column.  The dense `entries` is built on first use.  `check_stochastic`
-    returns the ones it has verified."""
+    column.  The dense `entries` is built on first use, for the `matrix`
+    command.  `check_stochastic` returns the ones it has verified."""
 
     diag: np.ndarray
     rows: np.ndarray

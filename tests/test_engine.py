@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from hybridconsensus import (
     monte_carlo_mean,
     simulate_deterministic,
 )
+from hybridconsensus.config import build_system, load_config
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import UnknownCase
 from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, simulate_gossip
-from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
+from conftest import PRESETS, random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def two_node(m=0, h=0.2, x0=(0.0, 1.0)):
@@ -52,16 +57,21 @@ class TestSimulateDeterministic:
         assert final.max() - final.min() < 1e-8
 
     def test_dense_records_meet_next_sample(self):
-        # last dense record of each interval equals the next sampled state
+        # the last dense record of each interval is the next sampled state, bit for bit
         rng = np.random.default_rng(89)
         g = random_spanning_graph(rng, 5, extra=4, w_lo=0.2)
         h = 0.5 / g.in_degrees().max()
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-2, 2, 5))
-        for case in (1, 2):
-            traj = simulate_deterministic(sys, case, RunConfig(steps=5, dense_per_step=4))
-            assert traj.dense.shape == (5, 3, 4)
-            np.testing.assert_allclose(
-                traj.dense[:, :, -1], traj.sample_states[1:, :3], atol=1e-10, rtol=0
+        runs = [(sys, case, RunConfig(steps=5, dense_per_step=4)) for case in (1, 2)]
+        for path in (PRESETS / "example1.cfg", PRESETS / "example2.cfg", DATA / "weighted.cfg"):
+            cfg = load_config(path)
+            run_cfg = RunConfig(steps=cfg.steps, dense_per_step=cfg.dense_per_step)
+            runs.append((build_system(cfg), cfg.case, run_cfg))
+        for sys, case, run_cfg in runs:
+            traj = simulate_deterministic(sys, case, run_cfg)
+            assert traj.dense.shape == (run_cfg.steps, sys.m, run_cfg.dense_per_step)
+            np.testing.assert_array_equal(
+                traj.dense[:, :, -1].view(np.int64), traj.sample_states[1:, : sys.m].view(np.int64)
             )
 
     def test_tau_grid_ends_exactly_at_h(self):

@@ -9,6 +9,10 @@ path, which `check` and verdict.json report, is replaced before hashing.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +33,12 @@ DIGESTS = {
     ("example1", "check"): "f2b30f7f8eb64204d838f9bef37886e2b45ef4d95097d3d5122c43b9ea84ddf4",
     ("example1", "bounds"): "db71ec3a531041684785f1240aa110b331dc739733cdc5872e460536694b5a22",
     ("example1", "matrix"): "80a4a830801f19ef15c030517bf42cdfee71ec8a50a7d52803ec71fd91dc2ef7",
-    ("example1", "trajectory.csv"): "9a837082edacf51aa5241c2a2a3117ff2e63ab3f8f881eae93983f51e8851e41",
-    ("example1", "verdict.json"): "c6c6150eb02262643573d7793aa93109b3cf72b56730e3f1c51ef79a144d4037",
+    ("example1", "trajectory.csv"): "3dc6b4d27fa7b60e3a64cd734a9243be2d77772da714a0a36f29cb0784c12b1f",
+    ("example1", "verdict.json"): "c4794bb472ddc4a23ef0be08dc812f0ddea2ee0510c380317d693b4778e77642",
     ("example2", "check"): "377a9533b6d56ba32ee1f33ba0cc343b4cc6242ad41531a1db6b94326a9f2d50",
     ("example2", "bounds"): "2b09c2b3e4be365b2e19cbb3d65b86f0b2981131b6538e3e16dd36de6a6d6e91",
     ("example2", "matrix"): "fbe05a9440d71be82912c13641dd7ea3f013d788336073d03a1a20fdc0c68b53",
-    ("example2", "trajectory.csv"): "d0a20a25a6b3be25a11226a344a5e0b39899f2892da666a32e1f34cec39ce2a2",
+    ("example2", "trajectory.csv"): "ff102cf0bb906603870364c14de8dca52bc146d1bfd3085c280e2114e895de5a",
     ("example2", "verdict.json"): "aeb73c99df88490566ca808449656e86055183459d7d339d815392b3cf408cad",
     ("example3", "check"): "7e669b5c8901d5121f3ac3a5bd1f0e727533fc5c6cdd169bd73a47cba35fbab2",
     ("example3", "bounds"): "1fed058824c22a4de67b49aafe7cb6e9627a01f58b33a8bb292368e9a177d350",
@@ -44,8 +48,8 @@ DIGESTS = {
     ("weighted", "check"): "1d01517082e266d64915ab5a29907388549e07a718a3a8cb411257cd0e904807",
     ("weighted", "bounds"): "680e5772b69c2825b681b3d31e72990fbe043a7bd0db0f66a68e17e1689a2b32",
     ("weighted", "matrix"): "4419087ba47599bc29f0174e7068211ca7a4f2d817274dcd428a51853ebfa91a",
-    ("weighted", "trajectory.csv"): "a1cb3a88b5891240401892e7ac83f6cfc78f2c4193eddc0fcca1c7de86af8294",
-    ("weighted", "verdict.json"): "53490569e3b41781c4ee223f7bc39afa7ab1a8d6e16c2b7707c2fd262423ae3f",
+    ("weighted", "trajectory.csv"): "7231bea409ec69230c2bc9f196cd92b4e8e5a3dfa08e0e130b76b5c345aa8b5c",
+    ("weighted", "verdict.json"): "aab149a1c1f4f039c67a66b03a2d32332bd525a3420b67f8bdf5890e3304d68a",
 }
 
 
@@ -69,6 +73,26 @@ def outputs(command: str, cfg: Path, out: Path, capsys) -> dict[str, str]:
 def test_output_bytes_are_pinned(tmp_path, capsys, config, command):
     got = outputs(command, CONFIGS[config], tmp_path, capsys)
     assert got == {name: DIGESTS[config, name] for name in got}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("config", ["example1", "example2", "weighted"])
+def test_trajectory_does_not_depend_on_the_blas_kernel(tmp_path, config):
+    """`run` steps cases 1-2 on the matrix's edges, without BLAS, so the
+    trajectory's bytes are the same under another OpenBLAS kernel and thread
+    count."""
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
+
+    def trajectory(name: str, env: dict) -> bytes:
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "hybridconsensus", "run", str(CONFIGS[config]),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        return (out / "trajectory.csv").read_bytes()
+
+    nehalem = {**default, "OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1"}
+    assert trajectory("default", default) == trajectory("nehalem", nehalem)
 
 
 def test_weighted_fixture_separates_the_row_sums():
