@@ -12,7 +12,7 @@ required::
     dense_per_step = 10           # intra-sample points per interval
     seed = 0                      # gossip seed; trial r uses seed + r
     trials = 1000                 # Monte-Carlo trials, case 3 only
-    probs = uniform               # or an explicit comma list, one per edge
+    probs = uniform               # or a comma list, one per edge i < j, by i, then j
     tol = 1e-8                    # convergence tolerance, positive and finite
 
 `x0 = paper` expands to the benchmark initial state
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .engine import RunConfig
 from .errors import DimensionMismatch, ParseError
@@ -151,5 +149,4 @@ def build_system(cfg: ExperimentConfig) -> HybridSystem:
 def build_schedule(cfg: ExperimentConfig) -> GossipSchedule:
     if cfg.probs == "uniform":
         return GossipSchedule.uniform(cfg.graph)
-    edges = cfg.graph.edges()
-    return GossipSchedule(edges, np.asarray(cfg.probs, dtype=float))
+    return GossipSchedule(cfg.graph, cfg.probs)

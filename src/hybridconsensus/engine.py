@@ -96,7 +96,7 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
     """
     if cfg.trials < 2:
         raise ValueError("monte_carlo_mean needs trials >= 2")
-    gains = pair_gains(sys, sched.i, sched.j, sys.h)  # also checks the schedule and h
+    gains = pair_gains(sys, sched)  # also checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
     mean, stderr = np.empty((2, cfg.steps + 1, sys.n))

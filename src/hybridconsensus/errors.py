@@ -38,7 +38,7 @@ class SamplingPeriodTooLarge(ConsensusError):
 
 
 class InvalidSchedule(ConsensusError):
-    """Gossip schedule probabilities or edge list are inconsistent."""
+    """Gossip probabilities that do not fit the graph, or a schedule on another graph."""
 
 
 class ParseError(ConsensusError):

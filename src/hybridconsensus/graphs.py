@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AsymmetricGraph, InvalidGraph, ParseError
+from .errors import InvalidGraph, ParseError
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +77,6 @@ class WeightedDigraph:
             and np.array_equal(self.rows[t], self.cols)
             and np.array_equal(self.vals[t], self.vals)
         )
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Unordered positive-weight pairs (i, j), i < j, of a symmetric graph."""
-        if not self.is_symmetric:
-            raise AsymmetricGraph("edge enumeration requires a symmetric graph")
-        upper = self.rows < self.cols
-        return list(zip(self.rows[upper].tolist(), self.cols[upper].tolist()))
 
 
 def strong_components(

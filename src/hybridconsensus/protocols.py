@@ -8,9 +8,10 @@ agents share the sampling grid t_k = k*h.
   sampled map I - h*L.
 * Case 2: continuous agents additionally observe their own state in real
   time; sampled map I - H*L with exponential gains on the continuous rows.
-* Case 3: randomized gossip on a symmetric graph; at each t_k a single edge
-  interacts through a pair matrix Phi_ij, whose gains `pair_gains` gives;
-  the builder returns their expected matrix E(Phi).
+* Case 3: randomized gossip on a symmetric graph; at each t_k one of its
+  edges (i, j), drawn with probability p_ij, interacts through a pair
+  matrix Phi_ij, whose gains `pair_gains` gives; the builder returns their
+  expected matrix E(Phi).
 
 Every builder returns its matrix in edge form (see `spectral`), written from
 the graph's edges.  Cases 1 and 2 share one writer of I - diag(g) L, where
@@ -25,8 +26,8 @@ looks a case up and is the one place an unknown case is rejected.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +51,7 @@ class HybridSystem:
         if not 0 <= self.m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {self.m}")
         if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"sampling period must be positive, got {self.h}")
+            raise ValueError(f"sampling period must be positive and finite, got {self.h}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got shape {x0.shape}")
@@ -69,38 +70,37 @@ class HybridSystem:
 
 @dataclass(frozen=True, eq=False)
 class GossipSchedule:
-    """Edges of a symmetric graph with their selection probabilities.
+    """The edges of a symmetric graph with their selection probabilities.
 
-    `edges`, pairs (i, j) with i < j, is constructor input only: edge e
-    joins `i[e]` and `j[e]`, sorted by i, then j, and `probs` is in that
-    order.
+    Edge e joins `i[e]` < `j[e]` with weight `vals[e]`: the graph's entries
+    with i < j in stored order, so sorted by i, then j.  `probs` gives one
+    probability per edge in that order, each in (0, 1], summing to 1.
     """
 
-    edges: InitVar[Sequence[tuple[int, int]]]
+    graph: WeightedDigraph
     probs: np.ndarray
     i: np.ndarray = field(init=False, repr=False)
     j: np.ndarray = field(init=False, repr=False)
+    vals: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, edges):
-        probs = np.asarray(self.probs, dtype=float)
-        ij = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        if len(ij) != len(probs):
-            raise InvalidSchedule("edges and probs must have equal length")
-        if len(ij) == 0:
-            raise InvalidSchedule("schedule must list at least one edge")
-        if not np.all(ij[:, 0] < ij[:, 1]):
-            raise InvalidSchedule("edges must be ordered pairs (i, j) with i < j")
-        order = np.lexsort((ij[:, 1], ij[:, 0]))
-        i, j = ij[order, 0], ij[order, 1]
-        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
-            raise InvalidSchedule("duplicate edge in schedule")
+    def __post_init__(self):
+        g, probs = self.graph, np.array(self.probs, dtype=float)  # a copy, made read-only
+        if not g.is_symmetric:
+            raise AsymmetricGraph("gossip requires a symmetric graph")
+        upper = g.rows < g.cols
+        if len(probs) != upper.sum():
+            raise InvalidSchedule(
+                f"probs must give one value for each of the graph's {upper.sum()} edges, "
+                f"got {len(probs)}"
+            )
         # p in (0, 1]; the single-edge schedule necessarily has p = 1.  Both
         # tests are written so that NaN, which compares False, fails them.
         if not np.all((probs > 0) & (probs <= 1)):
             raise InvalidSchedule("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidSchedule(f"probabilities must sum to 1, got {probs.sum()!r}")
-        for name, value in (("i", i), ("j", j), ("probs", probs[order])):
+        for name, value in (("i", g.rows[upper]), ("j", g.cols[upper]), ("vals", g.vals[upper]),
+                            ("probs", probs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -114,8 +114,8 @@ class GossipSchedule:
 
     @classmethod
     def uniform(cls, graph: WeightedDigraph) -> "GossipSchedule":
-        edges = graph.edges()
-        return cls(edges, np.full(len(edges), 1.0 / len(edges)))
+        e = len(graph.vals)  # each edge twice if symmetric, so 2 / e is 1 / |E| to the bit
+        return cls(graph, np.full(e // 2, 2.0 / e))
 
 
 # --- sampling-period bounds --------------------------------------------------
@@ -196,33 +196,22 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     return _sampled_map(sys.graph, gains, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
 
 
-def pair_gains(sys: HybridSystem, i, j, tau: float) -> np.ndarray:
-    """Gains (g_i, g_j), one row per edge (i[e], j[e]) with i < j, of the
-    pair update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over the
-    window (t_k, t_k + tau]; the pair matrix Phi_ij takes tau = h.
+def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
+    """Gains (g_i, g_j) of Phi_ij, one row per scheduled edge (i, j): the pair
+    update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over (t_k, t_k + h].
 
     The factor depends on the kinds of the two endpoints:
     continuous-continuous averages symmetrically with factor
-    (1 - e^{-2a tau})/2, continuous-discrete mixes factors 1 - e^{-a tau}
-    and h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint
-    moves only at t_{k+1}.  Raises AsymmetricGraph for an asymmetric graph,
-    InvalidSchedule for a pair that is no edge of it, and enforces the
-    case-3 h bound, in that order.
+    (1 - e^{-2a h})/2, continuous-discrete mixes factors 1 - e^{-a h} and
+    h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint moves
+    only at t_{k+1}.  Raises InvalidSchedule for a schedule built on a graph
+    other than `sys.graph`, and enforces the case-3 h bound.
     """
-    g = sys.graph
-    if not g.is_symmetric:
-        raise AsymmetricGraph("gossip requires a symmetric graph")
-    i, j = np.asarray(i), np.asarray(j)
-    # a_ij is at the key i * n + j among the entries' keys, sorted as the entries are
-    want, keys = i * g.n + j, g.rows * g.n + g.cols
-    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-    edge = (0 <= i) & (i < g.n) & (0 <= j) & (j < g.n) & (keys[at] == want)
-    if not edge.all():
-        bad = np.argmin(edge)
-        raise InvalidSchedule(f"({i[bad]}, {j[bad]}) is not an edge of the graph")
+    if sched.graph is not sys.graph:
+        raise InvalidSchedule("the schedule was built on another graph than the system's")
     _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
-    a = g.vals[at]
-    both, mixed, held = -np.expm1(-2.0 * a * tau) / 2.0, -np.expm1(-a * tau), sys.h * a
+    i, j, a, h = sched.i, sched.j, sched.vals, sys.h
+    both, mixed, held = -np.expm1(-2.0 * a * h) / 2.0, -np.expm1(-a * h), h * a
     # agents 0..m-1 are continuous, so a continuous j makes i continuous too
     gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))
     gj = np.where(j < sys.m, both, held)
@@ -235,7 +224,7 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
     p_ij g_j at (j, i).  The diagonal accumulates from 1 in edge order, the
     i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j."""
     i, j = sched.i, sched.j
-    g = (pair_gains(sys, i, j, sys.h) * sched.probs[:, None]).T
+    g = (pair_gains(sys, sched) * sched.probs[:, None]).T
     diag = np.ones(sys.n)
     np.add.at(diag, np.r_[i, j], -np.r_[g[0], g[1]])
     rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[g[0], g[1]]

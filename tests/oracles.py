@@ -123,7 +123,7 @@ def case_matrix_dense(
     The package builds the same matrix from the edges, bit for bit."""
     if case == 3:
         i, j = sched.i, sched.j
-        g = (pair_gains(sys, i, j, sys.h) * sched.probs[:, None]).T
+        g = (pair_gains_at(sys, i, j, sys.h) * sched.probs[:, None]).T
         expected = np.eye(sys.n)
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
@@ -137,6 +137,23 @@ def case_matrix_dense(
     return M
 
 
+def pair_gains_at(sys: HybridSystem, i, j, tau: float) -> np.ndarray:
+    """Gains (g_i, g_j), one row per edge (i[e], j[e]) with i < j, of the
+    pair update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over
+    (t_k, t_k + tau], from the paper's closed forms pair by pair: a
+    continuous pair meets at rate 2a, (1 - e^{-2a tau})/2 each; a continuous
+    end relaxes toward a held discrete partner, 1 - e^{-a tau}; a discrete
+    end takes h a at t_{k+1}."""
+    gains, weights = [], dense(sys.graph)
+    for a, b in zip(np.atleast_1d(i).tolist(), np.atleast_1d(j).tolist()):
+        w = weights[a, b]
+        if b < sys.m:  # agents 0..m-1 are continuous, and a < b
+            gains.append(2 * [-np.expm1(-2.0 * w * tau) / 2.0])
+        else:
+            gains.append([-np.expm1(-w * tau) if a < sys.m else sys.h * w, sys.h * w])
+    return np.array(gains).reshape(-1, 2)
+
+
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
     """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
     if not sys.graph.is_symmetric:
@@ -145,7 +162,7 @@ def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
     if dense(sys.graph)[i, j] <= 0:
         raise ValueError(f"({i}, {j}) carries zero weight")
-    gi, gj = pair_gains(sys, [i], [j], sys.h)[0]
+    gi, gj = pair_gains_at(sys, [i], [j], sys.h)[0]
     phi = np.eye(sys.n)
     phi[i, i] -= gi
     phi[i, j] += gi
@@ -256,7 +273,7 @@ def simulate_gossip(
     cfg.seed.  Each sample applies the drawn edge's full pair matrix; between
     samples only the drawn endpoints move, by the pair gains at each tau.
     """
-    pair_gains(sys, sched.i, sched.j, sys.h)  # checks the schedule against the graph
+    pair_gains(sys, sched)  # checks the schedule against the system and h
     c = _draw_edges(sched, cfg.steps, cfg.seed)
     drawn = tuple(zip(sched.i[c].tolist(), sched.j[c].tolist()))
     states = np.empty((cfg.steps + 1, sys.n))
@@ -267,7 +284,7 @@ def simulate_gossip(
     for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
         for k, edge in enumerate(drawn):
             x = states[k]
-            for end, g in zip(edge, pair_gains(sys, [edge[0]], [edge[1]], tau)[0]):
+            for end, g in zip(edge, pair_gains_at(sys, [edge[0]], [edge[1]], tau)[0]):
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
                     dense[k, end, col] = x[end] + g * (x[other] - x[end])

@@ -229,14 +229,15 @@ def test_criterion_6_endpoint_consistency():
             m = int(rng.integers(1, n + 1))
             h = rng.uniform(0.1, 0.9) / dense(g).max()
             sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n))
-            edges = g.edges()
-            i, j = edges[int(rng.integers(0, len(edges)))]
+            sched = GossipSchedule.uniform(g)
+            e = int(rng.integers(0, len(sched.i)))
+            i, j = int(sched.i[e]), int(sched.j[e])
             x = rng.uniform(-1, 1, n)
             participants = [a for a in (i, j) if a < m]
             if not participants:
                 continue
             agent = participants[int(rng.integers(0, len(participants)))]
-            g_agent = pair_gains(sys_, [i], [j], h)[0, int(agent == j)]
+            g_agent = pair_gains(sys_, sched)[e, int(agent == j)]
             update = x[agent] + g_agent * (x[i + j - agent] - x[agent])
             gap = abs(gossip_interpolant(sys_, x, (i, j), agent, h) - update)
         worst = max(worst, float(gap))

@@ -10,14 +10,20 @@ from hybridconsensus import (
     WeightedDigraph,
     decide,
     disagreement,
+    monte_carlo_mean,
     simulate_deterministic,
     verify_run,
 )
 from hybridconsensus import graphs, spectral
 from hybridconsensus.cli import main
-from hybridconsensus.errors import ConsensusError, SamplingPeriodTooLarge, UnknownCase
+from hybridconsensus.errors import ConsensusError, InvalidSchedule, SamplingPeriodTooLarge, UnknownCase
 from oracles import nonconsensus_witness
-from conftest import random_spanning_graph, random_split_graph, undirected_ring_with_chord
+from conftest import (
+    random_spanning_graph,
+    random_split_graph,
+    random_symmetric_connected,
+    undirected_ring_with_chord,
+)
 
 
 class TestDecide:
@@ -67,17 +73,25 @@ class TestDecide:
             decide(sys, 4)
 
     def test_partial_gossip_schedule_not_solvable(self):
-        # a 4-cycle whose schedule never draws (1, 2) or (0, 3): the drawn
-        # edges leave two closed classes although the graph is connected
+        # a schedule that draws only (0, 1) and (2, 3) of a 4-cycle is the full
+        # schedule on the subgraph of those two edges: two closed classes
         w = np.zeros((4, 4))
-        for i in range(4):
-            w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=2, h=0.1, x0=np.arange(4.0))
-        sched = GossipSchedule(((0, 1), (2, 3)), np.array([0.5, 0.5]))
+        sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
         verdict = decide(sys, 3, sched)
         assert not verdict.solvable and verdict.predicted_value is None
         verdict, _ = verify_run(sys, 3, RunConfig(steps=20, trials=4), sched=sched)
         assert not verdict.solvable and not verdict.converged
+
+    def test_schedule_on_another_graph_rejected(self):
+        g = undirected_ring_with_chord()
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
+        other = GossipSchedule.uniform(random_symmetric_connected(np.random.default_rng(5), 6))
+        with pytest.raises(InvalidSchedule, match="another graph"):
+            decide(sys, 3, other)
+        with pytest.raises(InvalidSchedule, match="another graph"):
+            monte_carlo_mean(sys, other, RunConfig(steps=5, trials=2))
 
     def test_one_strong_components_pass(self, monkeypatch):
         calls, real = [], graphs.strong_components

@@ -158,8 +158,12 @@ class TestCliExitCodes:
             (("check", "example1.cfg", "--x0", "nan,1,2,3,4,5", "--h", "0.2"), "x0"),
             (("run", "example1.cfg", "--x0", "inf,1,2,3,4,5", "--h", "0.2"), "x0"),
             (("run", "example1.cfg", "--tol", "-1"), "tol"),
+            (("check", "example1.cfg", "--h", "inf"),
+             "sampling period must be positive and finite, got inf"),
+            (("check", "example1.cfg", "--h", "nan"),
+             "sampling period must be positive and finite, got nan"),
         ],
-        ids=["nan-probs", "nan-x0", "inf-x0", "negative-tol"],
+        ids=["nan-probs", "nan-x0", "inf-x0", "negative-tol", "inf-h", "nan-h"],
     )
     def test_nonfinite_or_nonpositive_input_is_condition_error(
         self, tmp_path, presets_dir, args, message
@@ -233,6 +237,19 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, flags, message",
+        [
+            ("example1.cfg", ["--case", "3"], "error: gossip requires a symmetric graph\n"),
+            ("example3.cfg", ["--probs", "0.5,0.5"], "the graph's 7 edges, got 2\n"),
+        ],
+        ids=["asymmetric-graph", "probs-per-edge"],
+    )
+    def test_case3_input_is_condition_error(self, presets_dir, capsys, preset, flags, message):
+        assert main(["check", str(presets_dir / preset), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
 
     def test_h_over_bound_is_condition_error(self, tmp_path, presets_dir):
         result = run_cli("run", str(presets_dir / "example1.cfg"), "--h", "2.0", "--out", str(tmp_path))

@@ -127,7 +127,7 @@ class TestSimulateDeterministic:
 class TestSimulateGossip:
     def test_single_edge_deterministic(self):
         sys = two_node(m=1)
-        sched = GossipSchedule(((0, 1),), np.array([1.0]))
+        sched = GossipSchedule(sys.graph, np.array([1.0]))
         traj, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
         phi = gossip_pair_matrix(sys, 0, 1).entries
         x = np.array([0.0, 1.0])
@@ -195,7 +195,7 @@ class TestSimulateGossip:
 class TestMonteCarlo:
     def test_single_edge_zero_variance(self):
         sys = two_node(m=1)
-        sched = GossipSchedule(((0, 1),), np.array([1.0]))
+        sched = GossipSchedule(sys.graph, np.array([1.0]))
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=10, trials=20))
         det, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
         np.testing.assert_allclose(mc.sample_states, det.sample_states, atol=1e-14)
@@ -203,7 +203,7 @@ class TestMonteCarlo:
 
     def test_single_trial_rejected(self):
         sys = two_node(m=1)
-        sched = GossipSchedule(((0, 1),), np.array([1.0]))
+        sched = GossipSchedule(sys.graph, np.array([1.0]))
         with pytest.raises(ValueError):
             monte_carlo_mean(sys, sched, RunConfig(steps=5, trials=1))
 

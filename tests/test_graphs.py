@@ -3,13 +3,10 @@ import pytest
 
 from hybridconsensus import (
     GossipSchedule,
-    HybridSystem,
     WeightedDigraph,
-    decide,
     read_edge_list,
 )
 from hybridconsensus.errors import AsymmetricGraph, InvalidGraph, ParseError
-from hybridconsensus.protocols import pair_gains
 from oracles import dense, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 
@@ -118,12 +115,10 @@ class TestConnectivity:
 
     def test_asymmetric_rejected(self):
         g = ring_graph(4)
-        sched = GossipSchedule(((0, 1), (1, 2)), np.array([0.5, 0.5]))
-        sys = HybridSystem(g, m=2, h=0.1, x0=np.zeros(4))
         with pytest.raises(AsymmetricGraph):
-            pair_gains(sys, sched.i, sched.j, sys.h)
+            GossipSchedule(g, np.full(4, 0.25))
         with pytest.raises(AsymmetricGraph):
-            decide(sys, 3, sched)
+            GossipSchedule.uniform(g)
 
     def test_matches_spanning_tree_on_symmetric_graphs(self):
         rng = np.random.default_rng(17)

@@ -28,6 +28,13 @@ def two_node(m=1, h=0.2, x0=(0.0, 1.0)):
     return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0))
 
 
+def path3() -> WeightedDigraph:
+    """The path 0 - 1 - 2 with unit weights: the edges (0, 1) and (1, 2)."""
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+    return WeightedDigraph(w)
+
+
 class TestBounds:
     def test_case1_max_in_degree_three(self):
         w = np.zeros((4, 4))
@@ -190,8 +197,8 @@ class TestGossipPairMatrix:
     def test_bystander_row_frozen(self):
         g = random_symmetric_connected(np.random.default_rng(59), 3)
         sys = HybridSystem(g, m=1, h=0.1, x0=np.zeros(3))
-        edges = g.edges()
-        i, j = edges[0]
+        sched = GossipSchedule.uniform(g)
+        i, j = int(sched.i[0]), int(sched.j[0])
         M = gossip_pair_matrix(sys, i, j).entries
         for r in range(3):
             if r not in (i, j):
@@ -202,7 +209,8 @@ class TestGossipPairMatrix:
         for _ in range(20):
             g = random_symmetric_connected(rng, 6)
             sys = HybridSystem(g, m=int(rng.integers(0, 7)), h=0.2, x0=np.zeros(6))
-            for i, j in g.edges():
+            sched = GossipSchedule.uniform(g)
+            for i, j in zip(sched.i.tolist(), sched.j.tolist()):
                 M = gossip_pair_matrix(sys, i, j).entries
                 diff = np.nonzero(np.any(M != np.eye(6), axis=1))[0]
                 assert set(diff) == {i, j}
@@ -227,16 +235,16 @@ class TestGossipSchedule:
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(InvalidSchedule):
-            GossipSchedule(((0, 1), (1, 2)), np.array([0.3, 0.3]))
+            GossipSchedule(path3(), np.array([0.3, 0.3]))
 
     def test_single_edge_prob_one_allowed(self):
-        sched = GossipSchedule(((0, 1),), np.array([1.0]))
+        sched = GossipSchedule(two_node().graph, np.array([1.0]))
         assert sched.probs[0] == 1.0
 
     @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
     def test_nan_probs_rejected(self, probs):
         with pytest.raises(InvalidSchedule):
-            GossipSchedule(((0, 1), (1, 2)), np.array(probs))
+            GossipSchedule(path3(), np.array(probs))
 
 
 class TestHybridSystem:
@@ -251,7 +259,7 @@ class TestHybridSystem:
     [
         lambda: two_node().graph,
         two_node,
-        lambda: GossipSchedule(((0, 1),), np.array([1.0])),
+        lambda: GossipSchedule(two_node().graph, np.array([1.0])),
         lambda: case1_matrix(two_node()),
         lambda: left_eigenvector(case1_matrix(two_node())),
         lambda: simulate_deterministic(two_node(), 1, RunConfig(steps=2)),
@@ -269,7 +277,7 @@ def test_array_dataclasses_compare_by_identity(make):
 class TestGossipExpectedMatrix:
     def test_single_edge_equals_pair_matrix(self):
         sys = two_node(m=1)
-        sched = GossipSchedule(((0, 1),), np.array([1.0]))
+        sched = GossipSchedule(sys.graph, np.array([1.0]))
         np.testing.assert_array_equal(
             gossip_expected_matrix(sys, sched).entries,
             gossip_pair_matrix(sys, 0, 1).entries,
@@ -280,7 +288,7 @@ class TestGossipExpectedMatrix:
         w[0, 1] = w[1, 0] = 1.0
         w[1, 2] = w[2, 1] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(3))
-        sched = GossipSchedule(((0, 1), (1, 2)), np.array([0.5, 0.5]))
+        sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
         expected = 0.5 * gossip_pair_matrix(sys, 0, 1).entries + 0.5 * gossip_pair_matrix(
             sys, 1, 2
         ).entries
@@ -305,9 +313,8 @@ class TestGossipExpectedMatrix:
         g = undirected_ring_with_chord() if graph == "ring_with_chord" else (
             random_symmetric_connected(rng, 12))
         sys = HybridSystem(g, m=g.n // 2, h=0.9 / dense(g).max(), x0=np.zeros(g.n))
-        edges = g.edges()
-        probs = rng.uniform(0.5, 1.5, len(edges))
-        sched = GossipSchedule(tuple(edges), probs / probs.sum())
+        probs = rng.uniform(0.5, 1.5, len(g.vals) // 2)
+        sched = GossipSchedule(g, probs / probs.sum())
         loop = sum(p * gossip_pair_matrix(sys, i, j).entries
                    for i, j, p in zip(sched.i, sched.j, sched.probs))
         E = gossip_expected_matrix(sys, sched).entries
@@ -356,7 +363,8 @@ class TestGossipInterpolant:
         assert gossip_interpolant(sys, x, None, 0, 0.1) == 0.3
         g = random_symmetric_connected(np.random.default_rng(71), 3)
         sys3 = HybridSystem(g, m=3, h=0.2, x0=np.zeros(3))
-        edges = [e for e in g.edges() if 0 not in e]
+        sched = GossipSchedule.uniform(g)
+        edges = [e for e in zip(sched.i.tolist(), sched.j.tolist()) if 0 not in e]
         if edges:
             assert gossip_interpolant(sys3, np.array([0.5, 1.0, 2.0]), edges[0], 0, 0.1) == 0.5
 
@@ -378,8 +386,9 @@ class TestGossipInterpolant:
             g = random_symmetric_connected(rng, 5)
             m = int(rng.integers(1, 6))
             sys = HybridSystem(g, m=m, h=0.2 / dense(g).max(), x0=np.zeros(5))
-            edges = g.edges()
-            i, j = edges[int(rng.integers(0, len(edges)))]
+            sched = GossipSchedule.uniform(g)
+            e = int(rng.integers(0, len(sched.i)))
+            i, j = int(sched.i[e]), int(sched.j[e])
             M = gossip_pair_matrix(sys, i, j).entries
             x = rng.uniform(-1, 1, 5)
             for agent in (i, j):
