@@ -40,7 +40,6 @@ from .engine import RunConfig
 from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
 from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
-from .spectral import StochasticMatrix
 
 # The ~21,700 objects numpy and this package built at import (modules, classes,
 # functions) live until exit.  Interpreter finalization walks them with full
@@ -98,8 +97,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_matrix(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
-    matrix: StochasticMatrix = protocol(cfg.case).matrix(system, sched)
-    for row in matrix_rows(matrix.entries):
+    for row in matrix_rows(protocol(cfg.case).matrix(system, sched)):
         print(row)
     return EXIT_OK
 

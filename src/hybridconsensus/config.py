@@ -12,7 +12,7 @@ required::
     dense_per_step = 10           # intra-sample points per interval
     seed = 0                      # gossip seed; trial r uses seed + r
     trials = 1000                 # Monte-Carlo trials, case 3 only
-    probs = uniform               # or a comma list, one per edge i < j, by i, then j
+    probs = uniform               # or a comma list, one per edge i < j, by i, then j (case 3)
     tol = 1e-8                    # convergence tolerance, positive and finite
 
 `x0 = paper` expands to the benchmark initial state
@@ -122,6 +122,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise FileNotFoundError(graph_path)
     graph = values["graph"] = read_edge_list(graph_path)
     protocol(values["case"])  # rejects an unknown case
+    if values["probs"] != "uniform" and values["case"] != 3:  # no schedule would check it
+        raise ValueError(f"probs is read only in case 3, got case {values['case']}")
     if values["x0"] == "paper":
         if graph.n != len(PAPER_X0):
             raise DimensionMismatch(

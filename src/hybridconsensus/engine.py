@@ -15,6 +15,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .protocols import GossipSchedule, HybridSystem, pair_gains, protocol
+from .spectral import _edge_product
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,11 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
     of two samples, s = f(d_ii, tau) / f(d_ii, h), and exactly x_{k+1}[i] at h.
     """
     spec, n, m = protocol(case), sys.n, sys.m
-    P, ii = spec.matrix(sys, None), np.arange(n)
-    # one bincount a step, with the diagonal folded in last in each row
-    rows, cols, vals = np.r_[P.rows, ii], np.r_[P.cols, ii], np.r_[P.vals, P.diag]
+    P = spec.matrix(sys, None)
     states = np.empty((cfg.steps + 1, n))
     states[0] = sys.x0
     for k, x in enumerate(states[:-1]):
-        states[k + 1] = np.bincount(rows, vals * x[cols], minlength=n)
+        states[k + 1] = _edge_product(P.rows, P.cols, P.vals, x)
     f = spec.dense_gain(sys.graph.in_degrees()[:m, None], dense_tau_grid(sys.h, cfg.dense_per_step))
     s = f / f[..., -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
     dense = (1 - s) * states[:-1, :m, None]

@@ -56,7 +56,7 @@ class WeightedDigraph:
         if not len(vals):
             raise InvalidGraph("graph must contain at least one edge")
         # numpy's pairwise row sums: `bounds` prints 1/max d_ii, whose last bit
-        # a sum over the entries alone (np.bincount) can change
+        # a sum over the entries alone, in entry order, can change
         degrees = w.sum(axis=1)
         object.__setattr__(self, "n", n)
         for name, value in (("rows", rows), ("cols", cols), ("vals", vals),
@@ -84,8 +84,9 @@ def strong_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(label, closed): the strong class of every vertex of the "listens
     to" graph on vertices 0..n-1 with the edges rows[e] -> cols[e] (sorted
-    by row, none from a vertex to itself), and the labels of the closed
-    classes, which no edge leaves.
+    by row), and the labels of the closed classes, which no edge leaves.
+    A self-loop changes no strong class, so a matrix's entries, diagonal
+    included, may be passed as they are.
 
     One iterative pass of Tarjan's algorithm (SIAM J. Comput. 1972), so no
     recursion however long the paths; O(n + e).

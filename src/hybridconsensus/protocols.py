@@ -13,10 +13,10 @@ agents share the sampling grid t_k = k*h.
   matrix Phi_ij, whose gains `pair_gains` gives; the builder returns their
   expected matrix E(Phi).
 
-Every builder returns its matrix in edge form (see `spectral`), written from
-the graph's edges.  Cases 1 and 2 share one writer of I - diag(g) L, where
-L = D - A and d_ii = sum_j a_ij: g_i a_ij on the edges, and the diagonal in
-closed form.
+Every builder writes its off-diagonal entries from the graph's edges, and
+its diagonal; `spectral` folds the two into its edge form and checks the
+result.  Cases 1 and 2 write I - diag(g) L, where L = D - A and
+d_ii = sum_j a_ij: g_i a_ij on the edges, the diagonal in closed form.
 
 `PROTOCOLS` is the case table: for each case its sampling-period bound,
 matrix builder, consensus condition and intra-sample gain.  `protocol(case)`
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AsymmetricGraph, InvalidSchedule, SamplingPeriodTooLarge, UnknownCase
 from .graphs import WeightedDigraph
-from .spectral import StochasticMatrix, check_stochastic
+from .spectral import StochasticMatrix, _edge_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +158,11 @@ def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
 # --- iteration matrices ------------------------------------------------------
 
 
-def _sampled_map(graph: WeightedDigraph, gains: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
-    """I - diag(gains) * L in edge form: gains_i * a_ij on the graph's
-    edges, `diag` (the closed form of 1 - gains_i * d_ii) on the diagonal."""
-    vals = gains[graph.rows] * graph.vals
-    return check_stochastic(StochasticMatrix(diag, graph.rows, graph.cols, vals))
-
-
 def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
     """Sampled map I - h*L of the zero-order-hold protocol."""
     _require_h(sys, bound_case1(sys), "bound_case1 (1/max d_ii)")
-    return _sampled_map(sys.graph, np.full(sys.n, sys.h), 1.0 - sys.h * sys.graph.in_degrees())
+    g = sys.graph
+    return _edge_form(1.0 - sys.h * g.in_degrees(), g.rows, g.cols, sys.h * g.vals)
 
 
 def case2_gain(sys: HybridSystem) -> np.ndarray:
@@ -192,8 +186,9 @@ def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
     comes out as an identity row.
     """
     gains = case2_gain(sys)  # also enforces the h bound
-    m, d = sys.m, sys.graph.in_degrees()
-    return _sampled_map(sys.graph, gains, np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]])
+    m, g, d = sys.m, sys.graph, sys.graph.in_degrees()
+    diag = np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]]
+    return _edge_form(diag, g.rows, g.cols, gains[g.rows] * g.vals)
 
 
 def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
@@ -223,13 +218,11 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
     p_ij (Phi_ij - I), in edge form from the pair gains: p_ij g_i at (i, j),
     p_ij g_j at (j, i).  The diagonal accumulates from 1 in edge order, the
     i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j."""
-    i, j = sched.i, sched.j
-    g = (pair_gains(sys, sched) * sched.probs[:, None]).T
+    rows, cols = np.r_[sched.i, sched.j], np.r_[sched.j, sched.i]
+    vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
     diag = np.ones(sys.n)
-    np.add.at(diag, np.r_[i, j], -np.r_[g[0], g[1]])
-    rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[g[0], g[1]]
-    order = np.lexsort((cols, rows))
-    return check_stochastic(StochasticMatrix(diag, rows[order], cols[order], vals[order]))
+    np.add.at(diag, rows, -vals)
+    return _edge_form(diag, rows, cols, vals)
 
 
 # --- the case table -----------------------------------------------------------

@@ -20,6 +20,7 @@ from .analysis import ConsensusVerdict
 from .config import KEYS, ExperimentConfig
 from .engine import Trajectory, dense_tau_grid
 from .protocols import PROTOCOLS, HybridSystem
+from .spectral import StochasticMatrix
 
 CSV_HEADER = "t,agent,value,kind,record"
 BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
@@ -36,10 +37,14 @@ def _reprs(x: np.ndarray) -> list[str]:
     return _strs(bits.view(np.float64))[inverse].tolist()
 
 
-def matrix_rows(entries: np.ndarray) -> Iterator[str]:
-    """Rows of a matrix as comma-separated reprs."""
-    text, n = _reprs(np.asarray(entries, dtype=np.float64).ravel()), entries.shape[1]
-    return (",".join(text[i : i + n]) for i in range(0, len(text), n))
+def matrix_rows(P: StochasticMatrix) -> Iterator[str]:
+    """Rows of the dense form of P as comma-separated reprs, each written
+    from its entries into one n-long buffer: memory is O(n), not O(n^2)."""
+    starts = np.searchsorted(P.rows, np.arange(P.n + 1)).tolist()
+    for a, b in zip(starts, starts[1:]):
+        row = np.zeros(P.n)
+        row[P.cols[a:b]] = P.vals[a:b]
+        yield ",".join(_reprs(row))
 
 
 def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:

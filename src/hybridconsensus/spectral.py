@@ -1,10 +1,9 @@
 """Stochastic-matrix analysis: the row-stochasticity check and the
 consensus weight vector nu.
 
-Matrices are held in edge form only, the diagonal plus the nonzero
-off-diagonal entries, and the check and the solve take that form, so that
-they cost O(n + e) beyond the root-class block; the dense n x n form is
-built only when a caller reads `entries` (the `matrix` command).
+Matrices are held in edge form only, and one product over the entries
+gives both P x and x P, so the check and the solve cost O(n + e) beyond the
+root-class block; no dense n x n form is built.
 
 ``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
 closed strongly connected class of P (the root class) and solved there by
@@ -16,7 +15,6 @@ it against the rank-one limit of the powers of P (the SIA route).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,27 +26,18 @@ STOCHASTIC_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """A square matrix in edge form: its diagonal `diag`, and its nonzero
-    off-diagonal entries `vals` at (`rows`, `cols`), sorted by row, then
-    column.  The dense `entries` is built on first use, for the `matrix`
-    command.  `check_stochastic` returns the ones it has verified."""
+    """A square matrix in edge form: entries `vals` at (`rows`, `cols`), each
+    row's nonzero off-diagonal entries in column order, then its diagonal,
+    even if zero: `run` sums each row in that order.  `check_stochastic`
+    returns the ones it has verified."""
 
-    diag: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.diag)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        m[self.rows, self.cols] = self.vals
-        np.fill_diagonal(m, self.diag)
-        m.setflags(write=False)
-        return m
+        return int(self.rows[-1]) + 1  # the last entry is the last row's diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +48,33 @@ class PerronVector:
     residual: float  # max-norm of P^T nu - nu
 
 
+def _edge_product(rows, cols, vals, x: np.ndarray) -> np.ndarray:
+    """y_r = sum of vals[e] * x[cols[e]] over the entries e with rows[e] = r,
+    added in entry order: P x from P's entries, x P with rows and cols swapped."""
+    return np.bincount(rows, vals * x[cols], minlength=len(x))
+
+
+def _edge_form(diag, rows, cols, vals) -> StochasticMatrix:
+    """The checked matrix with diagonal `diag` and off-diagonal entries `vals`
+    at (`rows`, `cols`), in any order, in edge form: entries that underflowed
+    to zero are dropped, and each row is sorted by column, its diagonal last."""
+    keep, n = vals != 0, len(diag)
+    rows, cols, vals = np.r_[rows[keep], :n], np.r_[cols[keep], :n], np.r_[vals[keep], diag]
+    order = np.argsort(rows * (n + 1) + np.where(rows == cols, n, cols), kind="stable")
+    return check_stochastic(StochasticMatrix(rows[order], cols[order], vals[order]))
+
+
 def check_stochastic(P: StochasticMatrix, tol: float = STOCHASTIC_TOL) -> StochasticMatrix:
-    """`P` after verifying nonnegativity and unit row sums; zero off-diagonal
-    entries are dropped."""
-    negative = P.diag < 0
+    """`P` after verifying nonnegativity and unit row sums."""
+    negative = np.zeros(P.n, dtype=bool)
     negative[P.rows[P.vals < 0]] = True
-    residual = np.abs(np.bincount(P.rows, weights=P.vals, minlength=P.n) + P.diag - 1.0)
+    residual = np.abs(_edge_product(P.rows, P.cols, P.vals, np.ones(P.n)) - 1.0)
     bad = np.flatnonzero(negative | ~(residual <= tol))  # a NaN residual fails too
     if bad.size:
         row = int(bad[0])
-        least = np.min(P.vals[P.rows == row], initial=P.diag[row])
+        least = np.min(P.vals[P.rows == row])
         raise NotStochastic(row, float(least if negative[row] else residual[row]))
-    if not np.all(P.vals):
-        keep = P.vals != 0
-        P = StochasticMatrix(P.diag, P.rows[keep], P.cols[keep], P.vals[keep])
-    for a in (P.diag, P.rows, P.cols, P.vals):
+    for a in (P.rows, P.cols, P.vals):
         a.setflags(write=False)
     return P
 
@@ -101,23 +102,19 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     """nu with P^T nu = nu, 1^T nu = 1, by GTH on the root class of P.
 
     Raises DegenerateEigenspace unless exactly one strong class of P's
-    off-diagonal pattern is closed (else eigenvalue 1 is not simple).
+    pattern is closed (else eigenvalue 1 is not simple).
     """
     label, closed = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
         raise DegenerateEigenspace(f"{len(closed)} closed classes: eigenvalue 1 is not simple")
     root = np.flatnonzero(label == closed[0])
-    inside = label[P.rows] == closed[0]  # every edge out of the closed root class
+    inside = label[P.rows] == closed[0]  # every entry in a row of the closed root class
     at = np.empty(P.n, dtype=np.intp)
     at[root] = np.arange(len(root))
-    block = np.zeros((len(root), len(root)))  # P's root-class block
+    block = np.zeros((len(root), len(root)))  # P's root-class block, diagonal included
     block[at[P.rows[inside]], at[P.cols[inside]]] = P.vals[inside]
-    np.fill_diagonal(block, P.diag[root])
     nu = np.zeros(P.n)
     nu[root] = _gth(block)
     nu /= nu.sum()
-    # P^T nu, summed over the root class's edges: nu is zero elsewhere
-    pt_nu = P.diag * nu + np.bincount(
-        P.cols[inside], weights=P.vals[inside] * nu[P.rows[inside]], minlength=P.n
-    )
-    return PerronVector(nu=nu, residual=float(np.max(np.abs(pt_nu - nu))))
+    nu_p = _edge_product(P.cols, P.rows, P.vals, nu)  # nu^T P
+    return PerronVector(nu=nu, residual=float(np.max(np.abs(nu_p - nu))))

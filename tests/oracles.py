@@ -7,6 +7,7 @@ plain to agree with.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,9 @@ class NotRankOne(Exception):
 # --- graphs -------------------------------------------------------------------
 
 
-def dense(g: WeightedDigraph) -> np.ndarray:
-    """The n x n weights A, a_ij at (i, j), written from the graph's entries."""
+def dense(g: WeightedDigraph | StochasticMatrix) -> np.ndarray:
+    """The n x n array written from the entries: a graph's weights A, or a
+    matrix in edge form, whose diagonal is among its entries."""
     a = np.zeros((g.n, g.n))
     a[g.rows, g.cols] = g.vals
     return a
@@ -89,14 +91,16 @@ def write_edge_list(g: WeightedDigraph, path: str | Path) -> None:
 
 
 def edge_form(matrix) -> StochasticMatrix:
-    """A dense square array's diagonal and nonzero off-diagonal entries: the
-    form `check_stochastic` takes."""
+    """A dense square array's entries in the form `check_stochastic` takes:
+    each row's nonzero off-diagonal entries in column order, then its
+    diagonal entry, zero or not."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotStochastic(-1, float("nan"))
-    rows, cols = np.nonzero(m)
-    rows, cols = rows[rows != cols], cols[rows != cols]
-    return StochasticMatrix(m.diagonal().copy(), rows, cols, m[rows, cols])
+    rows, cols = np.nonzero((m != 0) | np.eye(len(m), dtype=bool))
+    order = np.lexsort((cols, rows == cols, rows))  # the diagonal last in each row
+    rows, cols = rows[order], cols[order]
+    return StochasticMatrix(rows, cols, m[rows, cols])
 
 
 def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMatrix:
@@ -182,7 +186,7 @@ def sia_limit(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    Q = P.entries
+    Q = dense(P)
     for _ in range(max_iter):
         Q_next = Q @ Q
         if np.max(np.abs(Q_next - Q)) < tol:
@@ -190,13 +194,45 @@ def sia_limit(
             if spread < tol:
                 nu = Q_next.mean(axis=0)
                 nu = nu / nu.sum()
-                residual = float(np.max(np.abs(P.entries.T @ nu - nu)))
+                residual = float(np.max(np.abs(dense(P).T @ nu - nu)))
                 return Q_next, PerronVector(nu=nu, residual=residual)
             raise NotRankOne(
                 f"powers converged but rows disagree (column spread {spread:.3e})"
             )
         Q = Q_next
     raise NotRankOne(f"no rank-one limit after {max_iter} squarings")
+
+
+def exact_nu(P: StochasticMatrix) -> list[Fraction]:
+    """nu of P in exact rational arithmetic: every float entry is the rational
+    it stands for, and GTH runs on P's root class with exact sums, products
+    and quotients.  GTH reads only off-diagonal entries, so this is the exact
+    nu of the matrix whose diagonal is 1 minus the rest of its row."""
+    label, closed = strong_components(P.n, P.rows, P.cols)
+    if len(closed) != 1:
+        raise ConsensusError(f"{len(closed)} closed classes: nu is not unique")
+    root = np.flatnonzero(label == closed[0]).tolist()
+    at = {v: k for k, v in enumerate(root)}
+    W = [[Fraction(0)] * len(root) for _ in root]
+    for i, j, v in zip(P.rows.tolist(), P.cols.tolist(), P.vals.tolist()):
+        if i != j and i in at:  # a closed class's rows hear only the class
+            W[at[i]][at[j]] = Fraction(v)
+    # GTH: eliminate states n-1..1, folding each one's paths into the rest
+    for k in range(len(W) - 1, 0, -1):
+        out = sum(W[k][:k])
+        for i in range(k):
+            if W[i][k]:
+                W[i][k] /= out
+                for j in range(k):
+                    if j != i:
+                        W[i][j] += W[i][k] * W[k][j]
+    pi = [Fraction(1)]
+    for j in range(1, len(W)):
+        pi.append(sum(pi[i] * W[i][j] for i in range(j)))
+    nu = [Fraction(0)] * P.n
+    for v, p in zip(root, pi):
+        nu[v] = p / sum(pi)
+    return nu
 
 
 # --- intra-sample closed forms ------------------------------------------------
@@ -279,14 +315,14 @@ def simulate_gossip(
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, (i, j) in enumerate(drawn):
-        states[k + 1] = gossip_pair_matrix(sys, i, j).entries @ states[k]
-    dense = np.repeat(states[:-1, : sys.m, None], cfg.dense_per_step, axis=2)
+        states[k + 1] = dense(gossip_pair_matrix(sys, i, j)) @ states[k]
+    between = np.repeat(states[:-1, : sys.m, None], cfg.dense_per_step, axis=2)
     for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
         for k, edge in enumerate(drawn):
             x = states[k]
             for end, g in zip(edge, pair_gains_at(sys, [edge[0]], [edge[1]], tau)[0]):
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
-                    dense[k, end, col] = x[end] + g * (x[other] - x[end])
+                    between[k, end, col] = x[end] + g * (x[other] - x[end])
     times = np.arange(cfg.steps + 1) * sys.h
-    return Trajectory(times, states, dense, np.broadcast_to(0.0, states.shape)), drawn
+    return Trajectory(times, states, between, np.broadcast_to(0.0, states.shape)), drawn

@@ -71,7 +71,7 @@ def test_criterion_1_spectral_vs_dynamic_agreement():
         sys_ = HybridSystem(g, m=n // 2, h=h, x0=rng.uniform(-10, 10, n))
         L = laplacian(g)
         predicted = laplacian_left_null(L) @ sys_.x0
-        M = case1_matrix(sys_).entries
+        M = dense(case1_matrix(sys_))
         x = np.array(sys_.x0)
         for _ in range(200):  # chunks of 2000 sampled steps
             for _ in range(2000):
@@ -107,7 +107,7 @@ def test_criterion_2_case2_gain_law():
         if any(d[i] > 1 / h for i in range(m)):
             saw_large_continuous_degree = True
         P = case2_matrix(sys_)  # raises unless row-stochastic
-        assert np.diag(P.entries).min() > 0
+        assert np.diag(dense(P)).min() > 0
         limit, nu = sia_limit(P)
         L = laplacian(g)
         residual = float(np.max(np.abs(L.T @ (case2_gain(sys_) * nu.nu))))
@@ -135,7 +135,7 @@ def test_criterion_3_necessity_both_directions():
         with pytest.raises(NotRankOne):
             sia_limit(case1_matrix(sys_))
         x = nonconsensus_witness(sys_)
-        M = case1_matrix(sys_).entries
+        M = dense(case1_matrix(sys_))
         min_disagreement = np.inf
         for _ in range(10_000):
             x = M @ x
@@ -183,7 +183,7 @@ def test_criterion_5_gossip_mean_consensus():
     E = gossip_expected_matrix(sys_, sched)
     power = np.array(x0)
     for _ in range(steps):
-        power = E.entries @ power
+        power = dense(E) @ power
     band = np.maximum(4.0 * mc.stderr[-1], 1e-12)
     entry_gaps = np.abs(mc.sample_states[-1] - power)
     nu = left_eigenvector(E).nu
@@ -219,7 +219,7 @@ def test_criterion_6_endpoint_consistency():
             cap = d[m:].max() if (case == 2 and m < n) else d.max()
             h = rng.uniform(0.1, 0.9) / max(cap, 0.5)
             sys_ = HybridSystem(g, m=m, h=h, x0=rng.uniform(-1, 1, n))
-            M = (case1_matrix if case == 1 else case2_matrix)(sys_).entries
+            M = dense((case1_matrix if case == 1 else case2_matrix)(sys_))
             cfg = RunConfig(steps=1, dense_per_step=int(rng.integers(1, 4)))
             states = simulate_deterministic(sys_, case, cfg).dense
             i = int(rng.integers(0, m))

@@ -243,13 +243,28 @@ class TestCliExitCodes:
         [
             ("example1.cfg", ["--case", "3"], "error: gossip requires a symmetric graph\n"),
             ("example3.cfg", ["--probs", "0.5,0.5"], "the graph's 7 edges, got 2\n"),
+            # outside case 3 no schedule is built, so a probs list went unchecked
+            ("example1.cfg", ["--probs", "0.5,0.5"], "probs is read only in case 3, got case 1\n"),
+            ("example1.cfg", ["--probs", "0.2,-1"], "probs is read only in case 3, got case 1\n"),
+            ("example3.cfg", ["--probs", "0.5,0.5", "--case", "1"],
+             "probs is read only in case 3, got case 1\n"),
         ],
-        ids=["asymmetric-graph", "probs-per-edge"],
+        ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
+             "probs-in-case3-file-run-as-case1"],
     )
     def test_case3_input_is_condition_error(self, presets_dir, capsys, preset, flags, message):
         assert main(["check", str(presets_dir / preset), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
+
+    @pytest.mark.parametrize(
+        "preset, flags",
+        [("example3.cfg", ["--case", "1"]), ("example3.cfg", ["--case", "2"]),
+         ("example1.cfg", ["--probs", "uniform"])],
+    )
+    def test_uniform_probs_accepted_in_every_case(self, presets_dir, preset, flags):
+        # example3.cfg says `probs = uniform`, the default, which every case accepts
+        assert main(["check", str(presets_dir / preset), *flags]) == 0
 
     def test_h_over_bound_is_condition_error(self, tmp_path, presets_dir):
         result = run_cli("run", str(presets_dir / "example1.cfg"), "--h", "2.0", "--out", str(tmp_path))
@@ -334,10 +349,11 @@ class TestCliSubcommands:
             assert main(["check", str(write_cfg(tmp_path, text, name)), *flags]) == 0
             return capsys.readouterr().out
 
-        by_file = check("file.cfg", {**BASE, key: OVERRIDES[key]})
-        by_flag = check("flag.cfg", BASE, "--" + key.replace("_", "-"), OVERRIDES[key])
+        base = {**BASE, "case": "3"} if key == "probs" else BASE  # only case 3 reads probs
+        by_file = check("file.cfg", {**base, key: OVERRIDES[key]})
+        by_flag = check("flag.cfg", base, "--" + key.replace("_", "-"), OVERRIDES[key])
         assert by_file == by_flag
-        assert json.loads(by_flag)["config"][key] != json.loads(check("base.cfg", BASE))["config"][key]
+        assert json.loads(by_flag)["config"][key] != json.loads(check("base.cfg", base))["config"][key]
 
 
 class TestDeterminism:

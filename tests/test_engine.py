@@ -129,7 +129,7 @@ class TestSimulateGossip:
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
         traj, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
-        phi = gossip_pair_matrix(sys, 0, 1).entries
+        phi = dense(gossip_pair_matrix(sys, 0, 1))
         x = np.array([0.0, 1.0])
         for k in range(5):
             x = phi @ x
@@ -153,7 +153,7 @@ class TestSimulateGossip:
         traj, drawn = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
         x = np.array(sys.x0)
         for k, (i, j) in enumerate(drawn):
-            x = gossip_pair_matrix(sys, i, j).entries @ x
+            x = dense(gossip_pair_matrix(sys, i, j)) @ x
             np.testing.assert_allclose(traj.sample_states[k + 1], x, atol=1e-15)
 
     def test_drawn_edges_are_stable(self):
@@ -224,7 +224,7 @@ class TestMonteCarlo:
             x = np.array(x0)
             all_states[r, 0] = x
             for k, (i, j) in enumerate(edges):
-                x = gossip_pair_matrix(sys, i, j).entries @ x
+                x = dense(gossip_pair_matrix(sys, i, j)) @ x
                 all_states[r, k + 1] = x
         tol = 1e-12 * np.abs(x0).max()
         np.testing.assert_allclose(mc.sample_states, all_states.mean(axis=0), rtol=0, atol=tol)
@@ -238,7 +238,7 @@ class TestMonteCarlo:
         sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5))
         sched = GossipSchedule.uniform(g)
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=40, trials=800, seed=13))
-        E = gossip_expected_matrix(sys, sched).entries
+        E = dense(gossip_expected_matrix(sys, sched))
         predicted = np.array(sys.x0)
         hits = total = 0
         for k in range(1, 41):

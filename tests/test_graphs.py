@@ -7,7 +7,8 @@ from hybridconsensus import (
     read_edge_list,
 )
 from hybridconsensus.errors import AsymmetricGraph, InvalidGraph, ParseError
-from oracles import dense, has_spanning_tree, laplacian, write_edge_list
+from hybridconsensus.graphs import strong_components
+from oracles import dense, edge_form, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 
 
@@ -98,6 +99,20 @@ class TestSpanningTree:
             if i != j:
                 w[i, j] = 0.5
             assert has_spanning_tree(WeightedDigraph(w))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_self_loops_change_no_class(self, seed):
+        # a matrix's entries, its diagonal last in each row, go in as they are
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        w = (rng.random((n, n)) < rng.uniform(0.02, 0.3)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        w[0, 1] = 1.0  # at least one edge
+        g, looped = WeightedDigraph(w), edge_form(w + np.eye(n))
+        assert np.count_nonzero(looped.rows == looped.cols) == n
+        label, closed = strong_components(n, g.rows, g.cols)
+        with_loops = strong_components(n, looped.rows, looped.cols)
+        assert np.array_equal(label, with_loops[0]) and np.array_equal(closed, with_loops[1])
 
 
 class TestConnectivity:

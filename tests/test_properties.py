@@ -1,10 +1,12 @@
 """Property tests of the structural decision and the root-class nu, over the
 conftest graph generators, with scipy's csgraph as the structural oracle;
-of the edge-form case matrices against their dense formula; and of the CSV
-writer against the per-row reference formatter."""
+of nu against exact rational GTH across weak bridges and the Remark-1
+regime; of the edge-form case matrices against their dense formula; and of
+the CSV writer against the per-row reference formatter."""
 
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,16 @@ from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
 from hybridconsensus.spectral import _gth
 from hybridconsensus.reporting import trajectory_csv_blocks
-from oracles import NotRankOne, case_matrix_dense, dense, edge_form, has_spanning_tree, sia_limit, simulate_gossip
+from oracles import (
+    NotRankOne,
+    case_matrix_dense,
+    dense,
+    edge_form,
+    exact_nu,
+    has_spanning_tree,
+    sia_limit,
+    simulate_gossip,
+)
 from conftest import (
     random_spanning_graph,
     random_split_graph,
@@ -119,6 +130,63 @@ def test_root_class_nu(drawn):
     assert sys.x0.min() - slack <= value <= sys.x0.max() + slack
 
 
+#: nu's entrywise relative error is at most NU_ERR_C * n * eps; over 3,000
+#: random systems of this kind (n 3-8, cases 1-3) it was at most 0.43 * n * eps
+NU_ERR_C = 2
+
+
+@st.composite
+def bridged_systems(draw):
+    """(system, case, schedule): two clusters, each a ring plus random chords
+    with weights in [0.1, 1], joined by one bridge each way of weight 1 down
+    to 1e-300 (symmetric under gossip).  Under case 1-2 the way back may be
+    missing, which leaves one cluster transient.  Half the case-2 systems are
+    all continuous with h up to 1e3, so d_ii * h >> 1 (Remark 1) and the
+    diagonal e^{-d_ii h} underflows to 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, case = draw(st.integers(3, 8)), draw(st.sampled_from([1, 2, 3]))
+    cut = draw(st.integers(1, n - 1))
+    w = np.zeros((n, n))
+    for lo, hi in ((0, cut), (cut, n)):
+        ring = np.arange(lo, hi)
+        w[ring, np.roll(ring, -1)] = rng.uniform(0.1, 1.0, hi - lo)
+        i, j = rng.integers(lo, hi, (2, hi - lo))
+        w[i, j] = rng.uniform(0.1, 1.0, hi - lo)
+    np.fill_diagonal(w, 0.0)
+    if case == 3:
+        w = np.maximum(w, w.T)
+    bridge = st.sampled_from([1.0, 1e-300]) | st.floats(0.0, 300.0).map(lambda e: 10.0 ** -e)
+    a, b = int(rng.integers(0, cut)), int(rng.integers(cut, n))
+    w[a, b] = draw(bridge)
+    w[b, a] = w[a, b] if case == 3 else draw(bridge | st.just(0.0))
+    g = WeightedDigraph(w)
+    m, d, frac = draw(st.integers(0, n)), g.in_degrees(), draw(st.floats(0.05, 0.95))
+    if case == 2 and draw(st.booleans()):
+        return HybridSystem(g, m=n, h=10.0 ** draw(st.floats(1.0, 3.0)), x0=np.zeros(n)), 2, None
+    limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: g.vals.max()}[case]
+    sched = GossipSchedule.uniform(g) if case == 3 else None
+    return HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n)), case, sched
+
+
+@given(bridged_systems())
+def test_nu_within_c_n_eps_of_exact(drawn):
+    """GTH's entrywise relative accuracy (O'Cinneide, Numer. Math. 1993): every
+    entry of nu, however small, is within NU_ERR_C * n * eps of the exact nu
+    of the float matrix, and nu is exactly zero off the root class."""
+    sys, case, sched = drawn
+    P = protocol(case).matrix(sys, sched)
+    bound = Fraction(NU_ERR_C * sys.n) * Fraction(np.finfo(float).eps)
+    for got, want in zip(left_eigenvector(P).nu.tolist(), exact_nu(P)):
+        assert got == 0.0 if want == 0 else abs(Fraction(got) - want) <= bound * want
+
+
+def test_exact_nu_of_two_states():
+    """The exact oracle on [[1 - a, a], [b, 1 - b]], whose nu is (b, a) / (a + b)."""
+    a, b = 1e-300, 0.3
+    want = [Fraction(b) / (Fraction(a) + Fraction(b)), Fraction(a) / (Fraction(a) + Fraction(b))]
+    assert exact_nu(edge_form([[1 - a, a], [b, 1 - b]])) == want
+
+
 def bits(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
@@ -161,15 +229,15 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
     sys = HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n))
     sched = GossipSchedule.uniform(g) if case == 3 else None
     P = protocol(case).matrix(sys, sched)
-    assert np.array_equal(bits(P.entries), bits(case_matrix_dense(sys, case, sched)))
+    assert np.array_equal(bits(dense(P)), bits(case_matrix_dense(sys, case, sched)))
 
     label, closed = strong_components(P.n, P.rows, P.cols)
-    roots = closed_classes(P.entries)
+    roots = closed_classes(dense(P))
     assert sorted(np.flatnonzero(label == c).tolist() for c in closed) == sorted(
         r.tolist() for r in roots)
     if len(roots) == 1:
         want = np.zeros(n)
-        want[roots[0]] = _gth(P.entries[np.ix_(roots[0], roots[0])])
+        want[roots[0]] = _gth(dense(P)[np.ix_(roots[0], roots[0])])
         want /= want.sum()
         assert np.array_equal(bits(left_eigenvector(P).nu), bits(want))
 

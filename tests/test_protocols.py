@@ -64,14 +64,14 @@ class TestBounds:
 
 class TestCase1Matrix:
     def test_two_node_direct_substitution(self):
-        M = case1_matrix(two_node(m=0)).entries
+        M = dense(case1_matrix(two_node(m=0)))
         np.testing.assert_allclose(M, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
 
     def test_isolated_row_is_identity_row(self):
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 0] = 1.0  # agent 0 hears nobody
         sys = HybridSystem(WeightedDigraph(w), m=0, h=0.5, x0=np.zeros(3))
-        M = case1_matrix(sys).entries
+        M = dense(case1_matrix(sys))
         np.testing.assert_array_equal(M[0], [1.0, 0.0, 0.0])
 
     def test_h_at_bound_rejected(self):
@@ -88,7 +88,7 @@ class TestCase1Matrix:
             g = random_spanning_graph(rng, 6, extra=6)
             h = 0.9 / max(g.in_degrees().max(), 1e-9)
             sys = HybridSystem(g, m=3, h=h, x0=np.zeros(6))
-            M = case1_matrix(sys).entries
+            M = dense(case1_matrix(sys))
             assert np.diag(M).min() > 0
 
 
@@ -107,7 +107,7 @@ class TestCase2:
         assert case2_gain(sys)[0] == 0.2
 
     def test_matrix_direct_substitution(self):
-        M = case2_matrix(two_node(m=1)).entries
+        M = dense(case2_matrix(two_node(m=1)))
         e = math.exp(-0.2)
         np.testing.assert_allclose(M, [[e, 1 - e], [0.2, 0.8]], atol=1e-15)
 
@@ -118,14 +118,14 @@ class TestCase2:
             h = 0.9 / max(g.in_degrees().max(), 1e-9)
             sys = HybridSystem(g, m=0, h=h, x0=np.zeros(5))
             np.testing.assert_array_equal(
-                case2_matrix(sys).entries, case1_matrix(sys).entries
+                dense(case2_matrix(sys)), dense(case1_matrix(sys))
             )
 
     def test_all_continuous_rows_sum_to_one(self):
         rng = np.random.default_rng(47)
         g = random_spanning_graph(rng, 5, extra=6, w_lo=0.5, w_hi=3.0)
         sys = HybridSystem(g, m=5, h=10.0, x0=np.zeros(5))  # no discrete bound
-        M = case2_matrix(sys).entries
+        M = dense(case2_matrix(sys))
         np.testing.assert_allclose(M.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_gain_below_min_of_h_and_inverse_degree(self):
@@ -161,8 +161,8 @@ class TestSampledMapWriter:
             g = weak_signed_graph(rng)
             sys = HybridSystem(g, m=int(rng.integers(0, g.n + 1)),
                                h=rng.uniform(0.05, 0.95) / g.in_degrees().max(), x0=np.zeros(g.n))
-            got = case1_matrix(sys).entries
-            want = iteration_matrix(g, np.full(g.n, sys.h)).entries  # I - h*L
+            got = dense(case1_matrix(sys))
+            want = dense(iteration_matrix(g, np.full(g.n, sys.h)))  # I - h*L
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_case2_matches_laplacian_form_within_ulps(self):
@@ -173,25 +173,25 @@ class TestSampledMapWriter:
             m = int(rng.integers(0, g.n + 1))
             h = rng.uniform(0.05, 0.95) / max(g.in_degrees()[m:].max(initial=0.0), 0.5)
             sys = HybridSystem(g, m=m, h=h, x0=np.zeros(g.n))
-            got = case2_matrix(sys).entries
-            want = iteration_matrix(g, case2_gain(sys)).entries
+            got = dense(case2_matrix(sys))
+            want = dense(iteration_matrix(g, case2_gain(sys)))
             assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
 
 
 class TestGossipPairMatrix:
     def test_cc_pair(self):
-        M = gossip_pair_matrix(two_node(m=2), 0, 1).entries
+        M = dense(gossip_pair_matrix(two_node(m=2), 0, 1))
         off = (1 - math.exp(-0.4)) / 2
         assert off == pytest.approx(0.1648400, abs=1e-7)
         np.testing.assert_allclose(M, [[1 - off, off], [off, 1 - off]], atol=1e-15)
 
     def test_cd_pair(self):
-        M = gossip_pair_matrix(two_node(m=1), 0, 1).entries
+        M = dense(gossip_pair_matrix(two_node(m=1), 0, 1))
         gi = 1 - math.exp(-0.2)
         np.testing.assert_allclose(M, [[1 - gi, gi], [0.2, 0.8]], atol=1e-15)
 
     def test_dd_pair(self):
-        M = gossip_pair_matrix(two_node(m=0), 0, 1).entries
+        M = dense(gossip_pair_matrix(two_node(m=0), 0, 1))
         np.testing.assert_allclose(M, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
 
     def test_bystander_row_frozen(self):
@@ -199,7 +199,7 @@ class TestGossipPairMatrix:
         sys = HybridSystem(g, m=1, h=0.1, x0=np.zeros(3))
         sched = GossipSchedule.uniform(g)
         i, j = int(sched.i[0]), int(sched.j[0])
-        M = gossip_pair_matrix(sys, i, j).entries
+        M = dense(gossip_pair_matrix(sys, i, j))
         for r in range(3):
             if r not in (i, j):
                 np.testing.assert_array_equal(M[r], np.eye(3)[r])
@@ -211,7 +211,7 @@ class TestGossipPairMatrix:
             sys = HybridSystem(g, m=int(rng.integers(0, 7)), h=0.2, x0=np.zeros(6))
             sched = GossipSchedule.uniform(g)
             for i, j in zip(sched.i.tolist(), sched.j.tolist()):
-                M = gossip_pair_matrix(sys, i, j).entries
+                M = dense(gossip_pair_matrix(sys, i, j))
                 diff = np.nonzero(np.any(M != np.eye(6), axis=1))[0]
                 assert set(diff) == {i, j}
                 np.testing.assert_allclose(M @ np.ones(6), np.ones(6), atol=1e-12)
@@ -279,8 +279,8 @@ class TestGossipExpectedMatrix:
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
         np.testing.assert_array_equal(
-            gossip_expected_matrix(sys, sched).entries,
-            gossip_pair_matrix(sys, 0, 1).entries,
+            dense(gossip_expected_matrix(sys, sched)),
+            dense(gossip_pair_matrix(sys, 0, 1)),
         )
 
     def test_two_edges_entrywise_average(self):
@@ -289,19 +289,19 @@ class TestGossipExpectedMatrix:
         w[1, 2] = w[2, 1] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(3))
         sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
-        expected = 0.5 * gossip_pair_matrix(sys, 0, 1).entries + 0.5 * gossip_pair_matrix(
+        expected = 0.5 * dense(gossip_pair_matrix(sys, 0, 1)) + 0.5 * dense(gossip_pair_matrix(
             sys, 1, 2
-        ).entries
-        np.testing.assert_allclose(gossip_expected_matrix(sys, sched).entries, expected)
+        ))
+        np.testing.assert_allclose(dense(gossip_expected_matrix(sys, sched)), expected)
 
     def test_triangle_uniform_brute_force(self):
         w = np.ones((3, 3)) - np.eye(3)
         sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(3))
         sched = GossipSchedule.uniform(sys.graph)
         brute = sum(
-            gossip_pair_matrix(sys, i, j).entries for i, j in [(0, 1), (0, 2), (1, 2)]
+            dense(gossip_pair_matrix(sys, i, j)) for i, j in [(0, 1), (0, 2), (1, 2)]
         ) / 3.0
-        E = gossip_expected_matrix(sys, sched).entries
+        E = dense(gossip_expected_matrix(sys, sched))
         np.testing.assert_allclose(E, brute, atol=1e-15)
         np.testing.assert_allclose(E.sum(axis=1), np.ones(3), atol=1e-12)
         # off-diagonal support matches the edge set
@@ -315,9 +315,9 @@ class TestGossipExpectedMatrix:
         sys = HybridSystem(g, m=g.n // 2, h=0.9 / dense(g).max(), x0=np.zeros(g.n))
         probs = rng.uniform(0.5, 1.5, len(g.vals) // 2)
         sched = GossipSchedule(g, probs / probs.sum())
-        loop = sum(p * gossip_pair_matrix(sys, i, j).entries
+        loop = sum(p * dense(gossip_pair_matrix(sys, i, j))
                    for i, j, p in zip(sched.i, sched.j, sched.probs))
-        E = gossip_expected_matrix(sys, sched).entries
+        E = dense(gossip_expected_matrix(sys, sched))
         assert np.max(np.abs(E - loop)) <= 1e-14
 
 
@@ -338,7 +338,7 @@ class TestInterpolants:
                 g = random_spanning_graph(rng, 5, extra=5)
                 h = 0.9 / max(g.in_degrees().max(), 1e-9)
                 sys = HybridSystem(g, m=3, h=h, x0=np.zeros(5))
-                M = (case1_matrix if case == 1 else case2_matrix)(sys).entries
+                M = dense((case1_matrix if case == 1 else case2_matrix)(sys))
                 x = rng.uniform(-1, 1, 5)
                 for i in range(3):
                     got = continuous_interpolant(case, sys, x, i, h)
@@ -389,7 +389,7 @@ class TestGossipInterpolant:
             sched = GossipSchedule.uniform(g)
             e = int(rng.integers(0, len(sched.i)))
             i, j = int(sched.i[e]), int(sched.j[e])
-            M = gossip_pair_matrix(sys, i, j).entries
+            M = dense(gossip_pair_matrix(sys, i, j))
             x = rng.uniform(-1, 1, 5)
             for agent in (i, j):
                 if agent < sys.m:
@@ -409,5 +409,5 @@ class TestIterationMatrix:
             g = random_spanning_graph(rng, 6, extra=6, w_lo=0.1)
             d = g.in_degrees()
             gains = np.array([rng.uniform(0.05, 0.95) / d[i] if d[i] > 0 else 1.0 for i in range(6)])
-            M = iteration_matrix(g, gains).entries
+            M = dense(iteration_matrix(g, gains))
             assert np.diag(M).min() > 0

@@ -9,8 +9,10 @@ import pytest
 from hybridconsensus import (
     HybridSystem,
     RunConfig,
+    StochasticMatrix,
     Trajectory,
     WeightedDigraph,
+    check_stochastic,
     simulate_deterministic,
     verify_run,
 )
@@ -18,6 +20,7 @@ from hybridconsensus import cli, reporting
 from hybridconsensus.config import build_schedule, build_system, load_config
 from hybridconsensus.protocols import protocol
 from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
+from oracles import dense
 from conftest import PRESETS, reference_csv_lines
 
 
@@ -178,7 +181,24 @@ class TestMatrixOutput:
         path = self.case3_config(tmp_path) if name == "case3" else PRESETS / f"{name}.cfg"
         cfg = load_config(path)
         sched = build_schedule(cfg) if cfg.case == 3 else None
-        entries = protocol(cfg.case).matrix(build_system(cfg), sched).entries
+        entries = dense(protocol(cfg.case).matrix(build_system(cfg), sched))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
         assert cli.main(["matrix", str(path)]) == 0
         assert capsys.readouterr().out == want
+
+    def test_rows_take_one_row_of_memory(self):
+        # x_i <- (x_i + x_{i+1}) / 2 around a ring of 2000: the dense form alone is 32 MB
+        n, ii = 2000, np.arange(2000)
+        cols = np.c_[(ii + 1) % n, ii].ravel()  # each row's off-diagonal entry, then its diagonal
+        P = check_stochastic(StochasticMatrix(np.repeat(ii, 2), cols, np.full(2 * n, 0.5)))
+        rows = 0
+        tracemalloc.start()
+        try:
+            for row in reporting.matrix_rows(P):
+                assert row.count("0.5") == 2 and row.count("0.0") == n - 2
+                rows += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == n
+        assert peak < 4 * 2**20, f"peak {peak} B"
