@@ -16,8 +16,19 @@ HYBRIDCONSENSUS_OUTDIR sets the default output directory for `run`.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+# Collecting while the imports below run took 31 gen-0 and 2 gen-1 passes,
+# about 6 ms, that freed 315 objects, so collection is off until they finish.
+# The ~32,700 objects they leave (modules, classes, functions) live until exit
+# and are then frozen: no later pass visits them, at exit included, where full
+# passes took 31-39 ms of a `check` or `run` (7-11 ms frozen).  A caller that
+# had turned collection off finds it off.  Only the CLI does this: `import
+# hybridconsensus` leaves library callers' garbage collection alone.
+_collecting = gc.isenabled()
+gc.disable()
+
+import argparse
 import json
 import os
 import sys as _sys
@@ -41,30 +52,13 @@ from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
 from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
 
-# The ~21,700 objects numpy and this package built at import (modules, classes,
-# functions) live until exit.  Interpreter finalization walks them with full
-# garbage-collector passes, 8-10 ms each: 31-39 ms of a `check` or `run`
-# process came after `main` returned, against 7-11 ms with the heap frozen.
-# Frozen, no later collection visits them, at exit included; objects `main`
-# creates are still collected as usual.  Only the CLI freezes: `import
-# hybridconsensus` leaves library callers' garbage collection alone.
 gc.freeze()
+if _collecting:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONDITION = 2
-
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("config", help="experiment config file (key = value)")
-    for key in KEYS:
-        if key.name != "graph":  # the config file names its graph
-            parser.add_argument(
-                "--" + key.name.replace("_", "-"),
-                dest=key.name,
-                type=key.metadata["parse"],
-                help=key.metadata["help"],
-            )
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -126,6 +120,13 @@ def make_parser() -> argparse.ArgumentParser:
         prog="hybridconsensus",
         description="Simulate and verify consensus of hybrid multi-agent systems.",
     )
+    # the config argument and its overrides, built once and shared by every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="experiment config file (key = value)")
+    for key in KEYS:
+        if key.name != "graph":  # the config file names its graph
+            common.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
+                                type=key.metadata["parse"], help=key.metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (
         ("check", _cmd_check),
@@ -133,8 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("bounds", _cmd_bounds),
         ("matrix", _cmd_matrix),
     ):
-        p = sub.add_parser(name)
-        _add_overrides(p)
+        p = sub.add_parser(name, parents=[common])
         if name == "run":
             p.add_argument("--out", help="output directory (default: $HYBRIDCONSENSUS_OUTDIR or .)")
         p.set_defaults(handler=handler)

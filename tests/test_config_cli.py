@@ -143,13 +143,14 @@ class TestCliExitCodes:
         assert run_cli("run", str(cfg)).returncode == 1
 
     def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path):
-        # 10^8 x 10^8 weights need 71 PiB, more than any x86-64 user address space, so the
-        # allocation fails at once on every host; it used to escape as a MemoryError traceback
-        (tmp_path / "g.edges").write_text("n 100000000\n1 2 1.0\n2 1 1.0\n")
+        # 10^18 vertices: their in-degrees alone need 7 EiB, and n * n overflows the reader's
+        # sort key, so the header is rejected on every host; a count the reader cannot allocate
+        # used to escape as a MemoryError traceback
+        (tmp_path / "g.edges").write_text("n 1000000000000000000\n1 2 1.0\n2 1 1.0\n")
         result = run_cli("check", str(write_cfg(tmp_path, SMALL_CFG)))
         assert result.returncode == 1
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        assert "g.edges:1: no room for 100000000 x 100000000 weights" in result.stderr
+        assert "g.edges:1: no room for 1000000000000000000 vertices" in result.stderr
 
     @pytest.mark.parametrize(
         "args, message",

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,12 +181,42 @@ class TestEdgeListFormat:
             read_edge_list(path)
 
     def test_vertex_count_beyond_memory_rejected(self, tmp_path):
-        # 10^8 x 10^8 weights need 71 PiB, more than any x86-64 user address
-        # space: the allocation fails at once on every host
+        # 10^18 in-degrees need 7 EiB, and n * n overflows the reader's sort
+        # key: the header is rejected on every host
         path = tmp_path / "g.edges"
-        path.write_text("# a count no host can hold\nn 100000000\n1 2 1.0\n2 1 1.0\n")
-        with pytest.raises(ParseError, match=r"g\.edges:2: no room for 100000000 x 100000000 "):
+        path.write_text("# a count no host can hold\nn 1000000000000000000\n1 2 1.0\n2 1 1.0\n")
+        with pytest.raises(ParseError, match=r"g\.edges:2: no room for 1000000000000000000 vertices"):
             read_edge_list(path)
+
+    def test_reader_holds_no_dense_weights(self, tmp_path):
+        # n = 20,000 with 10^5 edges: the n x n weights the reader once filled
+        # took 3.2 GB; the in-degrees are summed a few rows at a time instead
+        n, rng = 20_000, np.random.default_rng(9)
+        rows = np.repeat(np.arange(1, n), 5)
+        cols = (rows + rng.integers(1, n, rows.size)) % n
+        pairs = np.unique(np.c_[rows, cols], axis=0)
+        lines = [f"n {n}"] + [f"{i + 1} {j + 1} 0.5" for i, j in pairs.tolist()]
+        path = tmp_path / "g.edges"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            g = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.vals) == len(pairs) > 99_000
+        assert peak < 128 * 2**20, f"{peak / 2**20:.0f} MB traced"
+
+    def test_empty_rows_cost_nothing(self, tmp_path):
+        # a million vertices and three edges: only the three rows with entries
+        # are summed, each from one n-long buffer row
+        path = tmp_path / "g.edges"
+        path.write_text("n 1000000\n1 2 1.0\n2 1 0.5\n5 9 2.0\n")
+        start = time.perf_counter()
+        g = read_edge_list(path)
+        assert time.perf_counter() - start < 0.5
+        assert g.in_degrees()[[0, 1, 4]].tolist() == [1.0, 0.5, 2.0]
+        assert np.count_nonzero(g.in_degrees()) == 3
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"

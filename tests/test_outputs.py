@@ -3,9 +3,10 @@
 `check`, `bounds` and `matrix` print; `run` writes trajectory.csv and
 verdict.json.  Their bytes are digested for the three presets and for
 `data/weighted.cfg`: case 2 on 40 agents with non-integer weights, a
-zero-weight line and a -0.0 line.  A change to any digest is a change to
-what the program prints, so it must be deliberate.  The graph's absolute
-path, which `check` and verdict.json report, is replaced before hashing.
+zero-weight line and a -0.0 line.  So is each `-h` text.  A change to any
+digest is a change to what the program prints, so it must be deliberate.
+The graph's absolute path, which `check` and verdict.json report, is
+replaced before hashing.
 """
 
 import hashlib
@@ -52,6 +53,15 @@ DIGESTS = {
     ("weighted", "verdict.json"): "aab149a1c1f4f039c67a66b03a2d32332bd525a3420b67f8bdf5890e3304d68a",
 }
 
+# `-h` of the program and of each subcommand, at COLUMNS=80
+HELP_DIGESTS = {
+    "": "f57bce8a69196b5a14b90dbc8fecfe4399c2c7a89257b2b64fbdab7aa6b5454f",
+    "check": "de6d9e6fdbd68c7d5927638693438749df52b1043fdbba9faac9307c5962f796",
+    "run": "961c2aadb61082fafd2d559c44595d0c341c13a9cfa2f46138cb890799288002",
+    "bounds": "1f41672bc0a2779a9e19432f98a2cf0859527fddceaf6f1c3685cc4e9fc285b5",
+    "matrix": "6b543d6479c7bd56d08fb36eda3cb2799aaca2b352690fb766976c9e97f63a7a",
+}
+
 
 def digest(data: bytes, cfg: Path) -> str:
     graph = str(load_config(cfg).graph_path).encode()
@@ -73,6 +83,15 @@ def outputs(command: str, cfg: Path, out: Path, capsys) -> dict[str, str]:
 def test_output_bytes_are_pinned(tmp_path, capsys, config, command):
     got = outputs(command, CONFIGS[config], tmp_path, capsys)
     assert got == {name: DIGESTS[config, name] for name in got}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"] if command else ["-h"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),

@@ -1,7 +1,8 @@
 """The lazy package namespace, the OpenBLAS spin timeout the CLI sets
 before numpy loads, and the import-time heap the CLI alone freezes against
-garbage collection.  Each test runs a fresh interpreter whose environment
-holds neither OpenBLAS timeout variable unless the test presets one."""
+garbage collection, importing with collection off.  Each test runs a fresh
+interpreter whose environment holds neither OpenBLAS timeout variable
+unless the test presets one."""
 
 import os
 import subprocess
@@ -72,6 +73,18 @@ def test_cli_import_freezes_the_import_time_heap():
         "print(gc.get_freeze_count() >= n)\n"
     )
     assert out == ["True"]
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_cli_import_keeps_the_callers_collector_setting(was_on):
+    # the CLI imports with collection off, then freezes the heap and restores the setting
+    out = run_python(
+        "import gc\n"
+        f"{'gc.enable()' if was_on else 'gc.disable()'}\n"
+        "import hybridconsensus.cli\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    assert out == [str(was_on), "True"]
 
 
 def test_library_import_freezes_nothing():

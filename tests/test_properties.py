@@ -1,13 +1,15 @@
 """Property tests of the structural decision and the root-class nu, over the
 conftest graph generators, with scipy's csgraph as the structural oracle;
 of nu against exact rational GTH across weak bridges and the Remark-1
-regime; of the edge-form case matrices against their dense formula; and of
-the CSV writer against the per-row reference formatter."""
+regime; of the in-degrees against the dense row sums; of the edge-form case
+matrices against their dense formula; and of the CSV writer against the
+per-row reference formatter."""
 
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from hybridconsensus import (
     read_edge_list,
     simulate_deterministic,
 )
+from hybridconsensus import graphs
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
 from hybridconsensus.spectral import _gth
@@ -189,6 +192,31 @@ def test_exact_nu_of_two_states():
 
 def bits(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(129, 300), st.floats(0.005, 0.3),
+       st.sampled_from([1, 1000, graphs._BLOCK]))
+def test_in_degrees_are_dense_row_sums(seed, n, density, block):
+    """The in-degrees, summed from the entries a few rows at a time, are
+    numpy's pairwise row sums of the dense weights bit for bit, built from
+    the array and read from a file.  Rows wider than 128 entries are summed
+    as two halves; the weights span 18 decades; some rows are empty; the
+    row buffer holds one row, a few, or every row that has entries."""
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(-15, 3, (n, n)) * (rng.random((n, n)) < density)
+    w[rng.random(n) < 0.2] = 0.0
+    np.fill_diagonal(w, 0.0)
+    w[0, 1] = 1.0
+    rows, cols = np.nonzero(w)
+    lines = [f"n {n}"]
+    lines += [f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows, cols, w[rows, cols].tolist())]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graphs, "_BLOCK", block):
+        path = Path(tmp) / "g.edges"
+        path.write_text("\n".join(lines) + "\n")
+        built, read = WeightedDigraph(w), read_edge_list(path)
+    assert np.array_equal(bits(built.in_degrees()), bits(w.sum(axis=1)))
+    assert np.array_equal(bits(read.in_degrees()), bits(w.sum(axis=1)))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from([1, 2, 3]),
