@@ -3,7 +3,7 @@ convergence measurement of produced trajectories."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .spectral import _edge_product, left_eigenvector
 GAIN_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ConsensusVerdict:
+class ConsensusVerdict(NamedTuple):
     solvable: bool
     condition: str
     predicted_value: float | None
@@ -84,5 +83,5 @@ def verify_run(
         slack = 4.0 * traj.stderr[-1]
         gap = np.abs(traj.sample_states[-1] - verdict.predicted_value)
         converged = bool(measured < tol + float(slack.max()) and np.all(gap < tol + slack))
-    verdict = replace(verdict, measured_final_disagreement=measured, converged=converged)
+    verdict = verdict._replace(measured_final_disagreement=measured, converged=converged)
     return verdict, traj

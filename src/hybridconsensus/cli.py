@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from dataclasses import fields
 from pathlib import Path
 
 # OpenBLAS reads this once, when numpy loads it, so it must be set before the
@@ -99,7 +98,8 @@ def _cmd_matrix(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _load(args)
     system, sched = _setup(cfg)
-    run_cfg = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
+    run_cfg = RunConfig(steps=cfg.steps, dense_per_step=cfg.dense_per_step, seed=cfg.seed,
+                        trials=cfg.trials)
     verdict, traj = verify_run(system, cfg.case, run_cfg, tol=cfg.tol, sched=sched)
     outdir = Path(args.out or os.environ.get("HYBRIDCONSENSUS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)

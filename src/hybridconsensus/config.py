@@ -137,7 +137,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     if not (values["tol"] > 0 and math.isfinite(values["tol"])):
         raise ValueError(f"tol must be positive and finite, got {values['tol']}")
     # run's counts, checked here so that `check` rejects the same configs as `run`
-    RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)},
+    RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
+              seed=values["seed"], trials=values["trials"],
               min_trials=2 if values["case"] == 3 else 1)
     if len(values["x0"]) != graph.n:
         raise DimensionMismatch(f"x0 has length {len(values['x0'])}, graph has n = {graph.n}")

@@ -10,7 +10,6 @@ sorted edge order.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -18,35 +17,40 @@ from .protocols import GossipSchedule, HybridSystem, pair_gains, protocol
 from .spectral import _edge_product
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """A run's counts.  Each has a floor, checked here for every caller;
-    `min_trials` raises the trials floor (case 3's standard error needs two)."""
+    `min_trials` raises the trials floor (case 3's standard error needs two).
+    The class attributes are the defaults; two configs with equal counts are equal."""
 
-    steps: int
-    dense_per_step: int = 10
-    seed: int = 0
-    trials: int = 1000
-    min_trials: InitVar[int] = 1
+    dense_per_step, seed, trials = 10, 0, 1000
 
-    def __post_init__(self, min_trials):
-        for name, floor in (("steps", 0), ("dense_per_step", 0), ("seed", 0),
-                            ("trials", min_trials)):
-            value = getattr(self, name)
+    def __init__(self, steps: int, dense_per_step: int = dense_per_step, seed: int = seed,
+                 trials: int = trials, min_trials: int = 1):
+        for name, value, floor in (("steps", steps, 0), ("dense_per_step", dense_per_step, 0),
+                                   ("seed", seed, 0), ("trials", trials, min_trials)):
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
+        self.steps, self.dense_per_step = steps, dense_per_step
+        self.seed, self.trials = seed, trials
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A run's sampled states, and its continuous agents' states between samples.
     Case 3 gives the mean over trials, with its standard error and no dense
     states; cases 1-2 give one run, whose standard error is zero."""
 
-    sample_times: np.ndarray  # (K+1,)
-    sample_states: np.ndarray  # (K+1, n)
-    dense: np.ndarray  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
-    stderr: np.ndarray  # (K+1, n) standard error of the mean over trials
+    def __init__(self, sample_times: np.ndarray, sample_states: np.ndarray, dense: np.ndarray,
+                 stderr: np.ndarray):
+        self.sample_times = sample_times  # (K+1,)
+        self.sample_states = sample_states  # (K+1, n)
+        self.dense = dense  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
+        self.stderr = stderr  # (K+1, n) standard error of the mean over trials
 
 
 def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -31,19 +30,12 @@ from .errors import InvalidGraph, ParseError
 _BLOCK = 2**17
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """Nonnegative n x n adjacency structure, immutable after construction:
-    the positive entries `vals` at (`rows`, `cols`), sorted by row, then
-    column, and the in-degrees.  `weights` is constructor input only."""
+    """Nonnegative n x n adjacency structure: the positive entries `vals` at
+    (`rows`, `cols`), sorted by row, then column, and the in-degrees, all
+    read-only arrays.  `weights` is constructor input only."""
 
-    weights: InitVar[np.ndarray]
-    n: int = field(init=False)
-    rows: np.ndarray = field(init=False, repr=False)
-    cols: np.ndarray = field(init=False, repr=False)
-    vals: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, weights):
+    def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InvalidGraph(f"weights must be a square matrix, got shape {w.shape}")
@@ -54,7 +46,7 @@ class WeightedDigraph:
     def _from_entries(cls, degrees, rows, cols, vals) -> WeightedDigraph:
         """The graph with weights `vals` at (`rows`, `cols`), sorted by row, then
         column, no pair twice; `degrees`, n zeros, receives the in-degrees."""
-        g = object.__new__(cls)
+        g = cls.__new__(cls)
         g._adopt(degrees, rows, cols, vals)
         return g
 
@@ -81,11 +73,9 @@ class WeightedDigraph:
             block[at] = vals[a:b]
             degrees[here] = block[: len(here)].sum(axis=1)
             block[at] = 0.0
-        object.__setattr__(self, "n", n)
-        for name, value in (("rows", rows), ("cols", cols), ("vals", vals),
-                            ("_in_degrees", degrees)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        for a in (rows, cols, vals, degrees):
+            a.setflags(write=False)
+        self.n, self.rows, self.cols, self.vals, self._in_degrees = n, rows, cols, vals, degrees
 
     def in_degrees(self) -> np.ndarray:
         """d_ii = sum_j a_ij for every vertex (read-only, computed once)."""
@@ -157,9 +147,10 @@ def strong_components(
 
 def content_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, text) of every line of the UTF-8 text file `path` that
-    holds more than a `#` comment, with the comment and outer blanks cut."""
+    holds more than a `#` comment, with the comment and outer blanks cut.
+    A leading byte-order mark, which some editors write, is dropped."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc

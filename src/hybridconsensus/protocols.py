@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,57 +37,45 @@ from .graphs import WeightedDigraph
 from .spectral import StochasticMatrix, _edge_form
 
 
-@dataclass(frozen=True, eq=False)
 class HybridSystem:
-    """Graph, agent-kind split, sampling period and initial state."""
+    """Graph, agent-kind split (agents 0..m-1 continuous, m..n-1 discrete),
+    sampling period and initial state, held as a read-only copy."""
 
-    graph: WeightedDigraph
-    m: int  # agents 0..m-1 continuous, m..n-1 discrete
-    h: float
-    x0: np.ndarray
-
-    def __post_init__(self):
-        n = self.graph.n
-        if not 0 <= self.m <= n:
-            raise ValueError(f"m must lie in [0, {n}], got {self.m}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"sampling period must be positive and finite, got {self.h}")
-        x0 = np.asarray(self.x0, dtype=float)
+    def __init__(self, graph: WeightedDigraph, m: int, h: float, x0: np.ndarray):
+        n = graph.n
+        if not 0 <= m <= n:
+            raise ValueError(f"m must lie in [0, {n}], got {m}")
+        if not (h > 0 and math.isfinite(h)):
+            raise ValueError(f"sampling period must be positive and finite, got {h}")
+        x0 = np.array(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got shape {x0.shape}")
         finite = np.isfinite(x0)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"x0 must be finite, got x0[{bad}] = {float(x0[bad])}")
-        x0 = x0.copy()
         x0.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
+        self.graph, self.m, self.h, self.x0 = graph, m, h, x0
 
     @property
     def n(self) -> int:
         return self.graph.n
 
 
-@dataclass(frozen=True, eq=False)
 class GossipSchedule:
     """The edges of a symmetric graph with their selection probabilities.
 
     Edge e joins `i[e]` < `j[e]` with weight `vals[e]`: the graph's entries
     with i < j in stored order, so sorted by i, then j.  `probs` gives one
-    probability per edge in that order, each in (0, 1], summing to 1.
+    probability per edge in that order, each in (0, 1], summing to 1.  The
+    arrays are read-only.
     """
 
-    graph: WeightedDigraph
-    probs: np.ndarray
-    i: np.ndarray = field(init=False, repr=False)
-    j: np.ndarray = field(init=False, repr=False)
-    vals: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        g, probs = self.graph, np.array(self.probs, dtype=float)  # a copy, made read-only
-        if not g.is_symmetric:
+    def __init__(self, graph: WeightedDigraph, probs: np.ndarray):
+        probs = np.array(probs, dtype=float)  # a copy, made read-only
+        if not graph.is_symmetric:
             raise AsymmetricGraph("gossip requires a symmetric graph")
-        upper = g.rows < g.cols
+        upper = graph.rows < graph.cols
         if len(probs) != upper.sum():
             raise InvalidSchedule(
                 f"probs must give one value for each of the graph's {upper.sum()} edges, "
@@ -99,10 +87,10 @@ class GossipSchedule:
             raise InvalidSchedule("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidSchedule(f"probabilities must sum to 1, got {probs.sum()!r}")
-        for name, value in (("i", g.rows[upper]), ("j", g.cols[upper]), ("vals", g.vals[upper]),
-                            ("probs", probs)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        self.graph, self.probs = graph, probs
+        self.i, self.j, self.vals = graph.rows[upper], graph.cols[upper], graph.vals[upper]
+        for a in (self.i, self.j, self.vals, probs):
+            a.setflags(write=False)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -228,8 +216,7 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
 # --- the case table -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     """What the paper fixes for one case."""
 
     bound: Callable[[HybridSystem], float]  # strict sampling-period bound

@@ -14,8 +14,6 @@ it against the rank-one limit of the powers of P (the SIA route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateEigenspace, NotStochastic
@@ -24,28 +22,26 @@ from .graphs import strong_components
 STOCHASTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """A square matrix in edge form: entries `vals` at (`rows`, `cols`), each
     row's nonzero off-diagonal entries in column order, then its diagonal,
     even if zero: `run` sums each row in that order.  `check_stochastic`
-    returns the ones it has verified."""
+    returns the ones it has verified, with read-only arrays."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        self.rows, self.cols, self.vals = rows, cols, vals
 
     @property
     def n(self) -> int:
         return int(self.rows[-1]) + 1  # the last entry is the last row's diagonal
 
 
-@dataclass(frozen=True, eq=False)
 class PerronVector:
-    """Normalized nonnegative left eigenvector for eigenvalue 1."""
+    """Normalized nonnegative left eigenvector `nu` for eigenvalue 1, and the
+    `residual` max-norm of P^T nu - nu."""
 
-    nu: np.ndarray
-    residual: float  # max-norm of P^T nu - nu
+    def __init__(self, nu: np.ndarray, residual: float):
+        self.nu, self.residual = nu, residual
 
 
 def _edge_product(rows, cols, vals, x: np.ndarray) -> np.ndarray:

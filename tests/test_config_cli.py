@@ -38,6 +38,7 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 SMALL_GRAPH = "n 2\n1 2 1.0\n2 1 1.0\n"
 SMALL_CFG = "graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n"
 NOT_UTF8 = b"# caf\xe9 \xff\xfe\n"  # Latin-1, then two bytes no UTF-8 text holds
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
 
 # a 3-vertex path under case 1, and a value other than the base or default for every flag
 BASE = {"graph": "g.edges", "case": "1", "m": "1", "h": "0.2", "x0": "0, 1, 2"}
@@ -99,6 +100,16 @@ class TestLoadConfig:
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
         path = tmp_path / "exp.cfg"
         path.write_bytes(SMALL_CFG.encode() + NOT_UTF8)
+        with pytest.raises(ParseError, match=r"exp\.cfg:6: not UTF-8 text"):
+            load_config(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark was read into the first key: "unknown config keys: ['\\ufeffgraph']"
+        (tmp_path / "g.edges").write_bytes(BOM + SMALL_GRAPH.encode())
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(BOM + SMALL_CFG.encode())
+        assert load_config(path).graph.n == 2
+        path.write_bytes(BOM + SMALL_CFG.encode() + NOT_UTF8)
         with pytest.raises(ParseError, match=r"exp\.cfg:6: not UTF-8 text"):
             load_config(path)
 

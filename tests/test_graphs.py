@@ -224,6 +224,15 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match=r"g\.edges:3: not UTF-8 text"):
             read_edge_list(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark was read as part of the header: "g.edges:1: expected header 'n <count>'"
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\xef\xbb\xbfn 2\n1 2 0.5\n")
+        assert (dense(read_edge_list(path)) == [[0.0, 0.5], [0.0, 0.0]]).all()
+        path.write_bytes(b"\xef\xbb\xbfn 2\n1 2 1.0\n2 1 \xff\xfe\n")
+        with pytest.raises(ParseError, match=r"g\.edges:3: not UTF-8 text"):
+            read_edge_list(path)
+
     def test_duplicate_edge_rejected(self, tmp_path):
         # the last line used to win silently: a_12 read as 2.0
         path = tmp_path / "g.edges"

@@ -6,7 +6,6 @@ matrices against their dense formula; and of the CSV writer against the
 per-row reference formatter."""
 
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -284,7 +283,7 @@ def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
     x0 = sys.x0.copy()
     x0[: len(zeros)] = zeros  # n >= 4
     # a Python float h: the reference writes a numpy scalar's times as "np.float64(...)"
-    sys = replace(sys, x0=x0, h=float(sys.h))
+    sys = HybridSystem(sys.graph, sys.m, float(sys.h), x0)
     cfg = RunConfig(steps=steps, dense_per_step=dense, trials=2)
     if case != 3:
         traj = simulate_deterministic(sys, case, cfg)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hybridconsensus import (
+    ConsensusVerdict,
     GossipSchedule,
     HybridSystem,
     RunConfig,
+    StochasticMatrix,
     WeightedDigraph,
     bound_case1,
     bound_case2,
@@ -14,11 +16,14 @@ from hybridconsensus import (
     case1_matrix,
     case2_gain,
     case2_matrix,
+    check_stochastic,
     gossip_expected_matrix,
     left_eigenvector,
+    read_edge_list,
     simulate_deterministic,
 )
 from hybridconsensus.errors import InvalidSchedule, SamplingPeriodTooLarge
+from hybridconsensus.protocols import PROTOCOLS, Protocol
 from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, iteration_matrix
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
@@ -272,6 +277,34 @@ def test_array_dataclasses_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+def test_record_arrays_are_read_only(tmp_path):
+    # records are plain classes: an attribute may be rebound, but no array they hold is written
+    path = tmp_path / "g.edges"
+    path.write_text("n 2\n1 2 1.0\n2 1 1.0\n")
+    x0 = np.array([0.0, 1.0])
+    sys = HybridSystem(read_edge_list(path), m=1, h=0.2, x0=x0)
+    sched = GossipSchedule(sys.graph, np.array([1.0]))
+    P = check_stochastic(StochasticMatrix(np.array([0, 0, 1]), np.array([1, 0, 1]),
+                                          np.array([0.5, 0.5, 1.0])))
+    g = sys.graph  # read from a file; test_weights_immutable builds one from weights
+    held = (g.rows, g.cols, g.vals, g.in_degrees(), sys.x0, sched.i, sched.j, sched.vals,
+            sched.probs, sched.cumulative, P.rows, P.cols, P.vals)
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2.0
+    assert x0.flags.writeable  # the system holds a copy
+
+
+def test_value_records_compare_and_hash_by_value():
+    a, b, c = (ConsensusVerdict(True, "c", -0.25, None, done) for done in (False, False, True))
+    assert a == b != c and len({a, b, c}) == 2
+    p = PROTOCOLS[1]
+    q = Protocol(p.bound, p.matrix, p.condition, p.dense_gain)
+    assert p == q != PROTOCOLS[2] and len({p, q, PROTOCOLS[2]}) == 2
+    assert RunConfig(steps=3) == RunConfig(3, 10, 0, 1000) != RunConfig(steps=4)
+    assert len({RunConfig(steps=3), RunConfig(steps=3, seed=0)}) == 1
 
 
 class TestGossipExpectedMatrix:
