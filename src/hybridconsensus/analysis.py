@@ -8,11 +8,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
-from .errors import ConsensusError, DegenerateEigenspace
-from .protocols import GossipSchedule, HybridSystem, case2_gain, protocol
-from .spectral import _edge_product, left_eigenvector
-
-GAIN_RESIDUAL_TOL = 1e-10
+from .errors import DegenerateEigenspace
+from .protocols import GossipSchedule, HybridSystem, protocol
+from .spectral import left_eigenvector
 
 
 class ConsensusVerdict(NamedTuple):
@@ -43,13 +41,6 @@ def decide(
     condition = f"{spec.condition[nu is not None]}; h = {sys.h} < bound = {spec.bound(sys)}"
     if nu is None:
         return ConsensusVerdict(False, condition, None, None, False)
-    if case == 2:
-        # the predicted value's defining identity: L^T H nu = D y - A^T y = 0, y = H nu
-        y, g = case2_gain(sys) * nu, sys.graph
-        a_t_y = _edge_product(g.cols, g.rows, g.vals, y)  # over the graph's edges i -> j
-        residual = float(np.max(np.abs(g.in_degrees() * y - a_t_y)))
-        if residual >= GAIN_RESIDUAL_TOL:
-            raise ConsensusError(f"case-2 gain identity violated: |L^T H nu| = {residual:.3e}")
     return ConsensusVerdict(True, condition, float(nu @ sys.x0), None, False)
 
 

@@ -45,10 +45,9 @@ if "GOTO_THREAD_TIMEOUT" not in os.environ:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .analysis import decide, verify_run
-from .config import KEYS, ExperimentConfig, build_schedule, build_system, load_config
-from .engine import RunConfig
+from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConsensusError, ParseError
-from .protocols import PROTOCOLS, GossipSchedule, HybridSystem, protocol
+from .protocols import PROTOCOLS, protocol
 from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
 
 gc.freeze()
@@ -60,51 +59,30 @@ EXIT_IO = 1
 EXIT_CONDITION = 2
 
 
-def _load(args: argparse.Namespace) -> ExperimentConfig:
-    return load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})
-
-
-def _setup(cfg: ExperimentConfig) -> tuple[HybridSystem, GossipSchedule | None]:
-    system = build_system(cfg)
-    sched = build_schedule(cfg) if cfg.case == 3 else None
-    return system, sched
-
-
-def _cmd_check(args) -> int:
-    cfg = _load(args)
-    system, sched = _setup(cfg)
-    verdict = decide(system, cfg.case, sched)
-    report = verdict_report(cfg, system, verdict)
-    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+def _cmd_check(cfg: ExperimentConfig, args) -> int:
+    verdict = decide(cfg.system, cfg.case, cfg.sched)
+    print(json.dumps(verdict_report(cfg, verdict), indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _load(args)
-    system, _ = _setup(cfg)
+def _cmd_bounds(cfg: ExperimentConfig, args) -> int:
     for case, spec in PROTOCOLS.items():
-        print(f"bound_case{case} = {spec.bound(system)!r}")
+        print(f"bound_case{case} = {spec.bound(cfg.system)!r}")
     return EXIT_OK
 
 
-def _cmd_matrix(args) -> int:
-    cfg = _load(args)
-    system, sched = _setup(cfg)
-    for row in matrix_rows(protocol(cfg.case).matrix(system, sched)):
+def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
+    for row in matrix_rows(protocol(cfg.case).matrix(cfg.system, cfg.sched)):
         print(row)
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args)
-    system, sched = _setup(cfg)
-    run_cfg = RunConfig(steps=cfg.steps, dense_per_step=cfg.dense_per_step, seed=cfg.seed,
-                        trials=cfg.trials)
-    verdict, traj = verify_run(system, cfg.case, run_cfg, tol=cfg.tol, sched=sched)
+def _cmd_run(cfg: ExperimentConfig, args) -> int:
+    verdict, traj = verify_run(cfg.system, cfg.case, cfg.run, tol=cfg.tol, sched=cfg.sched)
     outdir = Path(args.out or os.environ.get("HYBRIDCONSENSUS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(system, traj, outdir / "trajectory.csv")
-    write_verdict_json(verdict_report(cfg, system, verdict), outdir / "verdict.json")
+    write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")
+    write_verdict_json(verdict_report(cfg, verdict), outdir / "verdict.json")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'verdict.json'}")
     if verdict.converged != verdict.solvable:
         print(
@@ -144,7 +122,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})
+        return args.handler(cfg, args)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO

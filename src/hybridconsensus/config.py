@@ -19,6 +19,10 @@ required::
 [-13, 14, 3, -9, -3, 6], with h = 0.2 unless h is given, and requires a
 6-vertex graph.  Every key but `graph` is also a command-line flag
 (`--dense-per-step` for dense_per_step) that overrides the file.
+
+`load_config` returns the checked experiment: the keys' values, and the
+objects every subcommand runs on, built once from them: the hybrid system,
+the gossip schedule (case 3 only) and the run counts.
 """
 
 from __future__ import annotations
@@ -55,10 +59,13 @@ def _key(parse, default=MISSING, *, help: str):
 
 @dataclass
 class ExperimentConfig:
-    """A loaded experiment.  Every field but `graph_path` is a config key,
+    """A loaded experiment.  Every field from `graph` on is a config key,
     with the key's default (none: required), its parser and its help."""
 
     graph_path: Path  # the file the `graph` key names; `graph` holds the graph read from it
+    system: HybridSystem
+    sched: GossipSchedule | None  # case 3 only
+    run: RunConfig
     graph: WeightedDigraph = _key(str, help="edge-list file, relative to the config")
     case: int = _key(int, help="1, 2 or 3")
     m: int = _key(int, help="number of continuous-time agents (the first m)")
@@ -136,20 +143,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise ParseError("missing required key 'h'")
     if not (values["tol"] > 0 and math.isfinite(values["tol"])):
         raise ValueError(f"tol must be positive and finite, got {values['tol']}")
-    # run's counts, checked here so that `check` rejects the same configs as `run`
-    RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
-              seed=values["seed"], trials=values["trials"],
-              min_trials=2 if values["case"] == 3 else 1)
+    gossip = values["case"] == 3
+    # run's counts, checked here so that every subcommand rejects the same configs
+    run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
+                    seed=values["seed"], trials=values["trials"], min_trials=2 if gossip else 1)
     if len(values["x0"]) != graph.n:
         raise DimensionMismatch(f"x0 has length {len(values['x0'])}, graph has n = {graph.n}")
-    return ExperimentConfig(graph_path=graph_path, **values)
-
-
-def build_system(cfg: ExperimentConfig) -> HybridSystem:
-    return HybridSystem(graph=cfg.graph, m=cfg.m, h=cfg.h, x0=cfg.x0)
-
-
-def build_schedule(cfg: ExperimentConfig) -> GossipSchedule:
-    if cfg.probs == "uniform":
-        return GossipSchedule.uniform(cfg.graph)
-    return GossipSchedule(cfg.graph, cfg.probs)
+    system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"])
+    sched = None
+    if gossip:
+        probs = values["probs"]
+        sched = GossipSchedule.uniform(graph) if probs == "uniform" else GossipSchedule(graph, probs)
+    return ExperimentConfig(graph_path=graph_path, system=system, sched=sched, run=run, **values)

@@ -100,7 +100,7 @@ def _finite_or_none(value: float) -> float | None:
     return value if value == value and abs(value) != float("inf") else None
 
 
-def verdict_report(cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusVerdict) -> dict:
+def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
     return {
         "solvable": verdict.solvable,
         "condition": verdict.condition,
@@ -108,7 +108,7 @@ def verdict_report(cfg: ExperimentConfig, sys: HybridSystem, verdict: ConsensusV
         "measured_final_disagreement": verdict.measured_final_disagreement,
         "converged": verdict.converged,
         "bounds": {
-            f"case{c}": _finite_or_none(spec.bound(sys)) for c, spec in PROTOCOLS.items()
+            f"case{c}": _finite_or_none(spec.bound(cfg.system)) for c, spec in PROTOCOLS.items()
         },
         "config": {
             **{key.name: getattr(cfg, key.name) for key in KEYS},

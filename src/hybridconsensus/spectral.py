@@ -8,18 +8,20 @@ root-class block; no dense n x n form is built.
 ``left_eigenvector`` finds nu with P^T nu = nu: it is supported on the one
 closed strongly connected class of P (the root class) and solved there by
 subtraction-free Grassmann-Taksar-Heyman elimination (Oper. Res. 1985), so
-weak links keep full accuracy; it is zero elsewhere.  The tests cross-check
-it against the rank-one limit of the powers of P (the SIA route).
+weak links keep full accuracy; it is zero elsewhere.  A nu whose residual
+max |nu^T P - nu^T| is 1e-10 or more is rejected, in every case.  The tests
+cross-check it against the rank-one limit of the powers of P (the SIA route).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateEigenspace, NotStochastic
+from .errors import ConsensusError, DegenerateEigenspace, NotStochastic
 from .graphs import strong_components
 
 STOCHASTIC_TOL = 1e-12
+NU_RESIDUAL_TOL = 1e-10
 
 
 class StochasticMatrix:
@@ -98,7 +100,8 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     """nu with P^T nu = nu, 1^T nu = 1, by GTH on the root class of P.
 
     Raises DegenerateEigenspace unless exactly one strong class of P's
-    pattern is closed (else eigenvalue 1 is not simple).
+    pattern is closed (else eigenvalue 1 is not simple), and ConsensusError
+    unless the residual max |P^T nu - nu| is below NU_RESIDUAL_TOL.
     """
     label, closed = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
@@ -113,4 +116,7 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     nu[root] = _gth(block)
     nu /= nu.sum()
     nu_p = _edge_product(P.cols, P.rows, P.vals, nu)  # nu^T P
-    return PerronVector(nu=nu, residual=float(np.max(np.abs(nu_p - nu))))
+    residual = float(np.max(np.abs(nu_p - nu)))
+    if not residual < NU_RESIDUAL_TOL:  # a NaN residual fails too
+        raise ConsensusError(f"nu residual |P^T nu - nu| = {residual:.3e}")
+    return PerronVector(nu=nu, residual=residual)

@@ -66,6 +66,24 @@ class TestDecide:
             sys = HybridSystem(g, m=3, h=0.8 / dmax_discrete, x0=rng.uniform(-1, 1, 6))
             decide(sys, 2)  # raises internally if L^T H nu residual >= 1e-10
 
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_nu_residual_checked_in_every_case(self, monkeypatch, case):
+        # a solve 1e-6 off in one entry: only case 2 checked nu, through its gain identity
+        real = spectral._gth
+
+        def off(W):
+            pi = real(W)
+            pi[-1] += 1e-6
+            return pi
+
+        g = undirected_ring_with_chord()
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
+        sched = GossipSchedule.uniform(g) if case == 3 else None
+        assert decide(sys, case, sched).solvable
+        monkeypatch.setattr(spectral, "_gth", off)
+        with pytest.raises(ConsensusError, match="residual"):
+            decide(sys, case, sched)
+
     def test_unknown_case(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))

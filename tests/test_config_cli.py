@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hybridconsensus.cli import main
-from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, build_schedule, build_system, load_config
+from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, load_config
 from hybridconsensus.engine import RunConfig
-from hybridconsensus.errors import DimensionMismatch, ParseError, UnknownCase
+from hybridconsensus.errors import AsymmetricGraph, DimensionMismatch, InvalidSchedule, ParseError, UnknownCase
 
 
 def run_cli(*args, env=None):
@@ -132,9 +132,8 @@ class TestLoadConfig:
                 "graph = g.edges\ncase = 3\nm = 1\nh = 0.2\nx0 = 0, 1, 2\nprobs = 0.25, 0.75\n",
             )
         )
-        sched = build_schedule(cfg)
-        np.testing.assert_allclose(sched.probs, [0.25, 0.75])
-        build_system(cfg)
+        np.testing.assert_allclose(cfg.sched.probs, [0.25, 0.75])
+        assert cfg.system.n == 3
 
 
 class TestCliExitCodes:
@@ -268,6 +267,30 @@ class TestCliExitCodes:
         assert main(["check", str(presets_dir / preset), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
+
+    @pytest.mark.parametrize("command", ["check", "run", "bounds", "matrix"])
+    @pytest.mark.parametrize(
+        "preset, overrides, error",
+        [
+            ("example1.cfg", {"case": "3"}, AsymmetricGraph),
+            ("example3.cfg", {"probs": "0.5,0.5"}, InvalidSchedule),
+            ("example1.cfg", {"m": "7"}, ValueError),
+            ("example1.cfg", {"x0": "1,nan,2,3,4,5", "h": "0.2"}, ValueError),
+        ],
+        ids=["asymmetric-graph-in-case3", "probs-length", "m-above-n", "nan-x0"],
+    )
+    def test_every_subcommand_rejects_the_same_configs(
+        self, tmp_path, presets_dir, capsys, command, preset, overrides, error
+    ):
+        path = presets_dir / preset
+        with pytest.raises(error) as exc:
+            load_config(path, overrides)
+        flags = [arg for key, value in overrides.items() for arg in ("--" + key, value)]
+        if command == "run":
+            flags += ["--out", str(tmp_path)]
+        assert main([command, str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize(
         "preset, flags",

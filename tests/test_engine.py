@@ -13,7 +13,7 @@ from hybridconsensus import (
     monte_carlo_mean,
     simulate_deterministic,
 )
-from hybridconsensus.config import build_system, load_config
+from hybridconsensus.config import load_config
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import UnknownCase
 from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, simulate_gossip
@@ -65,8 +65,7 @@ class TestSimulateDeterministic:
         runs = [(sys, case, RunConfig(steps=5, dense_per_step=4)) for case in (1, 2)]
         for path in (PRESETS / "example1.cfg", PRESETS / "example2.cfg", DATA / "weighted.cfg"):
             cfg = load_config(path)
-            run_cfg = RunConfig(steps=cfg.steps, dense_per_step=cfg.dense_per_step)
-            runs.append((build_system(cfg), cfg.case, run_cfg))
+            runs.append((cfg.system, cfg.case, cfg.run))
         for sys, case, run_cfg in runs:
             traj = simulate_deterministic(sys, case, run_cfg)
             assert traj.dense.shape == (run_cfg.steps, sys.m, run_cfg.dense_per_step)

@@ -16,7 +16,7 @@ from hybridconsensus import (
     verify_run,
 )
 from hybridconsensus import cli, reporting
-from hybridconsensus.config import build_schedule, build_system, load_config
+from hybridconsensus.config import load_config
 from hybridconsensus.protocols import protocol
 from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
 from oracles import dense
@@ -72,14 +72,11 @@ class TestCsvMatchesReference:
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_preset(self, name):
         cfg = load_config(PRESETS / f"{name}.cfg")
-        sys = build_system(cfg)
-        sched = build_schedule(cfg) if cfg.case == 3 else None
-        run = RunConfig(steps=cfg.steps, dense_per_step=cfg.dense_per_step, seed=cfg.seed,
-                        trials=cfg.trials)
+        sys = cfg.system
         # as shipped, and from the zero state carrying x0's signs (-0.0 != 0.0 in repr)
         for x0 in (sys.x0, -0.0 * sys.x0):
             start = HybridSystem(sys.graph, sys.m, sys.h, x0)
-            _, traj = verify_run(start, cfg.case, run, tol=cfg.tol, sched=sched)
+            _, traj = verify_run(start, cfg.case, cfg.run, tol=cfg.tol, sched=cfg.sched)
             assert_matches_reference(start, traj)
 
     def test_signed_zeros_nan_inf_subnormal(self):
@@ -180,8 +177,7 @@ class TestMatrixOutput:
     def test_matches_per_entry_repr(self, tmp_path, capsys, name):
         path = self.case3_config(tmp_path) if name == "case3" else PRESETS / f"{name}.cfg"
         cfg = load_config(path)
-        sched = build_schedule(cfg) if cfg.case == 3 else None
-        entries = dense(protocol(cfg.case).matrix(build_system(cfg), sched))
+        entries = dense(protocol(cfg.case).matrix(cfg.system, cfg.sched))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
         assert cli.main(["matrix", str(path)]) == 0
         assert capsys.readouterr().out == want
