@@ -162,27 +162,12 @@ def content_lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _columns(fields: list[list[str]]) -> tuple[list[int], list[int], list[float]]:
-    """The i, j and w columns of `i j w` token lines, read by int, int and float."""
-    i, j, w = zip(*fields) if fields else ((), (), ())
-    return list(map(int, i)), list(map(int, j)), list(map(float, w))
-
-
-def _parses(tokens: list[str]) -> bool:
-    try:
-        _columns([tokens])
-    except ValueError:
-        return False
-    return True
-
-
 def read_edge_list(path: str | Path) -> WeightedDigraph:
     """Parse the `n <count>` / `i j w` edge-list format.
 
-    The edge lines are read column by column.  Their checks run in the
-    order a line-by-line reader makes them, each on the lines before the
-    first that an earlier check rejected, so the error raised names the
-    first bad line.  Duplicate `i j` pairs are found by sorting.
+    Each edge line is checked once, as it is read: token count, `int`, `int`,
+    `float`, index range.  Duplicate `i j` pairs before the first line that
+    fails are found by sorting, so the error raised names the first bad line.
     """
     path = Path(path)
     lines = content_lines(path)
@@ -198,35 +183,41 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
         raise ParseError(f"{path}:{lineno}: bad vertex count") from exc
     if n < 1:
         raise ParseError(f"{path}:{lineno}: vertex count must be positive")
-    if n > np.iinfo(np.intp).max // n:  # the sort key row * n + column below would wrap
+    if n > np.iinfo(np.intp).max // n:  # the sort key row * n + column below would overflow
         raise ParseError(f"{path}:{lineno}: no room for {n} vertices: n * n overflows an index")
     try:
         degrees = np.zeros(n)
     except MemoryError as exc:
         raise ParseError(f"{path}:{lineno}: no room for {n} vertices: {exc}") from exc
 
-    body = list(lines)
-    fields = [text.split() for _, text in body]
-    bad = next((k for k, tokens in enumerate(fields) if len(tokens) != 3), len(fields))
-    error = "expected 'i j w'"
-    try:
-        i, j, w = _columns(fields[:bad])
-    except ValueError:
-        bad, error = next(k for k in range(bad) if not _parses(fields[k])), "bad edge entry"
-        i, j, w = _columns(fields[:bad])
-    if i and not (1 <= min(i) and max(i) <= n and 1 <= min(j) and max(j) <= n):
-        bad = next(k for k, ij in enumerate(zip(i, j)) if not all(1 <= x <= n for x in ij))
-        error = f"index out of range 1..{n}"
-    rows, cols = np.array(i[:bad], dtype=np.intp) - 1, np.array(j[:bad], dtype=np.intp) - 1
-    order = np.argsort(rows * n + cols, kind="stable")  # by row, then column, then line
-    rows, cols, vals = rows[order], cols[order], np.array(w[:bad], dtype=float)[order]
-    (again,) = np.nonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
-    if again.size:  # the first line that repeats an earlier one
+    keys, weights, linenos, error = [], [], [], None
+    for lineno, text in lines:
+        tokens = text.split()
+        if len(tokens) != 3:
+            error = "expected 'i j w'"
+            break
+        try:
+            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            error = "bad edge entry"
+            break
+        if not (1 <= i <= n and 1 <= j <= n):
+            error = f"index out of range 1..{n}"
+            break
+        keys.append((i - 1) * n + j - 1)  # row * n + column
+        weights.append(v)
+        linenos.append(lineno)
+    keys = np.array(keys, dtype=np.intp)
+    order = np.argsort(keys, kind="stable")  # by row, then column, then line
+    keys, vals = keys[order], np.array(weights, dtype=float)[order]
+    (again,) = np.nonzero(keys[1:] == keys[:-1])
+    rows, cols = np.divmod(keys, n)
+    if again.size:  # the first line that repeats an earlier one, ahead of `error`'s
         s = again[np.argmin(order[again + 1])]
-        bad, first = int(order[s + 1]), body[order[s]][0]
+        lineno, first = linenos[order[s + 1]], linenos[order[s]]
         error = f"duplicate edge {rows[s] + 1} {cols[s] + 1} (first on line {first})"
-    if bad < len(body):
-        raise ParseError(f"{path}:{body[bad][0]}: {error}")
+    if error:
+        raise ParseError(f"{path}:{lineno}: {error}")
     try:
         return WeightedDigraph._from_entries(degrees, rows, cols, vals)
     except InvalidGraph as exc:

@@ -27,6 +27,7 @@ from hybridconsensus.errors import (
     AsymmetricGraph,
     ConsensusError,
     NotStochastic,
+    ParseError,
     SamplingPeriodTooLarge,
 )
 from hybridconsensus.graphs import strong_components
@@ -85,6 +86,47 @@ def write_edge_list(g: WeightedDigraph, path: str | Path) -> None:
             if w > 0:
                 lines.append(f"{i + 1} {j + 1} {float(w)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_edge_list_by_line(path: Path) -> tuple[np.ndarray, ...]:
+    """(rows, cols, vals, in-degrees) of the edge-list file `path`, whose
+    header is taken as valid, or the reader's `ParseError`.  Each line is
+    checked in full before the next is read, and a repeated pair is found
+    in a dict of the pairs seen so far; the in-degrees are the row sums of
+    the dense weights."""
+    n, seen = None, {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if n is None:
+            n = int(tokens[1])
+            continue
+        if len(tokens) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'i j w'")
+        try:
+            i, j, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad edge entry") from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"{path}:{lineno}: index out of range 1..{n}")
+        if (i, j) in seen:
+            first = seen[i, j][0]
+            raise ParseError(f"{path}:{lineno}: duplicate edge {i} {j} (first on line {first})")
+        seen[i, j] = lineno, w
+    edges = [(i - 1, j - 1, w) for (i, j), (_, w) in sorted(seen.items()) if w != 0]
+    if not all(math.isfinite(w) for _, _, w in edges):
+        raise ParseError(f"{path}: weights must be finite")
+    if any(w < 0 for _, _, w in edges):
+        raise ParseError(f"{path}: weights must be nonnegative")
+    if any(i == j for i, j, _ in edges):
+        raise ParseError(f"{path}: self-loops (nonzero diagonal) are not allowed")
+    if not edges:
+        raise ParseError(f"{path}: graph must contain at least one edge")
+    rows, cols, vals = (np.array(c) for c in zip(*edges))
+    a = np.zeros((n, n))
+    a[rows, cols] = vals
+    return rows, cols, vals, a.sum(axis=1)
 
 
 # --- matrices -----------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests of the structural decision and the root-class nu, over the
 conftest graph generators, with scipy's csgraph as the structural oracle;
 of nu against exact rational GTH across weak bridges and the Remark-1
-regime; of the in-degrees against the dense row sums; of the edge-form case
-matrices against their dense formula; and of the CSV writer against the
-per-row reference formatter."""
+regime; of the in-degrees against the dense row sums; of the edge-list
+reader against a line-by-line reference; of the edge-form case matrices
+against their dense formula; and of the CSV writer against the per-row
+reference formatter."""
 
 import tempfile
 from fractions import Fraction
@@ -29,6 +30,7 @@ from hybridconsensus import (
     simulate_deterministic,
 )
 from hybridconsensus import graphs
+from hybridconsensus.errors import ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import protocol
 from hybridconsensus.spectral import _gth
@@ -40,6 +42,7 @@ from oracles import (
     edge_form,
     exact_nu,
     has_spanning_tree,
+    read_edge_list_by_line,
     sia_limit,
     simulate_gossip,
 )
@@ -216,6 +219,62 @@ def test_in_degrees_are_dense_row_sums(seed, n, density, block):
         built, read = WeightedDigraph(w), read_edge_list(path)
     assert np.array_equal(bits(built.in_degrees()), bits(w.sum(axis=1)))
     assert np.array_equal(bits(read.in_degrees()), bits(w.sum(axis=1)))
+
+
+@st.composite
+def edge_files(draw):
+    """The text of an edge-list file: a valid header, then a mix of good
+    lines, lines of 2 or 4 tokens, non-integer and out-of-range indices,
+    repeated pairs, zero, negative-zero, NaN and negative weights, and
+    comments."""
+    n = draw(st.integers(1, 6))
+    lines, pairs = [f"n {n}"], []
+    kinds = ["good"] * 8 + ["tokens", "not-int", "range", "repeat", "comment"]
+    weights = 3 * ["1.0", "0.5", "2.5e-3", "1e-300"] + ["0.0", "-0.0", "nan", "-2", "-2"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        i, j, w = draw(st.integers(1, n)), draw(st.integers(1, n)), draw(st.sampled_from(weights))
+        if kind == "repeat" and pairs:
+            i, j = draw(st.sampled_from(pairs))
+        elif kind in ("not-int", "range"):  # in the first or the second index column
+            bad = draw(st.sampled_from(["x", "1.5"] if kind == "not-int" else ["0", str(n + 1)]))
+            i, j = draw(st.permutations([bad, j]))
+        line = f"{i} {j} {w}"
+        if kind == "tokens":
+            line = draw(st.sampled_from([f"{i} {j}", f"{line} {w}"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# a comment", "", f"{line}  # trailing"]))
+        elif kind in ("good", "repeat"):
+            pairs.append((i, j))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(edge_files())
+def test_reader_matches_line_by_line_reference(text):
+    """The reader builds the rows, columns, weights and in-degrees that a
+    line-by-line reader with a dict of seen pairs builds, bit for bit, or
+    raises the same ParseError text."""
+
+    def entries(path):
+        g = read_edge_list(path)
+        return g.rows, g.cols, g.vals, g.in_degrees()
+
+    def result(read, path):
+        try:
+            return read(path)
+        except ParseError as exc:
+            return str(exc)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_text(text)
+        got, want = result(entries, path), result(read_edge_list_by_line, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]]
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got[2:], want[2:]))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from([1, 2, 3]),
