@@ -18,12 +18,9 @@ _EXPORTS = {
     "protocols": (
         "GossipSchedule",
         "HybridSystem",
-        "bound_case1",
-        "bound_case2",
-        "bound_case3",
-        "case1_matrix",
-        "case2_gain",
-        "case2_matrix",
+        "bound",
+        "case_matrix",
+        "gains",
         "gossip_expected_matrix",
     ),
     "spectral": ("PerronVector", "StochasticMatrix", "check_stochastic", "left_eigenvector"),

@@ -9,7 +9,7 @@ import numpy as np
 
 from .engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
 from .errors import DegenerateEigenspace
-from .protocols import GossipSchedule, HybridSystem, protocol
+from .protocols import GossipSchedule, HybridSystem, bound, case_matrix, protocol
 from .spectral import left_eigenvector
 
 
@@ -32,13 +32,13 @@ def decide(
     1-2, scheduled edges that connect the graph in case 3.  That is when the
     left Perron vector nu of P is unique, and the predicted value is nu^T x0.
     """
-    spec = protocol(case)
-    P = spec.matrix(sys, sched)  # also enforces the h bound
+    P = case_matrix(sys, case, sched)  # also enforces the h bound
     try:
         nu = left_eigenvector(P).nu
     except DegenerateEigenspace:
         nu = None
-    condition = f"{spec.condition[nu is not None]}; h = {sys.h} < bound = {spec.bound(sys)}"
+    holds = protocol(case).condition[nu is not None]
+    condition = f"{holds}; h = {sys.h} < bound = {bound(sys, case)}"
     if nu is None:
         return ConsensusVerdict(False, condition, None, None, False)
     return ConsensusVerdict(True, condition, float(nu @ sys.x0), None, False)

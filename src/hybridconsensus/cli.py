@@ -47,7 +47,7 @@ if "GOTO_THREAD_TIMEOUT" not in os.environ:
 from .analysis import decide, verify_run
 from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConsensusError, ParseError
-from .protocols import PROTOCOLS, protocol
+from .protocols import PROTOCOLS, bound, case_matrix
 from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
 
 gc.freeze()
@@ -66,13 +66,13 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_bounds(cfg: ExperimentConfig, args) -> int:
-    for case, spec in PROTOCOLS.items():
-        print(f"bound_case{case} = {spec.bound(cfg.system)!r}")
+    for case in PROTOCOLS:
+        print(f"bound_case{case} = {bound(cfg.system, case)!r}")
     return EXIT_OK
 
 
 def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
-    for row in matrix_rows(protocol(cfg.case).matrix(cfg.system, cfg.sched)):
+    for row in matrix_rows(case_matrix(cfg.system, cfg.case, cfg.sched)):
         print(row)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .protocols import GossipSchedule, HybridSystem, pair_gains, protocol
+from .protocols import GossipSchedule, HybridSystem, case_matrix, gains, pair_gains
 from .spectral import _edge_product
 
 
@@ -61,19 +61,19 @@ def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
 def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Trajectory:
     """Iterate the case-1/2 sampled map on its edges; dense states of continuous agents.
 
-    Agent i < m moves from x_k[i] along (A x_k - d x_k)[i] by the case's dense
-    gain f(d_ii, tau): tau under zero-order hold, (1 - e^{-d tau}) / d when
-    self-observing.  So at t_k + tau it is the blend (1 - s) x_k[i] + s x_{k+1}[i]
+    Agent i < m moves from x_k[i] along (A x_k - d x_k)[i] by its gain
+    f = `gains(sys, case, tau)`: tau under zero-order hold, (1 - e^{-d tau}) / d
+    when self-observing.  So at t_k + tau it is the blend (1 - s) x_k[i] + s x_{k+1}[i]
     of two samples, s = f(d_ii, tau) / f(d_ii, h), and exactly x_{k+1}[i] at h.
     """
-    spec, n, m = protocol(case), sys.n, sys.m
-    P = spec.matrix(sys, None)
+    n, m = sys.n, sys.m
+    P = case_matrix(sys, case)
     states = np.empty((cfg.steps + 1, n))
     states[0] = sys.x0
     for k, x in enumerate(states[:-1]):
         states[k + 1] = _edge_product(P.rows, P.cols, P.vals, x)
-    f = spec.dense_gain(sys.graph.in_degrees()[:m, None], dense_tau_grid(sys.h, cfg.dense_per_step))
-    s = f / f[..., -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
+    f = gains(sys, case, dense_tau_grid(sys.h, cfg.dense_per_step))[:m]
+    s = f / f[:, -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
     dense = (1 - s) * states[:-1, :m, None]
     dense += s * states[1:, :m, None]
     return Trajectory(

@@ -4,29 +4,29 @@ consensus protocols of a hybrid (continuous/discrete) multi-agent system.
 Agents 0..m-1 are continuous-time, agents m..n-1 are discrete-time; all
 agents share the sampling grid t_k = k*h.
 
-* Case 1: everyone acts on neighbour states frozen at t_k (zero-order hold);
-  sampled map I - h*L.
-* Case 2: continuous agents additionally observe their own state in real
-  time; sampled map I - H*L with exponential gains on the continuous rows.
+* Cases 1 and 2 share one sampled map, I - H*L, and one bound on h.  They
+  differ only in which agents observe their own state between samples, and
+  so get exponential gains: none in case 1 (zero-order hold, H = h*I), the
+  continuous agents in case 2.  `_observers` is the one place that tells
+  the two cases apart.
 * Case 3: randomized gossip on a symmetric graph; at each t_k one of its
   edges (i, j), drawn with probability p_ij, interacts through a pair
   matrix Phi_ij, whose gains `pair_gains` gives; the builder returns their
   expected matrix E(Phi).
 
-Every builder writes its off-diagonal entries from the graph's edges, and
-its diagonal; `spectral` folds the two into its edge form and checks the
+`case_matrix` writes the off-diagonal entries from the graph's edges, and
+the diagonal; `spectral` folds the two into its edge form and checks the
 result.  Cases 1 and 2 write I - diag(g) L, where L = D - A and
 d_ii = sum_j a_ij: g_i a_ij on the edges, the diagonal in closed form.
 
-`PROTOCOLS` is the case table: for each case its sampling-period bound,
-matrix builder, consensus condition and intra-sample gain.  `protocol(case)`
-looks a case up and is the one place an unknown case is rejected.
+`PROTOCOLS` is the case table: for each case the name of its
+sampling-period bound and its consensus condition.  `protocol(case)` looks
+a case up and is the one place an unknown case is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
@@ -106,31 +106,32 @@ class GossipSchedule:
         return cls(graph, np.full(e // 2, 2.0 / e))
 
 
-# --- sampling-period bounds --------------------------------------------------
+# --- sampling-period bounds and gains ----------------------------------------
 
 
-def bound_case1(sys: HybridSystem) -> float:
-    """Strict bound 1 / max_i d_ii."""
-    return 1.0 / float(sys.graph.in_degrees().max())  # a graph has at least one edge
+def _observers(sys: HybridSystem, case: int) -> int:
+    """The count k of agents 0..k-1 that observe their own state between
+    samples in case 1 or 2: the m continuous agents in case 2, none under
+    case 1's zero-order hold.  Every other agent holds its input until t_{k+1}."""
+    if protocol(case) is PROTOCOLS[3]:  # protocol() rejects an unknown case
+        raise ValueError("case 3 has no sampled map; its pairs move by pair_gains")
+    return sys.m if case == 2 else 0
 
 
-def bound_case2(sys: HybridSystem) -> float:
-    """Strict bound 1 / max over *discrete* agents' d_ii; +inf when m = n
-    or no discrete agent has neighbours (continuous gains self-limit)."""
-    if sys.m == sys.n:
-        return math.inf
-    dmax = float(sys.graph.in_degrees()[sys.m:].max())
+def bound(sys: HybridSystem, case: int) -> float:
+    """Strict sampling-period bound.  Case 3: 1 / max_ij a_ij.  Cases 1-2:
+    1 / max d_ii over the agents that hold their input; +inf when none of
+    them has neighbours (a self-observing agent's gain self-limits)."""
+    if case == 3:
+        return 1.0 / float(sys.graph.vals.max())  # a graph has at least one edge
+    dmax = float(sys.graph.in_degrees()[_observers(sys, case):].max(initial=0.0))
     return 1.0 / dmax if dmax > 0 else math.inf
 
 
-def bound_case3(sys: HybridSystem) -> float:
-    """Strict bound 1 / max_ij a_ij."""
-    return 1.0 / float(sys.graph.vals.max())  # a graph has at least one edge
-
-
-def _require_h(sys: HybridSystem, bound: float, name: str) -> None:
-    if not sys.h < bound:
-        raise SamplingPeriodTooLarge(sys.h, bound, name)
+def _require_h(sys: HybridSystem, case: int) -> None:
+    limit = bound(sys, case)
+    if not sys.h < limit:
+        raise SamplingPeriodTooLarge(sys.h, limit, protocol(case).bound_name)
 
 
 def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
@@ -142,40 +143,44 @@ def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
     return np.where(rate > 0, -np.expm1(-safe * tau) / safe, tau)
 
 
+def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
+    """Read-only gains g_i(tau) of cases 1-2, by which agent i moves
+    x_i += g_i (A x - d x)_i by t_k + tau: tau if it holds its input,
+    (1 - e^{-d_ii tau}) / d_ii if it observes its own state.  The default tau = h
+    gives the diagonal of H; an array of offsets gives each agent a row.  Enforces
+    the h bound."""
+    _require_h(sys, case)
+    k, tau = _observers(sys, case), np.asarray(sys.h if tau is None else tau, dtype=float)
+    d = sys.graph.in_degrees().reshape(-1, *[1] * tau.ndim)
+    g = np.broadcast_to(tau, (sys.n, *tau.shape)).copy()
+    g[:k] = exp_gain(d[:k], tau)
+    g.setflags(write=False)
+    return g
+
+
 # --- iteration matrices ------------------------------------------------------
 
 
-def case1_matrix(sys: HybridSystem) -> StochasticMatrix:
-    """Sampled map I - h*L of the zero-order-hold protocol."""
-    _require_h(sys, bound_case1(sys), "bound_case1 (1/max d_ii)")
-    g = sys.graph
-    return _edge_form(1.0 - sys.h * g.in_degrees(), g.rows, g.cols, sys.h * g.vals)
+def case_matrix(
+    sys: HybridSystem, case: int, sched: GossipSchedule | None = None
+) -> StochasticMatrix:
+    """The case's one-step matrix: the sampled map I - H*L in cases 1-2, the
+    expected matrix E(Phi) of `sched` in case 3.
 
-
-def case2_gain(sys: HybridSystem) -> np.ndarray:
-    """Read-only diagonal of the gain matrix H: exponential gains on
-    continuous rows, plain h on discrete rows."""
-    _require_h(sys, bound_case2(sys), "bound_case2 (1/max discrete d_ii)")
-    diag = np.full(sys.n, sys.h)
-    diag[: sys.m] = exp_gain(sys.graph.in_degrees()[: sys.m], sys.h)
-    diag.setflags(write=False)
-    return diag
-
-
-def case2_matrix(sys: HybridSystem) -> StochasticMatrix:
-    """Sampled map I - H*L of the self-observing protocol.
-
-    Continuous rows are written with their exact closed form (diagonal
-    e^{-d_ii h}, off-diagonal gain * a_ij): the gain satisfies
-    gain * d_ii < 1 for any h, but evaluating 1 - gain * d_ii in floating
-    point can underflow to 0 when d_ii * h is large (the Remark-1 regime
-    where continuous in-degrees exceed 1/h).  A continuous row with d_ii = 0
-    comes out as an identity row.
+    Self-observing rows are written in their exact closed form (diagonal
+    e^{-d_ii h}, off-diagonal gain * a_ij): gain * d_ii < 1 for any h, but
+    1 - gain * d_ii in floating point can underflow to 0 when d_ii * h is
+    large (the Remark-1 regime, continuous in-degrees above 1/h).  Such a
+    row with d_ii = 0 comes out as an identity row.
     """
-    gains = case2_gain(sys)  # also enforces the h bound
-    m, g, d = sys.m, sys.graph, sys.graph.in_degrees()
-    diag = np.r_[np.exp(-d[:m] * sys.h), 1.0 - gains[m:] * d[m:]]
-    return _edge_form(diag, g.rows, g.cols, gains[g.rows] * g.vals)
+    if case == 3:
+        if sched is None:
+            raise ValueError("case 3 requires a gossip schedule")
+        return gossip_expected_matrix(sys, sched)
+    H = gains(sys, case)  # also enforces the h bound
+    k, g, d = _observers(sys, case), sys.graph, sys.graph.in_degrees()
+    diag = np.r_[np.exp(-d[:k] * sys.h), 1.0 - H[k:] * d[k:]]
+    return _edge_form(diag, g.rows, g.cols, H[g.rows] * g.vals)
 
 
 def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
@@ -191,7 +196,7 @@ def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
     """
     if sched.graph is not sys.graph:
         raise InvalidSchedule("the schedule was built on another graph than the system's")
-    _require_h(sys, bound_case3(sys), "bound_case3 (1/max a_ij)")
+    _require_h(sys, 3)
     i, j, a, h = sched.i, sched.j, sched.vals, sys.h
     both, mixed, held = -np.expm1(-2.0 * a * h) / 2.0, -np.expm1(-a * h), h * a
     # agents 0..m-1 are continuous, so a continuous j makes i continuous too
@@ -218,44 +223,20 @@ def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> Stochast
 class Protocol(NamedTuple):
     """What the paper fixes for one case."""
 
-    bound: Callable[[HybridSystem], float]  # strict sampling-period bound
-    matrix: Callable[[HybridSystem, GossipSchedule | None], StochasticMatrix]
+    bound_name: str  # the strict sampling-period bound, as an error names it
     # the consensus condition, (fails, holds): exactly one closed class of
     # the matrix, whose off-diagonal pattern is the interaction graph
     condition: tuple[str, str]
-    # f(d_ii, tau): continuous agent i moves x_i += f * (A x - d x)_i by
-    # t_k + tau; None for gossip, whose pairs move by `pair_gains`
-    dense_gain: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
-
-
-def _gossip_matrix(sys: HybridSystem, sched: GossipSchedule | None) -> StochasticMatrix:
-    if sched is None:
-        raise ValueError("case 3 requires a gossip schedule")
-    return gossip_expected_matrix(sys, sched)
 
 
 _SPANNING_TREE = ("graph has no directed spanning tree", "graph has a directed spanning tree")
 
-# The entries call the builders by their global names when called, so a
-# wrapper later bound to a module attribute (a tracer, a test spy) sees it.
 PROTOCOLS = {
-    1: Protocol(
-        lambda sys: bound_case1(sys),
-        lambda sys, sched: case1_matrix(sys),
-        _SPANNING_TREE,
-        lambda d, tau: tau,
-    ),
-    2: Protocol(
-        lambda sys: bound_case2(sys),
-        lambda sys, sched: case2_matrix(sys),
-        _SPANNING_TREE,
-        lambda d, tau: exp_gain(d, tau),
-    ),
+    1: Protocol("bound_case1 (1/max d_ii)", _SPANNING_TREE),
+    2: Protocol("bound_case2 (1/max discrete d_ii)", _SPANNING_TREE),
     3: Protocol(
-        lambda sys: bound_case3(sys),
-        lambda sys, sched: _gossip_matrix(sys, sched),
+        "bound_case3 (1/max a_ij)",
         ("scheduled edges do not connect the graph", "scheduled edges connect the graph"),
-        None,
     ),
 }
 

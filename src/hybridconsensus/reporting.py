@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import ConsensusVerdict
 from .config import KEYS, ExperimentConfig
 from .engine import Trajectory, dense_tau_grid
-from .protocols import PROTOCOLS, HybridSystem
+from .protocols import PROTOCOLS, HybridSystem, bound
 from .spectral import StochasticMatrix
 
 CSV_HEADER = "t,agent,value,kind,record"
@@ -108,7 +108,7 @@ def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
         "measured_final_disagreement": verdict.measured_final_disagreement,
         "converged": verdict.converged,
         "bounds": {
-            f"case{c}": _finite_or_none(spec.bound(cfg.system)) for c, spec in PROTOCOLS.items()
+            f"case{c}": _finite_or_none(bound(cfg.system, c)) for c in PROTOCOLS
         },
         "config": {
             **{key.name: getattr(cfg, key.name) for key in KEYS},

@@ -31,7 +31,7 @@ from hybridconsensus.errors import (
     SamplingPeriodTooLarge,
 )
 from hybridconsensus.graphs import strong_components
-from hybridconsensus.protocols import case2_gain, pair_gains
+from hybridconsensus.protocols import pair_gains
 
 
 class NotRankOne(Exception):
@@ -164,8 +164,9 @@ def case_matrix_dense(
 ) -> np.ndarray:
     """The case matrix as an n x n array built from the dense weights.  Cases
     1-2: g_i a_ij off the diagonal, and on it the closed form 1 - g_i d_ii
-    (e^{-d_ii h} on case 2's continuous rows).  Case 3: I plus every pair
-    gain, scattered by np.add.at in the order (i, i), (i, j), (j, j), (j, i).
+    (e^{-d_ii h} on case 2's continuous rows), with the gains g_i computed
+    here, not taken from the package.  Case 3: I plus every pair gain,
+    scattered by np.add.at in the order (i, i), (i, j), (j, j), (j, i).
     The package builds the same matrix from the edges, bit for bit."""
     if case == 3:
         i, j = sched.i, sched.j
@@ -174,7 +175,10 @@ def case_matrix_dense(
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
     d, m = sys.graph.in_degrees(), sys.m
-    gains = np.full(sys.n, sys.h) if case == 1 else case2_gain(sys)
+    gains = np.full(sys.n, sys.h)
+    if case == 2:  # (1 - e^{-d h}) / d on the continuous rows, its limit h where d = 0
+        c = np.flatnonzero(d[:m] > 0)
+        gains[c] = -np.expm1(-d[c] * sys.h) / d[c]
     M = gains[:, None] * dense(sys.graph)
     if case == 1:
         np.fill_diagonal(M, 1.0 - sys.h * d)
@@ -231,6 +235,7 @@ def sia_limit(
     Q = dense(P)
     for _ in range(max_iter):
         Q_next = Q @ Q
+        Q_next /= Q_next.sum(axis=1, keepdims=True)  # keeps the row sums from drifting off 1
         if np.max(np.abs(Q_next - Q)) < tol:
             spread = float(np.max(Q_next.max(axis=0) - Q_next.min(axis=0)))
             if spread < tol:

@@ -16,9 +16,8 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     RunConfig,
-    case1_matrix,
-    case2_gain,
-    case2_matrix,
+    case_matrix,
+    gains,
     gossip_expected_matrix,
     left_eigenvector,
     monte_carlo_mean,
@@ -71,7 +70,7 @@ def test_criterion_1_spectral_vs_dynamic_agreement():
         sys_ = HybridSystem(g, m=n // 2, h=h, x0=rng.uniform(-10, 10, n))
         L = laplacian(g)
         predicted = laplacian_left_null(L) @ sys_.x0
-        M = dense(case1_matrix(sys_))
+        M = dense(case_matrix(sys_, 1))
         x = np.array(sys_.x0)
         for _ in range(200):  # chunks of 2000 sampled steps
             for _ in range(2000):
@@ -106,11 +105,11 @@ def test_criterion_2_case2_gain_law():
         d = g.in_degrees()
         if any(d[i] > 1 / h for i in range(m)):
             saw_large_continuous_degree = True
-        P = case2_matrix(sys_)  # raises unless row-stochastic
+        P = case_matrix(sys_, 2)  # raises unless row-stochastic
         assert np.diag(dense(P)).min() > 0
         limit, nu = sia_limit(P)
         L = laplacian(g)
-        residual = float(np.max(np.abs(L.T @ (case2_gain(sys_) * nu.nu))))
+        residual = float(np.max(np.abs(L.T @ (gains(sys_, 2) * nu.nu))))
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-10
         # powers applied to x0 hit the predicted consensus value
@@ -133,9 +132,9 @@ def test_criterion_3_necessity_both_directions():
         h = 0.9 / g.in_degrees().max()
         sys_ = HybridSystem(g, m=n // 2, h=h, x0=np.zeros(n))
         with pytest.raises(NotRankOne):
-            sia_limit(case1_matrix(sys_))
+            sia_limit(case_matrix(sys_, 1))
         x = nonconsensus_witness(sys_)
-        M = dense(case1_matrix(sys_))
+        M = dense(case_matrix(sys_, 1))
         min_disagreement = np.inf
         for _ in range(10_000):
             x = M @ x
@@ -219,7 +218,7 @@ def test_criterion_6_endpoint_consistency():
             cap = d[m:].max() if (case == 2 and m < n) else d.max()
             h = rng.uniform(0.1, 0.9) / max(cap, 0.5)
             sys_ = HybridSystem(g, m=m, h=h, x0=rng.uniform(-1, 1, n))
-            M = dense((case1_matrix if case == 1 else case2_matrix)(sys_))
+            M = dense(case_matrix(sys_, case))
             cfg = RunConfig(steps=1, dense_per_step=int(rng.integers(1, 4)))
             states = simulate_deterministic(sys_, case, cfg).dense
             i = int(rng.integers(0, m))

@@ -8,7 +8,6 @@ from hybridconsensus import (
     HybridSystem,
     RunConfig,
     WeightedDigraph,
-    case1_matrix,
     gossip_expected_matrix,
     monte_carlo_mean,
     simulate_deterministic,

@@ -10,13 +10,10 @@ from hybridconsensus import (
     RunConfig,
     StochasticMatrix,
     WeightedDigraph,
-    bound_case1,
-    bound_case2,
-    bound_case3,
-    case1_matrix,
-    case2_gain,
-    case2_matrix,
+    bound,
+    case_matrix,
     check_stochastic,
+    gains,
     gossip_expected_matrix,
     left_eigenvector,
     read_edge_list,
@@ -45,7 +42,7 @@ class TestBounds:
         w = np.zeros((4, 4))
         w[0, 1:] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=0, h=0.1, x0=np.zeros(4))
-        assert bound_case1(sys) == pytest.approx(1 / 3)
+        assert bound(sys, 1) == pytest.approx(1 / 3)
 
     def test_case2_ignores_continuous_degrees(self):
         # continuous degrees {5,5,5}, discrete {1,2} -> bound 1/2
@@ -55,28 +52,28 @@ class TestBounds:
         w[3, 0] = 1.0
         w[4, 0] = w[4, 1] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=3, h=0.1, x0=np.zeros(5))
-        assert bound_case2(sys) == pytest.approx(0.5)
-        assert bound_case1(sys) == pytest.approx(0.2)
+        assert bound(sys, 2) == pytest.approx(0.5)
+        assert bound(sys, 1) == pytest.approx(0.2)
 
     def test_case3_unit_weights(self):
         sys = two_node()
-        assert bound_case3(sys) == pytest.approx(1.0)
+        assert bound(sys, 3) == pytest.approx(1.0)
 
     def test_pure_continuous_unbounded(self):
         sys = two_node(m=2)
-        assert bound_case2(sys) == math.inf
+        assert bound(sys, 2) == math.inf
 
 
 class TestCase1Matrix:
     def test_two_node_direct_substitution(self):
-        M = dense(case1_matrix(two_node(m=0)))
+        M = dense(case_matrix(two_node(m=0), 1))
         np.testing.assert_allclose(M, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
 
     def test_isolated_row_is_identity_row(self):
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 0] = 1.0  # agent 0 hears nobody
         sys = HybridSystem(WeightedDigraph(w), m=0, h=0.5, x0=np.zeros(3))
-        M = dense(case1_matrix(sys))
+        M = dense(case_matrix(sys, 1))
         np.testing.assert_array_equal(M[0], [1.0, 0.0, 0.0])
 
     def test_h_at_bound_rejected(self):
@@ -85,7 +82,7 @@ class TestCase1Matrix:
         w[1, 0] = 1.0
         sys = HybridSystem(WeightedDigraph(w), m=0, h=1.0, x0=np.zeros(2))
         with pytest.raises(SamplingPeriodTooLarge):
-            case1_matrix(sys)
+            case_matrix(sys, 1)
 
     def test_positive_diagonal_randomized(self):
         rng = np.random.default_rng(41)
@@ -93,26 +90,30 @@ class TestCase1Matrix:
             g = random_spanning_graph(rng, 6, extra=6)
             h = 0.9 / max(g.in_degrees().max(), 1e-9)
             sys = HybridSystem(g, m=3, h=h, x0=np.zeros(6))
-            M = dense(case1_matrix(sys))
+            M = dense(case_matrix(sys, 1))
             assert np.diag(M).min() > 0
 
 
 class TestCase2:
     def test_gain_unit_degree(self):
         sys = two_node(m=1)
-        gain = case2_gain(sys)
+        gain = gains(sys, 2)
         assert gain[0] == pytest.approx(1 - math.exp(-0.2))
         assert gain[0] == pytest.approx(0.1812692, abs=1e-7)
         assert gain[1] == 0.2
+
+    def test_gains_reject_gossip(self):
+        with pytest.raises(ValueError, match="no sampled map"):
+            gains(two_node(), 3)
 
     def test_gain_zero_degree_limit(self):
         w = np.zeros((2, 2))
         w[1, 0] = 1.0  # agent 0 (continuous) hears nobody
         sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(2))
-        assert case2_gain(sys)[0] == 0.2
+        assert gains(sys, 2)[0] == 0.2
 
     def test_matrix_direct_substitution(self):
-        M = dense(case2_matrix(two_node(m=1)))
+        M = dense(case_matrix(two_node(m=1), 2))
         e = math.exp(-0.2)
         np.testing.assert_allclose(M, [[e, 1 - e], [0.2, 0.8]], atol=1e-15)
 
@@ -123,14 +124,14 @@ class TestCase2:
             h = 0.9 / max(g.in_degrees().max(), 1e-9)
             sys = HybridSystem(g, m=0, h=h, x0=np.zeros(5))
             np.testing.assert_array_equal(
-                dense(case2_matrix(sys)), dense(case1_matrix(sys))
+                dense(case_matrix(sys, 2)), dense(case_matrix(sys, 1))
             )
 
     def test_all_continuous_rows_sum_to_one(self):
         rng = np.random.default_rng(47)
         g = random_spanning_graph(rng, 5, extra=6, w_lo=0.5, w_hi=3.0)
         sys = HybridSystem(g, m=5, h=10.0, x0=np.zeros(5))  # no discrete bound
-        M = dense(case2_matrix(sys))
+        M = dense(case_matrix(sys, 2))
         np.testing.assert_allclose(M.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_gain_below_min_of_h_and_inverse_degree(self):
@@ -139,7 +140,7 @@ class TestCase2:
             g = random_symmetric_connected(rng, 5)
             sys = HybridSystem(g, m=5, h=rng.uniform(0.05, 2.0), x0=np.zeros(5))
             d = g.in_degrees()
-            gain = case2_gain(sys)
+            gain = gains(sys, 2)
             for i in range(5):
                 if d[i] > 0:
                     assert gain[i] < min(sys.h, 1 / d[i])
@@ -166,7 +167,7 @@ class TestSampledMapWriter:
             g = weak_signed_graph(rng)
             sys = HybridSystem(g, m=int(rng.integers(0, g.n + 1)),
                                h=rng.uniform(0.05, 0.95) / g.in_degrees().max(), x0=np.zeros(g.n))
-            got = dense(case1_matrix(sys))
+            got = dense(case_matrix(sys, 1))
             want = dense(iteration_matrix(g, np.full(g.n, sys.h)))  # I - h*L
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -178,8 +179,8 @@ class TestSampledMapWriter:
             m = int(rng.integers(0, g.n + 1))
             h = rng.uniform(0.05, 0.95) / max(g.in_degrees()[m:].max(initial=0.0), 0.5)
             sys = HybridSystem(g, m=m, h=h, x0=np.zeros(g.n))
-            got = dense(case2_matrix(sys))
-            want = dense(iteration_matrix(g, case2_gain(sys)))
+            got = dense(case_matrix(sys, 2))
+            want = dense(iteration_matrix(g, gains(sys, 2)))
             assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
 
 
@@ -265,8 +266,8 @@ class TestHybridSystem:
         lambda: two_node().graph,
         two_node,
         lambda: GossipSchedule(two_node().graph, np.array([1.0])),
-        lambda: case1_matrix(two_node()),
-        lambda: left_eigenvector(case1_matrix(two_node())),
+        lambda: case_matrix(two_node(), 1),
+        lambda: left_eigenvector(case_matrix(two_node(), 1)),
         lambda: simulate_deterministic(two_node(), 1, RunConfig(steps=2)),
     ],
     ids=["WeightedDigraph", "HybridSystem", "GossipSchedule", "StochasticMatrix", "PerronVector",
@@ -301,7 +302,7 @@ def test_value_records_compare_and_hash_by_value():
     a, b, c = (ConsensusVerdict(True, "c", -0.25, None, done) for done in (False, False, True))
     assert a == b != c and len({a, b, c}) == 2
     p = PROTOCOLS[1]
-    q = Protocol(p.bound, p.matrix, p.condition, p.dense_gain)
+    q = Protocol(p.bound_name, p.condition)
     assert p == q != PROTOCOLS[2] and len({p, q, PROTOCOLS[2]}) == 2
     assert RunConfig(steps=3) == RunConfig(3, 10, 0, 1000) != RunConfig(steps=4)
     assert len({RunConfig(steps=3), RunConfig(steps=3, seed=0)}) == 1
@@ -371,7 +372,7 @@ class TestInterpolants:
                 g = random_spanning_graph(rng, 5, extra=5)
                 h = 0.9 / max(g.in_degrees().max(), 1e-9)
                 sys = HybridSystem(g, m=3, h=h, x0=np.zeros(5))
-                M = dense((case1_matrix if case == 1 else case2_matrix)(sys))
+                M = dense(case_matrix(sys, case))
                 x = rng.uniform(-1, 1, 5)
                 for i in range(3):
                     got = continuous_interpolant(case, sys, x, i, h)

@@ -17,7 +17,7 @@ from hybridconsensus import (
 )
 from hybridconsensus import cli, reporting
 from hybridconsensus.config import load_config
-from hybridconsensus.protocols import protocol
+from hybridconsensus.protocols import case_matrix
 from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
 from oracles import dense
 from conftest import PRESETS, reference_csv_lines
@@ -177,7 +177,7 @@ class TestMatrixOutput:
     def test_matches_per_entry_repr(self, tmp_path, capsys, name):
         path = self.case3_config(tmp_path) if name == "case3" else PRESETS / f"{name}.cfg"
         cfg = load_config(path)
-        entries = dense(protocol(cfg.case).matrix(cfg.system, cfg.sched))
+        entries = dense(case_matrix(cfg.system, cfg.case, cfg.sched))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
         assert cli.main(["matrix", str(path)]) == 0
         assert capsys.readouterr().out == want
