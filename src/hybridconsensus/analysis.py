@@ -31,23 +31,26 @@ def decide(
     exactly when P has one closed class: a directed spanning tree in cases
     1-2, scheduled edges that connect the graph in case 3.  That is when the
     left Perron vector nu of P is unique, and the predicted value is nu^T x0.
+    The class must also be aperiodic, or P's powers cycle: a positive
+    diagonal makes it so, unless e^{-d_ii h} underflows to 0 (Remark 1).
     """
     P = case_matrix(sys, case, sched)  # also enforces the h bound
     try:
-        nu = left_eigenvector(P).nu
+        perron = left_eigenvector(P)
     except DegenerateEigenspace:
-        nu = None
-    holds = protocol(case).condition[nu is not None]
+        perron = None
+    solvable = perron is not None and perron.period == 1
+    holds = protocol(case).condition[solvable]
+    if perron is not None and not solvable:
+        holds = f"the root class is periodic, with period {perron.period}"
     condition = f"{holds}; h = {sys.h} < bound = {bound(sys, case)}"
-    if nu is None:
-        return ConsensusVerdict(False, condition, None, None, False)
-    return ConsensusVerdict(True, condition, float(nu @ sys.x0), None, False)
+    value = float(perron.nu @ sys.x0) if solvable else None
+    return ConsensusVerdict(solvable, condition, value, None, False)
 
 
-def disagreement(traj: Trajectory, at: int = -1) -> float:
-    """max_i x_i - min_i x_i at a sampled instant (mean states for case 3)."""
-    x = traj.sample_states[at]
-    return float(x.max() - x.min())
+def disagreement(traj: Trajectory) -> float:
+    """max_i x_i - min_i x_i at the last sampled instant (mean states for case 3)."""
+    return float(np.ptp(traj.sample_states[-1]))
 
 
 def verify_run(

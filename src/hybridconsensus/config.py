@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .engine import RunConfig
-from .errors import DimensionMismatch, ParseError
+from .errors import ConsensusError, ParseError
 from .graphs import WeightedDigraph, content_lines, read_edge_list
 from .protocols import GossipSchedule, HybridSystem, protocol
 
@@ -133,7 +133,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise ValueError(f"probs is read only in case 3, got case {values['case']}")
     if values["x0"] == "paper":
         if graph.n != len(PAPER_X0):
-            raise DimensionMismatch(
+            raise ConsensusError(
                 f"the paper preset needs a {len(PAPER_X0)}-vertex graph, got n = {graph.n}"
             )
         values["x0"] = PAPER_X0
@@ -147,8 +147,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     # run's counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
                     seed=values["seed"], trials=values["trials"], min_trials=2 if gossip else 1)
-    if len(values["x0"]) != graph.n:
-        raise DimensionMismatch(f"x0 has length {len(values['x0'])}, graph has n = {graph.n}")
     system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"])
     sched = None
     if gossip:

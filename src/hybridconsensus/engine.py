@@ -20,7 +20,7 @@ from .spectral import _edge_product
 class RunConfig:
     """A run's counts.  Each has a floor, checked here for every caller;
     `min_trials` raises the trials floor (case 3's standard error needs two).
-    The class attributes are the defaults; two configs with equal counts are equal."""
+    The class attributes are the defaults."""
 
     dense_per_step, seed, trials = 10, 0, 1000
 
@@ -32,12 +32,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
         self.steps, self.dense_per_step = steps, dense_per_step
         self.seed, self.trials = seed, trials
-
-    def __eq__(self, other):
-        return type(other) is RunConfig and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
 
 class Trajectory:

@@ -1,53 +1,25 @@
-"""Exception hierarchy for the hybridconsensus package."""
+"""Exception types of the hybridconsensus package.
+
+A checked condition that fails raises `ConsensusError` with a message that
+names it; the CLI prints the message and exits 2.  `ParseError` marks an
+input it could not read, and exits 1.  The other two are the ones the
+package catches itself.
+"""
 
 
 class ConsensusError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InvalidGraph(ConsensusError):
-    """Adjacency weights violate the graph invariants (negative, non-finite,
-    nonzero diagonal, or no edge at all)."""
-
-
-class AsymmetricGraph(ConsensusError):
-    """An operation requiring an undirected graph received a_ij != a_ji."""
-
-
-class NotStochastic(ConsensusError):
-    """A matrix failed the row-stochasticity check."""
-
-    def __init__(self, row: int, residual: float):
-        self.row = row
-        self.residual = residual
-        super().__init__(f"row {row} violates stochasticity (residual {residual:.3e})")
-
-
-class DegenerateEigenspace(ConsensusError):
-    """The eigenvalue 1 is not simple: P has no single closed class."""
-
-
-class SamplingPeriodTooLarge(ConsensusError):
-    """The sampling period h violates the strict bound for the chosen case."""
-
-    def __init__(self, h: float, bound: float, bound_name: str):
-        self.h = h
-        self.bound = bound
-        self.bound_name = bound_name
-        super().__init__(f"h = {h} must be strictly below {bound_name} = {bound}")
-
-
-class InvalidSchedule(ConsensusError):
-    """Gossip probabilities that do not fit the graph, or a schedule on another graph."""
+    """A condition of the paper or of the input does not hold."""
 
 
 class ParseError(ConsensusError):
     """A graph or config file could not be parsed."""
 
 
-class DimensionMismatch(ConsensusError):
-    """Initial state length disagrees with the graph's vertex count."""
+class InvalidGraph(ConsensusError):
+    """Weights that are negative, non-finite, on the diagonal or all zero;
+    the edge-list reader makes it a ParseError naming the file."""
 
 
-class UnknownCase(ConsensusError):
-    """Case identifier outside {1, 2, 3}."""
+class DegenerateEigenspace(ConsensusError):
+    """The eigenvalue 1 is not simple: P has no single closed class, and the
+    verdict says consensus is not solvable."""

@@ -94,22 +94,29 @@ class WeightedDigraph:
 
 def strong_components(
     n: int, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(label, closed): the strong class of every vertex of the "listens
-    to" graph on vertices 0..n-1 with the edges rows[e] -> cols[e] (sorted
-    by row), and the labels of the closed classes, which no edge leaves.
-    A self-loop changes no strong class, so a matrix's entries, diagonal
-    included, may be passed as they are.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(label, closed, depth): the strong class of every vertex of the
+    "listens to" graph on vertices 0..n-1 with the edges rows[e] -> cols[e]
+    (sorted by row), the labels of the closed classes, which no edge leaves,
+    and each vertex's depth in the search forest.  A self-loop changes no
+    strong class, so a matrix's entries, diagonal included, may be passed as
+    they are.
+
+    A class's vertices span a subtree of the forest, so within a class the
+    depth counts the steps of a path along its own edges from the vertex it
+    was entered by.  The gcd of depth[i] + 1 - depth[j] over the class's
+    edges i -> j is then its period, the gcd of its cycle lengths.
 
     One iterative pass of Tarjan's algorithm (SIAM J. Comput. 1972), so no
     recursion however long the paths; O(n + e).
     """
     start, succ = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
-    index, low, label, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
+    index, low, label, depth, stack, work = [-1] * n, [0] * n, [-1] * n, [0] * n, [], []
     tick, count = itertools.count(), 0
 
     def enter(v: int) -> None:
         index[v] = low[v] = next(tick)
+        depth[v] = len(work)
         stack.append(v)
         work.append((v, iter(succ[start[v] : start[v + 1]])))
 
@@ -135,7 +142,7 @@ def strong_components(
     label = np.array(label, dtype=np.intp)
     closed = np.ones(count, dtype=bool)
     closed[label[rows][label[rows] != label[cols]]] = False
-    return label, np.flatnonzero(closed)
+    return label, np.flatnonzero(closed), np.array(depth, dtype=np.intp)
 
 
 # --- edge-list file format ---------------------------------------------------

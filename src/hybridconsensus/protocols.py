@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetricGraph, InvalidSchedule, SamplingPeriodTooLarge, UnknownCase
+from .errors import ConsensusError
 from .graphs import WeightedDigraph
 from .spectral import StochasticMatrix, _edge_form
 
@@ -42,14 +42,15 @@ class HybridSystem:
     sampling period and initial state, held as a read-only copy."""
 
     def __init__(self, graph: WeightedDigraph, m: int, h: float, x0: np.ndarray):
-        n = graph.n
+        n, x0 = graph.n, np.array(x0, dtype=float)
+        if x0.ndim != 1:
+            raise ValueError(f"x0 must be a vector, got shape {x0.shape}")
+        if len(x0) != n:
+            raise ConsensusError(f"x0 has length {len(x0)}, graph has n = {n}")
         if not 0 <= m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {m}")
         if not (h > 0 and math.isfinite(h)):
             raise ValueError(f"sampling period must be positive and finite, got {h}")
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must have length {n}, got shape {x0.shape}")
         finite = np.isfinite(x0)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -74,19 +75,19 @@ class GossipSchedule:
     def __init__(self, graph: WeightedDigraph, probs: np.ndarray):
         probs = np.array(probs, dtype=float)  # a copy, made read-only
         if not graph.is_symmetric:
-            raise AsymmetricGraph("gossip requires a symmetric graph")
+            raise ConsensusError("gossip requires a symmetric graph")
         upper = graph.rows < graph.cols
         if len(probs) != upper.sum():
-            raise InvalidSchedule(
+            raise ConsensusError(
                 f"probs must give one value for each of the graph's {upper.sum()} edges, "
                 f"got {len(probs)}"
             )
         # p in (0, 1]; the single-edge schedule necessarily has p = 1.  Both
         # tests are written so that NaN, which compares False, fails them.
         if not np.all((probs > 0) & (probs <= 1)):
-            raise InvalidSchedule("each probability must lie in (0, 1]")
+            raise ConsensusError("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
-            raise InvalidSchedule(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise ConsensusError(f"probabilities must sum to 1, got {probs.sum()!r}")
         self.graph, self.probs = graph, probs
         self.i, self.j, self.vals = graph.rows[upper], graph.cols[upper], graph.vals[upper]
         for a in (self.i, self.j, self.vals, probs):
@@ -131,7 +132,8 @@ def bound(sys: HybridSystem, case: int) -> float:
 def _require_h(sys: HybridSystem, case: int) -> None:
     limit = bound(sys, case)
     if not sys.h < limit:
-        raise SamplingPeriodTooLarge(sys.h, limit, protocol(case).bound_name)
+        name = protocol(case).bound_name
+        raise ConsensusError(f"h = {sys.h} must be strictly below {name} = {limit}")
 
 
 def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
@@ -191,11 +193,11 @@ def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
     continuous-continuous averages symmetrically with factor
     (1 - e^{-2a h})/2, continuous-discrete mixes factors 1 - e^{-a h} and
     h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint moves
-    only at t_{k+1}.  Raises InvalidSchedule for a schedule built on a graph
-    other than `sys.graph`, and enforces the case-3 h bound.
+    only at t_{k+1}.  Rejects a schedule built on a graph other than
+    `sys.graph`, and enforces the case-3 h bound.
     """
     if sched.graph is not sys.graph:
-        raise InvalidSchedule("the schedule was built on another graph than the system's")
+        raise ConsensusError("the schedule was built on another graph than the system's")
     _require_h(sys, 3)
     i, j, a, h = sched.i, sched.j, sched.vals, sys.h
     both, mixed, held = -np.expm1(-2.0 * a * h) / 2.0, -np.expm1(-a * h), h * a
@@ -244,5 +246,5 @@ PROTOCOLS = {
 def protocol(case: int) -> Protocol:
     """The case table's entry for `case`."""
     if case not in PROTOCOLS:
-        raise UnknownCase(f"case must be 1, 2 or 3, got {case}")
+        raise ConsensusError(f"case must be 1, 2 or 3, got {case}")
     return PROTOCOLS[case]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsensusError, DegenerateEigenspace, NotStochastic
+from .errors import ConsensusError, DegenerateEigenspace
 from .graphs import strong_components
 
 STOCHASTIC_TOL = 1e-12
@@ -39,11 +39,12 @@ class StochasticMatrix:
 
 
 class PerronVector:
-    """Normalized nonnegative left eigenvector `nu` for eigenvalue 1, and the
-    `residual` max-norm of P^T nu - nu."""
+    """Normalized nonnegative left eigenvector `nu` for eigenvalue 1, the
+    `residual` max-norm of P^T nu - nu, and the `period` of the root class:
+    P's powers converge only if it is 1."""
 
-    def __init__(self, nu: np.ndarray, residual: float):
-        self.nu, self.residual = nu, residual
+    def __init__(self, nu: np.ndarray, residual: float, period: int):
+        self.nu, self.residual, self.period = nu, residual, period
 
 
 def _edge_product(rows, cols, vals, x: np.ndarray) -> np.ndarray:
@@ -62,16 +63,16 @@ def _edge_form(diag, rows, cols, vals) -> StochasticMatrix:
     return check_stochastic(StochasticMatrix(rows[order], cols[order], vals[order]))
 
 
-def check_stochastic(P: StochasticMatrix, tol: float = STOCHASTIC_TOL) -> StochasticMatrix:
-    """`P` after verifying nonnegativity and unit row sums."""
+def check_stochastic(P: StochasticMatrix) -> StochasticMatrix:
+    """`P` after verifying nonnegativity and row sums within STOCHASTIC_TOL of 1."""
     negative = np.zeros(P.n, dtype=bool)
     negative[P.rows[P.vals < 0]] = True
     residual = np.abs(_edge_product(P.rows, P.cols, P.vals, np.ones(P.n)) - 1.0)
-    bad = np.flatnonzero(negative | ~(residual <= tol))  # a NaN residual fails too
+    bad = np.flatnonzero(negative | ~(residual <= STOCHASTIC_TOL))  # a NaN residual fails too
     if bad.size:
         row = int(bad[0])
-        least = np.min(P.vals[P.rows == row])
-        raise NotStochastic(row, float(least if negative[row] else residual[row]))
+        value = np.min(P.vals[P.rows == row]) if negative[row] else residual[row]
+        raise ConsensusError(f"row {row} violates stochasticity (residual {value:.3e})")
     for a in (P.rows, P.cols, P.vals):
         a.setflags(write=False)
     return P
@@ -103,11 +104,13 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     pattern is closed (else eigenvalue 1 is not simple), and ConsensusError
     unless the residual max |P^T nu - nu| is below NU_RESIDUAL_TOL.
     """
-    label, closed = strong_components(P.n, P.rows, P.cols)
+    label, closed, depth = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
         raise DegenerateEigenspace(f"{len(closed)} closed classes: eigenvalue 1 is not simple")
     root = np.flatnonzero(label == closed[0])
     inside = label[P.rows] == closed[0]  # every entry in a row of the closed root class
+    link = inside & (P.vals > 0)  # a diagonal kept at zero is no link
+    period = int(np.gcd.reduce(depth[P.rows[link]] + 1 - depth[P.cols[link]]))
     at = np.empty(P.n, dtype=np.intp)
     at[root] = np.arange(len(root))
     block = np.zeros((len(root), len(root)))  # P's root-class block, diagonal included
@@ -119,4 +122,4 @@ def left_eigenvector(P: StochasticMatrix) -> PerronVector:
     residual = float(np.max(np.abs(nu_p - nu)))
     if not residual < NU_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConsensusError(f"nu residual |P^T nu - nu| = {residual:.3e}")
-    return PerronVector(nu=nu, residual=residual)
+    return PerronVector(nu=nu, residual=residual, period=period)

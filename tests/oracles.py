@@ -23,13 +23,7 @@ from hybridconsensus import (
     check_stochastic,
 )
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
-from hybridconsensus.errors import (
-    AsymmetricGraph,
-    ConsensusError,
-    NotStochastic,
-    ParseError,
-    SamplingPeriodTooLarge,
-)
+from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import pair_gains
 
@@ -68,7 +62,7 @@ def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
     never hear each other, so disagreement stays at 1 forever.
     """
     g = sys.graph
-    label, closed = strong_components(g.n, g.rows, g.cols)
+    label, closed, _ = strong_components(g.n, g.rows, g.cols)
     if len(closed) < 2:
         raise ConsensusError("graph has a spanning tree; no witness exists")
     x0 = np.full(sys.n, 0.5)
@@ -138,7 +132,7 @@ def edge_form(matrix) -> StochasticMatrix:
     diagonal entry, zero or not."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotStochastic(-1, float("nan"))
+        raise ConsensusError("row -1 violates stochasticity (residual nan)")
     rows, cols = np.nonzero((m != 0) | np.eye(len(m), dtype=bool))
     order = np.lexsort((cols, rows == cols, rows))  # the diagonal last in each row
     rows, cols = rows[order], cols[order]
@@ -155,7 +149,8 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
     bad = np.nonzero((d > 0) & (gains * d >= 1.0))[0]
     if bad.size:
         i = int(bad[0])
-        raise SamplingPeriodTooLarge(float(gains[i]), 1.0 / float(d[i]), f"1/d_{i}{i}")
+        h, limit = float(gains[i]), 1.0 / float(d[i])
+        raise ConsensusError(f"h = {h} must be strictly below 1/d_{i}{i} = {limit}")
     return check_stochastic(edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph)))
 
 
@@ -207,7 +202,7 @@ def pair_gains_at(sys: HybridSystem, i, j, tau: float) -> np.ndarray:
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
     """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
     if not sys.graph.is_symmetric:
-        raise AsymmetricGraph("gossip requires a symmetric graph")
+        raise ConsensusError("gossip requires a symmetric graph")
     if not 0 <= i < j < sys.n:
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
     if dense(sys.graph)[i, j] <= 0:
@@ -242,7 +237,7 @@ def sia_limit(
                 nu = Q_next.mean(axis=0)
                 nu = nu / nu.sum()
                 residual = float(np.max(np.abs(dense(P).T @ nu - nu)))
-                return Q_next, PerronVector(nu=nu, residual=residual)
+                return Q_next, PerronVector(nu=nu, residual=residual, period=1)
             raise NotRankOne(
                 f"powers converged but rows disagree (column spread {spread:.3e})"
             )
@@ -255,7 +250,7 @@ def exact_nu(P: StochasticMatrix) -> list[Fraction]:
     it stands for, and GTH runs on P's root class with exact sums, products
     and quotients.  GTH reads only off-diagonal entries, so this is the exact
     nu of the matrix whose diagonal is 1 minus the rest of its row."""
-    label, closed = strong_components(P.n, P.rows, P.cols)
+    label, closed, _ = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
         raise ConsensusError(f"{len(closed)} closed classes: nu is not unique")
     root = np.flatnonzero(label == closed[0]).tolist()
@@ -280,6 +275,19 @@ def exact_nu(P: StochasticMatrix) -> list[Fraction]:
     for v, p in zip(root, pi):
         nu[v] = p / sum(pi)
     return nu
+
+
+def period_by_powers(P: StochasticMatrix, cls: np.ndarray) -> int:
+    """The period of the strong class `cls` of P: the gcd of the lengths of its
+    cycles.  Each simple cycle is at most len(cls) long and shows as a nonzero
+    diagonal entry of that power of the class's 0-1 block."""
+    a = (dense(P)[np.ix_(cls, cls)] > 0).astype(int)
+    walks, period = np.eye(len(cls), dtype=int), 0
+    for k in range(1, len(cls) + 1):
+        walks = np.minimum(walks @ a, 1)
+        if walks.diagonal().any():
+            period = math.gcd(period, k)
+    return period
 
 
 # --- intra-sample closed forms ------------------------------------------------

@@ -16,7 +16,7 @@ from hybridconsensus import (
 )
 from hybridconsensus import graphs, spectral
 from hybridconsensus.cli import main
-from hybridconsensus.errors import ConsensusError, InvalidSchedule, SamplingPeriodTooLarge, UnknownCase
+from hybridconsensus.errors import ConsensusError
 from oracles import nonconsensus_witness
 from conftest import (
     random_spanning_graph,
@@ -24,6 +24,9 @@ from conftest import (
     random_symmetric_connected,
     undirected_ring_with_chord,
 )
+
+# h = 2.0 on undirected_ring_with_chord(), whose largest in-degree is 3
+BOUND_CASE1 = r"^h = 2\.0 must be strictly below bound_case1 \(1/max d_ii\) = 0\.3333333333333333$"
 
 
 class TestDecide:
@@ -55,7 +58,7 @@ class TestDecide:
     def test_h_over_bound_raises(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=2.0, x0=np.zeros(6))
-        with pytest.raises(SamplingPeriodTooLarge):
+        with pytest.raises(ConsensusError, match=BOUND_CASE1):
             decide(sys, 1)
 
     def test_case2_gain_identity_holds(self):
@@ -87,7 +90,7 @@ class TestDecide:
     def test_unknown_case(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
-        with pytest.raises(UnknownCase):
+        with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 4$"):
             decide(sys, 4)
 
     def test_partial_gossip_schedule_not_solvable(self):
@@ -106,9 +109,9 @@ class TestDecide:
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
         other = GossipSchedule.uniform(random_symmetric_connected(np.random.default_rng(5), 6))
-        with pytest.raises(InvalidSchedule, match="another graph"):
+        with pytest.raises(ConsensusError, match="another graph"):
             decide(sys, 3, other)
-        with pytest.raises(InvalidSchedule, match="another graph"):
+        with pytest.raises(ConsensusError, match="another graph"):
             monte_carlo_mean(sys, other, RunConfig(steps=5, trials=2))
 
     def test_one_strong_components_pass(self, monkeypatch):
@@ -191,13 +194,13 @@ class TestDisagreement:
         g = undirected_ring_with_chord(3)
         sys = HybridSystem(g, m=0, h=0.1, x0=np.ones(3) * 2.5)
         traj = simulate_deterministic(sys, 1, RunConfig(steps=2, dense_per_step=0))
-        assert disagreement(traj, 0) == 0.0
+        assert disagreement(traj) == 0.0
 
     def test_spread_three_values(self):
         g = undirected_ring_with_chord(3)
         sys = HybridSystem(g, m=0, h=0.1, x0=np.array([0.0, 1.0, 3.0]))
-        traj = simulate_deterministic(sys, 1, RunConfig(steps=1, dense_per_step=0))
-        assert disagreement(traj, 0) == 3.0
+        traj = simulate_deterministic(sys, 1, RunConfig(steps=0, dense_per_step=0))
+        assert disagreement(traj) == 3.0
 
     def test_monotone_nonincreasing_along_trajectory(self):
         rng = np.random.default_rng(113)
@@ -206,7 +209,8 @@ class TestDisagreement:
             h = 0.9 / g.in_degrees().max()
             sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
             traj = simulate_deterministic(sys, case, RunConfig(steps=80, dense_per_step=0))
-            vals = [disagreement(traj, k) for k in range(81)]
+            vals = np.ptp(traj.sample_states, axis=1)
+            assert disagreement(traj) == vals[-1]
             assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -260,5 +264,5 @@ class TestVerifyRun:
     def test_h_over_bound_propagates(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=2.0, x0=np.zeros(6))
-        with pytest.raises(SamplingPeriodTooLarge):
+        with pytest.raises(ConsensusError, match=BOUND_CASE1):
             verify_run(sys, 1, RunConfig(steps=10))

@@ -8,7 +8,7 @@ import pytest
 from hybridconsensus.cli import main
 from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, load_config
 from hybridconsensus.engine import RunConfig
-from hybridconsensus.errors import AsymmetricGraph, DimensionMismatch, InvalidSchedule, ParseError, UnknownCase
+from hybridconsensus.errors import ConsensusError, ParseError
 
 
 def run_cli(*args, env=None):
@@ -66,19 +66,19 @@ class TestLoadConfig:
 
     def test_paper_preset_requires_six_vertices(self, tmp_path):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConsensusError, match="^the paper preset needs a 6-vertex graph, got n = 2$"):
             load_config(write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 1\nx0 = paper\n"))
 
     def test_x0_length_mismatch(self, tmp_path):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConsensusError, match="^x0 has length 3, graph has n = 2$"):
             load_config(
                 write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1, 2\n")
             )
 
     def test_unknown_case(self, tmp_path):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
-        with pytest.raises(UnknownCase):
+        with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 9$"):
             load_config(write_cfg(tmp_path, "graph = g.edges\ncase = 9\nm = 1\nh = 0.1\nx0 = 0, 1\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -253,15 +253,36 @@ class TestCliExitCodes:
         "preset, flags, message",
         [
             ("example1.cfg", ["--case", "3"], "error: gossip requires a symmetric graph\n"),
-            ("example3.cfg", ["--probs", "0.5,0.5"], "the graph's 7 edges, got 2\n"),
+            ("example3.cfg", ["--probs", "0.5,0.5"],
+             "error: probs must give one value for each of the graph's 7 edges, got 2\n"),
             # outside case 3 no schedule is built, so a probs list went unchecked
             ("example1.cfg", ["--probs", "0.5,0.5"], "probs is read only in case 3, got case 1\n"),
             ("example1.cfg", ["--probs", "0.2,-1"], "probs is read only in case 3, got case 1\n"),
             ("example3.cfg", ["--probs", "0.5,0.5", "--case", "1"],
              "probs is read only in case 3, got case 1\n"),
+            ("example3.cfg", ["--probs", "0.5,0.5,0,0,0,0,0"],
+             "error: each probability must lie in (0, 1]\n"),
+            # the probabilities sum to 1 + 8e-13, within the schedule's 1e-12, and the three
+            # at agent 0 times h a = 1 - 2^-53 exceed 1, so E(Phi)'s diagonal there is negative
+            ("example3.cfg", ["--m", "0", "--h", "0.9999999999999999", "--probs",
+                              ",".join(["0.3333333333336"] * 3 + ["1e-300"] * 4)],
+             "error: row 0 violates stochasticity (residual -7.998e-13)\n"),
+            ("example1.cfg", ["--h", "2"],
+             "error: h = 2.0 must be strictly below bound_case1 (1/max d_ii) = 1.0\n"),
+            ("example1.cfg", ["--case", "2", "--h", "2"],
+             "error: h = 2.0 must be strictly below bound_case2 (1/max discrete d_ii) = 1.0\n"),
+            ("example3.cfg", ["--h", "2"],
+             "error: h = 2.0 must be strictly below bound_case3 (1/max a_ij) = 1.0\n"),
+            ("example1.cfg", ["--x0", "1,2,3", "--h", "0.2"],
+             "error: x0 has length 3, graph has n = 6\n"),
+            ("../tests/data/weighted.cfg", ["--x0", "paper"],
+             "error: the paper preset needs a 6-vertex graph, got n = 40\n"),
+            ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
         ],
         ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
-             "probs-in-case3-file-run-as-case1"],
+             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "not-stochastic",
+             "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
+             "paper-x0-length", "unknown-case"],
     )
     def test_case3_input_is_condition_error(self, presets_dir, capsys, preset, flags, message):
         assert main(["check", str(presets_dir / preset), *flags]) == 2
@@ -272,8 +293,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "preset, overrides, error",
         [
-            ("example1.cfg", {"case": "3"}, AsymmetricGraph),
-            ("example3.cfg", {"probs": "0.5,0.5"}, InvalidSchedule),
+            ("example1.cfg", {"case": "3"}, ConsensusError),
+            ("example3.cfg", {"probs": "0.5,0.5"}, ConsensusError),
             ("example1.cfg", {"m": "7"}, ValueError),
             ("example1.cfg", {"x0": "1,nan,2,3,4,5", "h": "0.2"}, ValueError),
         ],
@@ -361,6 +382,19 @@ class TestCliSubcommands:
         short_run = ["--steps", "80", "--trials", "50", "--tol", "1.0", "--out", str(tmp_path)]
         assert main(["run", cfg, *short_run]) == 0
         strict_json((tmp_path / "verdict.json").read_text())
+
+    def test_periodic_root_class_is_not_solvable(self, tmp_path, presets_dir, capsys):
+        # Remark 1: every e^{-d_ii h} underflows to 0, so P is the 6-cycle permutation.
+        # `check` called it solvable, and `run` exited 2 when the states never met
+        args = [str(presets_dir / "example1.cfg"), "--case", "2", "--m", "6", "--h", "1e3"]
+        assert main(["check", *args]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert not verdict["solvable"] and verdict["predicted_value"] is None
+        assert verdict["condition"] == "the root class is periodic, with period 6; h = 1000.0 < bound = inf"
+        assert main(["run", *args, "--out", str(tmp_path)]) == 0
+        ran = json.loads((tmp_path / "verdict.json").read_text())
+        assert ran["condition"] == verdict["condition"]
+        assert not ran["solvable"] and not ran["converged"]
 
     def test_matrix_dump_is_row_stochastic(self, presets_dir):
         result = run_cli("matrix", str(presets_dir / "example1.cfg"))

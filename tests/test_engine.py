@@ -14,7 +14,7 @@ from hybridconsensus import (
 )
 from hybridconsensus.config import load_config
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
-from hybridconsensus.errors import UnknownCase
+from hybridconsensus.errors import ConsensusError
 from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, simulate_gossip
 from conftest import PRESETS, random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
@@ -37,7 +37,7 @@ class TestSimulateDeterministic:
         np.testing.assert_allclose(traj.sample_states[1], [0.2, 0.8], atol=1e-15)
 
     def test_unknown_case_raises(self):
-        with pytest.raises(UnknownCase):
+        with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 7$"):
             simulate_deterministic(two_node(), 7, RunConfig(steps=1))
         with pytest.raises(ValueError, match="gossip schedule"):
             simulate_deterministic(two_node(), 3, RunConfig(steps=1))

@@ -43,6 +43,7 @@ from oracles import (
     edge_form,
     exact_nu,
     has_spanning_tree,
+    period_by_powers,
     read_edge_list_by_line,
     sia_limit,
     simulate_gossip,
@@ -114,7 +115,7 @@ def assert_nu_within_c_n_eps_of_exact(P, nu: np.ndarray) -> None:
 
 # The directed 6-ring g1, all agents continuous, with d_ii * h = 1e3: every
 # e^{-d_ii h} underflows, so P is the 6-cycle permutation, one closed class
-# that is periodic, and P's powers have no limit.
+# that is periodic, and P's powers have no limit: consensus is not solvable.
 REMARK1_RING = (
     HybridSystem(read_edge_list(PRESETS / "g1.edges"), m=6, h=1e3, x0=PAPER_X0), 2, None)
 
@@ -124,8 +125,11 @@ REMARK1_RING = (
 def test_solvable_iff_one_closed_class_iff_sia(drawn):
     sys, case, sched = drawn
     solvable = decide(sys, case, sched).solvable
-    assert solvable == (len(closed_classes(dense(sys.graph))) == 1)
     P = case_matrix(sys, case, sched)
+    roots = closed_classes(dense(sys.graph))
+    # the one closed class must be aperiodic too: in the Remark-1 regime
+    # e^{-d_ii h} can underflow to 0 on every row of it
+    assert solvable == (len(roots) == 1 and period_by_powers(P, roots[0]) == 1)
     if not loops_in_every_closed_class(P):
         return
     try:
@@ -140,7 +144,7 @@ def test_solvable_iff_one_closed_class_iff_sia(drawn):
 def test_classes_match_csgraph(drawn):
     g = drawn[0].graph
     w = dense(g)
-    label, closed = strong_components(g.n, g.rows, g.cols)
+    label, closed, _ = strong_components(g.n, g.rows, g.cols)
     _, want = connected_components(csr_matrix(w > 0), directed=True, connection="strong")
     # the same partition: labels correspond one to one
     pairs = set(zip(label.tolist(), want.tolist()))
@@ -167,6 +171,8 @@ def test_root_class_nu(drawn):
     else:
         assert_nu_within_c_n_eps_of_exact(P, nu)
     value = decide(sys, case, sched).predicted_value
+    if value is None:  # the root class is periodic (Remark 1): there is no consensus value
+        return
     slack = 1e-12 * np.max(np.abs(sys.x0))
     assert sys.x0.min() - slack <= value <= sys.x0.max() + slack
 
@@ -346,7 +352,7 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
     P = case_matrix(sys, case, sched)
     assert np.array_equal(bits(dense(P)), bits(case_matrix_dense(sys, case, sched)))
 
-    label, closed = strong_components(P.n, P.rows, P.cols)
+    label, closed, _ = strong_components(P.n, P.rows, P.cols)
     roots = closed_classes(dense(P))
     assert sorted(np.flatnonzero(label == c).tolist() for c in closed) == sorted(
         r.tolist() for r in roots)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hybridconsensus import check_stochastic, left_eigenvector
-from hybridconsensus.errors import DegenerateEigenspace, NotStochastic
-from oracles import NotRankOne, edge_form, sia_limit
+from hybridconsensus.errors import ConsensusError, DegenerateEigenspace
+from hybridconsensus.graphs import strong_components
+from oracles import NotRankOne, edge_form, period_by_powers, sia_limit
 
 
 def P(entries):
@@ -18,36 +19,29 @@ class TestCheckStochastic:
         P([[0.5, 0.5], [0.2, 0.8]])
 
     def test_rejects_bad_row_sum(self):
-        with pytest.raises(NotStochastic) as exc:
+        with pytest.raises(ConsensusError, match=r"^row 0 violates stochasticity \(residual 1\.000e-01\)$"):
             P([[0.5, 0.6], [0.2, 0.8]])
-        assert exc.value.row == 0
-        assert exc.value.residual == pytest.approx(0.1)
 
     def test_rejects_negative_entry(self):
-        with pytest.raises(NotStochastic):
+        with pytest.raises(ConsensusError, match=r"^row 0 violates stochasticity \(residual -2\.000e-01\)$"):
             P([[1.2, -0.2], [0.2, 0.8]])
 
     def test_reports_first_of_two_bad_rows(self):
-        with pytest.raises(NotStochastic) as exc:
+        with pytest.raises(ConsensusError, match=r"^row 1 violates stochasticity \(residual 1\.000e-01\)$"):
             P([[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [-0.1, 0.6, 0.5]])
-        assert exc.value.row == 1
-        assert exc.value.residual == pytest.approx(0.1)
 
     @pytest.mark.parametrize("where", [(1, 1), (1, 0)], ids=["diagonal", "off-diagonal"])
     def test_rejects_nan_entry(self, where):
         # every comparison with NaN is false, so a NaN row used to pass
         entries = np.array([[1.0, 0.0], [0.5, 0.5]])
         entries[where] = np.nan
-        with pytest.raises(NotStochastic) as exc:
+        with pytest.raises(ConsensusError, match=r"^row 1 violates stochasticity \(residual nan\)$"):
             P(entries)
-        assert exc.value.row == 1
 
     def test_negative_entry_reported_before_row_sum(self):
         # row 0 is negative and off-sum: its min entry is the reported value
-        with pytest.raises(NotStochastic) as exc:
+        with pytest.raises(ConsensusError, match=r"^row 0 violates stochasticity \(residual -3\.000e-01\)$"):
             P([[0.9, -0.3], [0.2, 0.8]])
-        assert exc.value.row == 0
-        assert exc.value.residual == -0.3
 
 
 class TestSiaLimit:
@@ -92,6 +86,30 @@ class TestLeftEigenvector:
         with pytest.raises(DegenerateEigenspace):
             left_eigenvector(P(np.eye(2)))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_root_class_period_by_powers(self, seed):
+        # the first r vertices are in layers 0..d-1 and mostly link one layer on,
+        # so the root class's period divides d; few root rows keep a diagonal, and
+        # the transient rows, which hear the class, all do
+        rng = np.random.default_rng(seed)
+        periods = set()
+        for _ in range(60):
+            r, t, d = int(rng.integers(2, 12)), int(rng.integers(0, 4)), int(rng.integers(1, 5))
+            layer = rng.permutation(np.arange(r) % d)
+            step = (layer[None, :] - layer[:, None]) % d == 1 % d
+            a = rng.random((r + t, r + t)) < rng.uniform(0.3, 0.9)
+            a[:r] &= np.pad(step | (rng.random((r, r)) < 0.02), ((0, 0), (0, t)))
+            np.fill_diagonal(a, rng.random(r + t) < np.r_[np.full(r, 0.05), np.ones(t)])
+            a[r:, rng.integers(0, r)] = True
+            label, closed, _ = strong_components(r + t, *np.nonzero(a))
+            if len(closed) != 1 or np.any(label[:r] != closed[0]):
+                continue  # the first r vertices are not one closed class
+            M = P(a / a.sum(axis=1, keepdims=True))
+            want = period_by_powers(M, np.arange(r))
+            assert left_eigenvector(M).period == want
+            periods.add(want)
+        assert len(periods) > 2
+
 
 class TestOracleAgreement:
     def test_power_limit_matches_null_space(self):
@@ -112,4 +130,4 @@ class TestOracleAgreement:
         prod = np.eye(5)
         for _ in range(20):
             prod = prod @ M
-            check_stochastic(edge_form(prod), tol=1e-10)
+            check_stochastic(edge_form(prod))
