@@ -12,17 +12,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analysis": ("ConsensusVerdict", "decide", "disagreement", "verify_run"),
+    "analysis": ("ConsensusVerdict", "decide", "verify_run"),
     "engine": ("RunConfig", "Trajectory", "monte_carlo_mean", "simulate_deterministic"),
     "graphs": ("WeightedDigraph", "read_edge_list"),
-    "protocols": (
-        "GossipSchedule",
-        "HybridSystem",
-        "bound",
-        "case_matrix",
-        "gains",
-        "gossip_expected_matrix",
-    ),
+    "protocols": ("GossipSchedule", "HybridSystem", "bound", "case_matrix", "gains"),
     "spectral": ("PerronVector", "StochasticMatrix", "check_stochastic", "left_eigenvector"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

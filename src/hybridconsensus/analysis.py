@@ -48,11 +48,6 @@ def decide(
     return ConsensusVerdict(solvable, condition, value, None, False)
 
 
-def disagreement(traj: Trajectory) -> float:
-    """max_i x_i - min_i x_i at the last sampled instant (mean states for case 3)."""
-    return float(np.ptp(traj.sample_states[-1]))
-
-
 def verify_run(
     sys: HybridSystem,
     case: int,
@@ -62,16 +57,17 @@ def verify_run(
 ) -> tuple[ConsensusVerdict, Trajectory]:
     """Simulate and fill in the measured half of the verdict.
 
-    converged requires both the final disagreement and the per-agent gap to
-    the predicted value to fall below tol, widened by the 4-standard-error
-    band of the Monte-Carlo mean (zero in cases 1-2).
+    The measured disagreement is max_i x_i - min_i x_i at the last sampled
+    instant (of the mean states in case 3).  converged requires both it and
+    the per-agent gap to the predicted value to fall below tol, widened by
+    the 4-standard-error band of the Monte-Carlo mean (zero in cases 1-2).
     """
     verdict = decide(sys, case, sched)
     if case == 3:
         traj = monte_carlo_mean(sys, sched, cfg)
     else:
         traj = simulate_deterministic(sys, case, cfg)
-    measured = disagreement(traj)
+    measured = float(np.ptp(traj.sample_states[-1]))
     converged = False
     if verdict.solvable:
         slack = 4.0 * traj.stderr[-1]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .engine import RunConfig
 from .errors import ConsensusError, ParseError
-from .graphs import WeightedDigraph, content_lines, read_edge_list
+from .graphs import content_lines, read_edge_list
 from .protocols import GossipSchedule, HybridSystem, protocol
 
 PAPER_X0 = (-13.0, 14.0, 3.0, -9.0, -3.0, 6.0)
@@ -60,13 +60,13 @@ def _key(parse, default=MISSING, *, help: str):
 @dataclass
 class ExperimentConfig:
     """A loaded experiment.  Every field from `graph` on is a config key,
-    with the key's default (none: required), its parser and its help."""
+    with the key's default (none: required), its parser and its help.  The
+    graph read from the file `graph` names is `system.graph`."""
 
-    graph_path: Path  # the file the `graph` key names; `graph` holds the graph read from it
     system: HybridSystem
     sched: GossipSchedule | None  # case 3 only
     run: RunConfig
-    graph: WeightedDigraph = _key(str, help="edge-list file, relative to the config")
+    graph: str = _key(str, help="edge-list file, relative to the config")  # then resolved
     case: int = _key(int, help="1, 2 or 3")
     m: int = _key(int, help="number of continuous-time agents (the first m)")
     h: float = _key(float, None, help=f"sampling period ({PAPER_H} with x0 = paper)")
@@ -124,10 +124,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise ParseError(f"unknown config keys: {unknown}")
     values = {key.name: _value(key, pairs) for key in KEYS}
 
-    graph_path = (path.parent / values["graph"]).resolve()
-    if not graph_path.is_file():
-        raise FileNotFoundError(graph_path)
-    graph = values["graph"] = read_edge_list(graph_path)
+    edges = (path.parent / values["graph"]).resolve()
+    if not edges.is_file():
+        raise FileNotFoundError(edges)
+    values["graph"], graph = str(edges), read_edge_list(edges)
     protocol(values["case"])  # rejects an unknown case
     if values["probs"] != "uniform" and values["case"] != 3:  # no schedule would check it
         raise ValueError(f"probs is read only in case 3, got case {values['case']}")
@@ -152,4 +152,4 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     if gossip:
         probs = values["probs"]
         sched = GossipSchedule.uniform(graph) if probs == "uniform" else GossipSchedule(graph, probs)
-    return ExperimentConfig(graph_path=graph_path, system=system, sched=sched, run=run, **values)
+    return ExperimentConfig(system=system, sched=sched, run=run, **values)

@@ -39,10 +39,8 @@ class Trajectory:
     Case 3 gives the mean over trials, with its standard error and no dense
     states; cases 1-2 give one run, whose standard error is zero."""
 
-    def __init__(self, sample_times: np.ndarray, sample_states: np.ndarray, dense: np.ndarray,
-                 stderr: np.ndarray):
-        self.sample_times = sample_times  # (K+1,)
-        self.sample_states = sample_states  # (K+1, n)
+    def __init__(self, sample_states: np.ndarray, dense: np.ndarray, stderr: np.ndarray):
+        self.sample_states = sample_states  # (K+1, n): state k at t_k = k*h
         self.dense = dense  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
         self.stderr = stderr  # (K+1, n) standard error of the mean over trials
 
@@ -71,7 +69,6 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
     dense = (1 - s) * states[:-1, :m, None]
     dense += s * states[1:, :m, None]
     return Trajectory(
-        sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=states,
         dense=dense,
         stderr=np.broadcast_to(0.0, states.shape),  # read-only zeros, no memory
@@ -111,7 +108,6 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
         mean[k] = x.mean(axis=0)
         stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     return Trajectory(
-        sample_times=np.arange(cfg.steps + 1) * sys.h,
         sample_states=mean,
         dense=np.empty((cfg.steps, sys.m, 0)),
         stderr=stderr,

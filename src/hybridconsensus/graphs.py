@@ -10,8 +10,8 @@ two closed classes never hear each other and so witness that consensus
 fails.
 
 A graph is held as its edges alone: the positive entries sorted by row,
-then column, and the in-degrees.  The edge-list reader builds it from its
-entries; an n x n weights array is read off into entries first.
+then column, and the in-degrees.  It is built from those entries, as the
+edge-list reader does; no n x n array is made.
 """
 
 from __future__ import annotations
@@ -31,26 +31,20 @@ _BLOCK = 2**17
 
 
 class WeightedDigraph:
-    """Nonnegative n x n adjacency structure: the positive entries `vals` at
-    (`rows`, `cols`), sorted by row, then column, and the in-degrees, all
-    read-only arrays.  `weights` is constructor input only."""
+    """Nonnegative n x n adjacency structure: the weights `vals` at (`rows`,
+    `cols`), given sorted by row, then column, each pair once.  Zero weights
+    are no edge and are dropped; the positive entries and the in-degrees
+    d_ii = sum_j a_ij are held as read-only arrays."""
 
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
-            raise InvalidGraph(f"weights must be a square matrix, got shape {w.shape}")
-        at = np.flatnonzero(w != 0)
-        self._adopt(np.zeros(w.shape[0]), *np.divmod(at, w.shape[0]), w.ravel()[at])
-
-    @classmethod
-    def _from_entries(cls, degrees, rows, cols, vals) -> WeightedDigraph:
-        """The graph with weights `vals` at (`rows`, `cols`), sorted by row, then
-        column, no pair twice; `degrees`, n zeros, receives the in-degrees."""
-        g = cls.__new__(cls)
-        g._adopt(degrees, rows, cols, vals)
-        return g
-
-    def _adopt(self, degrees, rows, cols, vals):
+    def __init__(self, n: int, rows, cols, vals):
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise InvalidGraph(f"vertex indices must lie in 0..{n - 1}")
+        rises = rows[1:] > rows[:-1]  # a later row, or the same row and a later column
+        rises |= (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])
+        if not rises.all():
+            raise InvalidGraph("entries must be sorted by row, then column, each pair once")
         keep = vals != 0  # NaN included, -0.0 not
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if not np.all(np.isfinite(vals)):
@@ -64,7 +58,7 @@ class WeightedDigraph:
         # numpy's pairwise row sums, bit for bit the dense array's: `bounds` prints
         # 1/max d_ii, whose last bit a sum in entry order can change.  The rows with
         # entries fill one dense buffer of _BLOCK numbers a few at a time.
-        n, (filled, slot) = len(degrees), np.unique(rows, return_inverse=True)
+        degrees, (filled, slot) = np.zeros(n), np.unique(rows, return_inverse=True)
         step = max(1, _BLOCK // n)
         block = np.zeros((min(step, len(filled)), n))
         for lo in range(0, len(filled), step):
@@ -75,11 +69,7 @@ class WeightedDigraph:
             block[at] = 0.0
         for a in (rows, cols, vals, degrees):
             a.setflags(write=False)
-        self.n, self.rows, self.cols, self.vals, self._in_degrees = n, rows, cols, vals, degrees
-
-    def in_degrees(self) -> np.ndarray:
-        """d_ii = sum_j a_ij for every vertex (read-only, computed once)."""
-        return self._in_degrees
+        self.n, self.rows, self.cols, self.vals, self.in_degrees = n, rows, cols, vals, degrees
 
     @cached_property
     def is_symmetric(self) -> bool:
@@ -178,24 +168,20 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     """
     path = Path(path)
     lines = content_lines(path)
-    lineno, line = next(lines, (None, ""))
-    if lineno is None:
+    header, line = next(lines, (None, ""))
+    if header is None:
         raise ParseError(f"{path}: missing 'n <count>' header")
     parts = line.split()
     if len(parts) != 2 or parts[0] != "n":
-        raise ParseError(f"{path}:{lineno}: expected header 'n <count>'")
+        raise ParseError(f"{path}:{header}: expected header 'n <count>'")
     try:
         n = int(parts[1])
     except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad vertex count") from exc
+        raise ParseError(f"{path}:{header}: bad vertex count") from exc
     if n < 1:
-        raise ParseError(f"{path}:{lineno}: vertex count must be positive")
+        raise ParseError(f"{path}:{header}: vertex count must be positive")
     if n > np.iinfo(np.intp).max // n:  # the sort key row * n + column below would overflow
-        raise ParseError(f"{path}:{lineno}: no room for {n} vertices: n * n overflows an index")
-    try:
-        degrees = np.zeros(n)
-    except MemoryError as exc:
-        raise ParseError(f"{path}:{lineno}: no room for {n} vertices: {exc}") from exc
+        raise ParseError(f"{path}:{header}: no room for {n} vertices: n * n overflows an index")
 
     keys, weights, linenos, error = [], [], [], None
     for lineno, text in lines:
@@ -226,6 +212,8 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     if error:
         raise ParseError(f"{path}:{lineno}: {error}")
     try:
-        return WeightedDigraph._from_entries(degrees, rows, cols, vals)
+        return WeightedDigraph(n, rows, cols, vals)
     except InvalidGraph as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise ParseError(f"{path}:{header}: no room for {n} vertices: {exc}") from exc

@@ -11,8 +11,8 @@ agents share the sampling grid t_k = k*h.
   the two cases apart.
 * Case 3: randomized gossip on a symmetric graph; at each t_k one of its
   edges (i, j), drawn with probability p_ij, interacts through a pair
-  matrix Phi_ij, whose gains `pair_gains` gives; the builder returns their
-  expected matrix E(Phi).
+  matrix Phi_ij, whose gains `pair_gains` gives; `case_matrix` returns
+  their expected matrix E(Phi).
 
 `case_matrix` writes the off-diagonal entries from the graph's edges, and
 the diagonal; `spectral` folds the two into its edge form and checks the
@@ -87,7 +87,7 @@ class GossipSchedule:
         if not np.all((probs > 0) & (probs <= 1)):
             raise ConsensusError("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
-            raise ConsensusError(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise ConsensusError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
         self.graph, self.probs = graph, probs
         self.i, self.j, self.vals = graph.rows[upper], graph.cols[upper], graph.vals[upper]
         for a in (self.i, self.j, self.vals, probs):
@@ -125,7 +125,7 @@ def bound(sys: HybridSystem, case: int) -> float:
     them has neighbours (a self-observing agent's gain self-limits)."""
     if case == 3:
         return 1.0 / float(sys.graph.vals.max())  # a graph has at least one edge
-    dmax = float(sys.graph.in_degrees()[_observers(sys, case):].max(initial=0.0))
+    dmax = float(sys.graph.in_degrees[_observers(sys, case):].max(initial=0.0))
     return 1.0 / dmax if dmax > 0 else math.inf
 
 
@@ -153,7 +153,7 @@ def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
     the h bound."""
     _require_h(sys, case)
     k, tau = _observers(sys, case), np.asarray(sys.h if tau is None else tau, dtype=float)
-    d = sys.graph.in_degrees().reshape(-1, *[1] * tau.ndim)
+    d = sys.graph.in_degrees.reshape(-1, *[1] * tau.ndim)
     g = np.broadcast_to(tau, (sys.n, *tau.shape)).copy()
     g[:k] = exp_gain(d[:k], tau)
     g.setflags(write=False)
@@ -169,6 +169,10 @@ def case_matrix(
     """The case's one-step matrix: the sampled map I - H*L in cases 1-2, the
     expected matrix E(Phi) of `sched` in case 3.
 
+    E(Phi) = I + sum_ij p_ij (Phi_ij - I) is written from the pair gains:
+    p_ij g_i at (i, j), p_ij g_j at (j, i).  Its diagonal accumulates from 1
+    in edge order, the i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j.
+
     Self-observing rows are written in their exact closed form (diagonal
     e^{-d_ii h}, off-diagonal gain * a_ij): gain * d_ii < 1 for any h, but
     1 - gain * d_ii in floating point can underflow to 0 when d_ii * h is
@@ -178,9 +182,13 @@ def case_matrix(
     if case == 3:
         if sched is None:
             raise ValueError("case 3 requires a gossip schedule")
-        return gossip_expected_matrix(sys, sched)
+        rows, cols = np.r_[sched.i, sched.j], np.r_[sched.j, sched.i]
+        vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
+        diag = np.ones(sys.n)
+        np.add.at(diag, rows, -vals)
+        return _edge_form(diag, rows, cols, vals)
     H = gains(sys, case)  # also enforces the h bound
-    k, g, d = _observers(sys, case), sys.graph, sys.graph.in_degrees()
+    k, g, d = _observers(sys, case), sys.graph, sys.graph.in_degrees
     diag = np.r_[np.exp(-d[:k] * sys.h), 1.0 - H[k:] * d[k:]]
     return _edge_form(diag, g.rows, g.cols, H[g.rows] * g.vals)
 
@@ -205,18 +213,6 @@ def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
     gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))
     gj = np.where(j < sys.m, both, held)
     return np.stack([gi, gj], axis=1)
-
-
-def gossip_expected_matrix(sys: HybridSystem, sched: GossipSchedule) -> StochasticMatrix:
-    """Probability-weighted mean of the pair matrices, E(Phi) = I + sum_ij
-    p_ij (Phi_ij - I), in edge form from the pair gains: p_ij g_i at (i, j),
-    p_ij g_j at (j, i).  The diagonal accumulates from 1 in edge order, the
-    i-ends' -p_ij g_i first, then the j-ends' -p_ij g_j."""
-    rows, cols = np.r_[sched.i, sched.j], np.r_[sched.j, sched.i]
-    vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
-    diag = np.ones(sys.n)
-    np.add.at(diag, rows, -vals)
-    return _edge_form(diag, rows, cols, vals)
 
 
 # --- the case table -----------------------------------------------------------

@@ -52,7 +52,7 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     A block holds whole steps: step k is the n sample rows at t_k, then the
     dense rows of interval k at t_k + tau, agent by agent; the last step has
     sample rows only.  Agent ids are 1-based; case 3 gives mean states, no dense rows."""
-    states, times, dense = traj.sample_states, traj.sample_times, traj.dense
+    states, dense = traj.sample_states, traj.dense
     (K, m, d), n, taus = dense.shape, sys.n, dense_tau_grid(sys.h, dense.shape[2])
     agents = [f",{i + 1}," for i in range(n)]
     agent = agents + [a for a in agents[:m] for _ in range(d)]  # one step's rows
@@ -62,10 +62,10 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     per_block = max(1, BLOCK_ROWS // len(agent))
     for k0 in range(0, K, per_block):
         k = np.arange(k0, min(k0 + per_block, K))
-        t = np.repeat(_strs(times[k])[:, None], len(agent), 1)
+        t = np.repeat(_strs(k * sys.h)[:, None], len(agent), 1)  # t_k = k*h
         t[:, n:] = np.tile(_strs(k[:, None] * sys.h + taus), m)  # k*h + tau
         yield _rows(t, agent, np.hstack([states[k], dense[k].reshape(len(k), m * d)]), end_nl)
-    yield _rows(np.repeat(_strs(times[K:]), n), agents, states[K:], ends)
+    yield _rows(np.repeat(_strs(np.array([K * sys.h])), n), agents, states[K:], ends)
 
 
 def _rows(t: np.ndarray, agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
@@ -110,10 +110,7 @@ def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
         "bounds": {
             f"case{c}": _finite_or_none(bound(cfg.system, c)) for c in PROTOCOLS
         },
-        "config": {
-            **{key.name: getattr(cfg, key.name) for key in KEYS},
-            "graph": str(cfg.graph_path),
-        },
+        "config": {key.name: getattr(cfg, key.name) for key in KEYS},
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hybridconsensus import WeightedDigraph
 from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.reporting import CSV_HEADER
+from oracles import digraph
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -20,7 +21,7 @@ def ring_graph(n: int = 6) -> WeightedDigraph:
     w = np.zeros((n, n))
     for i in range(n):
         w[i, (i - 1) % n] = 1.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 def undirected_ring_with_chord(n: int = 6) -> WeightedDigraph:
@@ -30,7 +31,7 @@ def undirected_ring_with_chord(n: int = 6) -> WeightedDigraph:
         w[i, (i - 1) % n] = w[(i - 1) % n, i] = 1.0
     if n > 3:
         w[0, 3] = w[3, 0] = 1.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 def random_spanning_graph(rng: np.random.Generator, n: int, extra: int = 0,
@@ -50,7 +51,7 @@ def random_spanning_graph(rng: np.random.Generator, n: int, extra: int = 0,
             w[i, j] = rng.uniform(w_lo, w_hi)
     if not np.any(w > 0):  # all tree draws hit weight 0
         w[1, 0] = 1.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 def random_split_graph(rng: np.random.Generator, n: int) -> WeightedDigraph:
@@ -74,7 +75,7 @@ def random_split_graph(rng: np.random.Generator, n: int) -> WeightedDigraph:
         w[1, 0] = 1.0
     if not np.any(w[cut:, cut:] > 0):
         w[n - 1, cut] = 1.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 def random_symmetric_connected(rng: np.random.Generator, n: int,
@@ -88,7 +89,7 @@ def random_symmetric_connected(rng: np.random.Generator, n: int,
         i, j = rng.integers(0, n, size=2)
         if i != j:
             w[i, j] = w[j, i] = rng.uniform(w_lo, w_hi)
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 def reference_csv_lines(sys, traj) -> list[str]:
@@ -98,9 +99,9 @@ def reference_csv_lines(sys, traj) -> list[str]:
     states, dense = traj.sample_states, traj.dense.tolist()
     taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
     kinds = ["continuous" if i < sys.m else "discrete" for i in range(sys.n)]
-    for k, (t, row) in enumerate(zip(traj.sample_times.tolist(), states.tolist())):
+    for k, row in enumerate(states.tolist()):
         for agent, value in enumerate(row):
-            lines.append(f"{t!r},{agent + 1},{value!r},{kinds[agent]},sample")
+            lines.append(f"{k * sys.h!r},{agent + 1},{value!r},{kinds[agent]},sample")
         if k < len(dense):
             for agent, values in enumerate(dense[k]):
                 for tau, value in zip(taus, values):

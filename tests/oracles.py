@@ -44,9 +44,16 @@ def dense(g: WeightedDigraph | StochasticMatrix) -> np.ndarray:
     return a
 
 
+def digraph(w: np.ndarray) -> WeightedDigraph:
+    """The graph whose n x n weights are `w`, built from its nonzero entries:
+    the inverse of `dense`."""
+    rows, cols = np.nonzero(w)
+    return WeightedDigraph(len(w), rows, cols, w[rows, cols])
+
+
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """L = D - A, D = diag(row sums)."""
-    return np.diag(g.in_degrees()) - dense(g)
+    return np.diag(g.in_degrees) - dense(g)
 
 
 def has_spanning_tree(g: WeightedDigraph) -> bool:
@@ -143,7 +150,7 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
     """I - diag(gains) * L for gains 0 < h_i < 1/d_ii (h_i arbitrary positive
     when d_ii = 0); stochastic with positive diagonal by construction."""
     gains = np.asarray(gains, dtype=float)
-    d = graph.in_degrees()
+    d = graph.in_degrees
     if np.any(gains <= 0):
         raise ValueError("gains must be positive")
     bad = np.nonzero((d > 0) & (gains * d >= 1.0))[0]
@@ -169,7 +176,7 @@ def case_matrix_dense(
         expected = np.eye(sys.n)
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
-    d, m = sys.graph.in_degrees(), sys.m
+    d, m = sys.graph.in_degrees, sys.m
     gains = np.full(sys.n, sys.h)
     if case == 2:  # (1 - e^{-d h}) / d on the continuous rows, its limit h where d = 0
         c = np.flatnonzero(d[:m] > 0)
@@ -379,5 +386,4 @@ def simulate_gossip(
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
                     between[k, end, col] = x[end] + g * (x[other] - x[end])
-    times = np.arange(cfg.steps + 1) * sys.h
-    return Trajectory(times, states, between, np.broadcast_to(0.0, states.shape)), drawn
+    return Trajectory(states, between, np.broadcast_to(0.0, states.shape)), drawn

@@ -9,7 +9,6 @@ from hybridconsensus import (
     RunConfig,
     WeightedDigraph,
     decide,
-    disagreement,
     monte_carlo_mean,
     simulate_deterministic,
     verify_run,
@@ -17,7 +16,7 @@ from hybridconsensus import (
 from hybridconsensus import graphs, spectral
 from hybridconsensus.cli import main
 from hybridconsensus.errors import ConsensusError
-from oracles import nonconsensus_witness
+from oracles import digraph, nonconsensus_witness
 from conftest import (
     random_spanning_graph,
     random_split_graph,
@@ -42,7 +41,7 @@ class TestDecide:
         w = np.zeros((3, 3))
         w[1, 0] = 1.0  # agent 1 hears agent 0
         w[2, 1] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=0, h=0.5, x0=np.array([7.0, 0.0, -2.0]))
+        sys = HybridSystem(digraph(w), m=0, h=0.5, x0=np.array([7.0, 0.0, -2.0]))
         verdict = decide(sys, 1)
         assert verdict.solvable
         assert verdict.predicted_value == pytest.approx(7.0, abs=1e-9)
@@ -50,7 +49,7 @@ class TestDecide:
     def test_disconnected_not_solvable(self):
         rng = np.random.default_rng(107)
         g = random_split_graph(rng, 6)
-        sys = HybridSystem(g, m=0, h=0.1 / g.in_degrees().max(), x0=np.zeros(6))
+        sys = HybridSystem(g, m=0, h=0.1 / g.in_degrees.max(), x0=np.zeros(6))
         verdict = decide(sys, 1)
         assert not verdict.solvable
         assert verdict.predicted_value is None
@@ -65,7 +64,7 @@ class TestDecide:
         rng = np.random.default_rng(109)
         for _ in range(10):
             g = random_spanning_graph(rng, 6, extra=6, w_lo=0.2)
-            dmax_discrete = max(g.in_degrees()[3:].max(), 1e-9)
+            dmax_discrete = max(g.in_degrees[3:].max(), 1e-9)
             sys = HybridSystem(g, m=3, h=0.8 / dmax_discrete, x0=rng.uniform(-1, 1, 6))
             decide(sys, 2)  # raises internally if L^T H nu residual >= 1e-10
 
@@ -98,7 +97,7 @@ class TestDecide:
         # schedule on the subgraph of those two edges: two closed classes
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=2, h=0.1, x0=np.arange(4.0))
+        sys = HybridSystem(digraph(w), m=2, h=0.1, x0=np.arange(4.0))
         sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
         verdict = decide(sys, 3, sched)
         assert not verdict.solvable and verdict.predicted_value is None
@@ -157,7 +156,7 @@ def two_cliques_with_bridge(eps: float) -> WeightedDigraph:
         w[lo : lo + 4, lo : lo + 4] = 1.0
     np.fill_diagonal(w, 0.0)
     w[3, 4] = w[4, 3] = eps
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 class TestWeakBridge:
@@ -182,7 +181,7 @@ class TestWeakBridge:
     @pytest.mark.parametrize("eps", [1e-12, 1e-17])
     def test_weak_self_observing_pair(self, eps):
         # L^T H nu = 0 with H = h I + O(eps h^2): nu = (2, 1) / 3 + O(eps h)
-        g = WeightedDigraph(np.array([[0.0, eps], [2.0 * eps, 0.0]]))
+        g = digraph(np.array([[0.0, eps], [2.0 * eps, 0.0]]))
         sys = HybridSystem(g, m=2, h=0.1, x0=np.array([0.0, 1.0]))
         verdict = decide(sys, 2)
         assert verdict.solvable
@@ -194,23 +193,23 @@ class TestDisagreement:
         g = undirected_ring_with_chord(3)
         sys = HybridSystem(g, m=0, h=0.1, x0=np.ones(3) * 2.5)
         traj = simulate_deterministic(sys, 1, RunConfig(steps=2, dense_per_step=0))
-        assert disagreement(traj) == 0.0
+        assert np.ptp(traj.sample_states[-1]) == 0.0
 
     def test_spread_three_values(self):
         g = undirected_ring_with_chord(3)
         sys = HybridSystem(g, m=0, h=0.1, x0=np.array([0.0, 1.0, 3.0]))
         traj = simulate_deterministic(sys, 1, RunConfig(steps=0, dense_per_step=0))
-        assert disagreement(traj) == 3.0
+        assert np.ptp(traj.sample_states[-1]) == 3.0
 
     def test_monotone_nonincreasing_along_trajectory(self):
         rng = np.random.default_rng(113)
         for case in (1, 2):
             g = random_spanning_graph(rng, 6, extra=5, w_lo=0.2)
-            h = 0.9 / g.in_degrees().max()
+            h = 0.9 / g.in_degrees.max()
             sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
             traj = simulate_deterministic(sys, case, RunConfig(steps=80, dense_per_step=0))
             vals = np.ptp(traj.sample_states, axis=1)
-            assert disagreement(traj) == vals[-1]
+            assert np.ptp(traj.sample_states[-1]) == vals[-1]
             assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -218,16 +217,16 @@ class TestWitness:
     def test_witness_keeps_disagreement(self):
         rng = np.random.default_rng(127)
         g = random_split_graph(rng, 7)
-        sys = HybridSystem(g, m=3, h=0.5 / g.in_degrees().max(), x0=np.zeros(7))
+        sys = HybridSystem(g, m=3, h=0.5 / g.in_degrees.max(), x0=np.zeros(7))
         x0 = nonconsensus_witness(sys)
         sys2 = HybridSystem(g, m=3, h=sys.h, x0=x0)
         traj = simulate_deterministic(sys2, 1, RunConfig(steps=500, dense_per_step=0))
-        assert disagreement(traj) >= 1.0 - 1e-9
+        assert np.ptp(traj.sample_states[-1]) >= 1.0 - 1e-9
 
     def test_no_witness_with_spanning_tree(self):
         rng = np.random.default_rng(131)
         g = random_spanning_graph(rng, 6, extra=4, w_lo=0.2)
-        sys = HybridSystem(g, m=0, h=0.5 / g.in_degrees().max(), x0=np.zeros(6))
+        sys = HybridSystem(g, m=0, h=0.5 / g.in_degrees.max(), x0=np.zeros(6))
         with pytest.raises(ConsensusError):
             nonconsensus_witness(sys)
 
@@ -236,7 +235,7 @@ class TestVerifyRun:
     def test_end_to_end_against_spectral_oracle(self):
         rng = np.random.default_rng(137)
         g = random_spanning_graph(rng, 6, extra=8, w_lo=0.3)
-        h = 0.9 / g.in_degrees().max()
+        h = 0.9 / g.in_degrees.max()
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
         verdict, traj = verify_run(sys, 1, RunConfig(steps=4000, dense_per_step=0), tol=1e-8)
         assert verdict.solvable and verdict.converged
@@ -246,7 +245,7 @@ class TestVerifyRun:
     def test_unsolvable_never_converges(self):
         rng = np.random.default_rng(139)
         g = random_split_graph(rng, 6)
-        sys = HybridSystem(g, m=2, h=0.5 / g.in_degrees().max(), x0=rng.uniform(-1, 1, 6))
+        sys = HybridSystem(g, m=2, h=0.5 / g.in_degrees.max(), x0=rng.uniform(-1, 1, 6))
         verdict, _ = verify_run(sys, 1, RunConfig(steps=200, dense_per_step=0))
         assert not verdict.solvable and not verdict.converged
 

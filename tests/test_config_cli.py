@@ -62,7 +62,8 @@ class TestLoadConfig:
         cfg = load_config(presets_dir / "example1.cfg")
         np.testing.assert_array_equal(cfg.x0, PAPER_X0)
         assert cfg.h == PAPER_H
-        assert cfg.graph.n == 6
+        assert cfg.system.graph.n == 6
+        assert cfg.graph == str((presets_dir / "g1.edges").resolve())  # the key, resolved
 
     def test_paper_preset_requires_six_vertices(self, tmp_path):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
@@ -108,7 +109,7 @@ class TestLoadConfig:
         (tmp_path / "g.edges").write_bytes(BOM + SMALL_GRAPH.encode())
         path = tmp_path / "exp.cfg"
         path.write_bytes(BOM + SMALL_CFG.encode())
-        assert load_config(path).graph.n == 2
+        assert load_config(path).system.graph.n == 2
         path.write_bytes(BOM + SMALL_CFG.encode() + NOT_UTF8)
         with pytest.raises(ParseError, match=r"exp\.cfg:6: not UTF-8 text"):
             load_config(path)
@@ -262,6 +263,9 @@ class TestCliExitCodes:
              "probs is read only in case 3, got case 1\n"),
             ("example3.cfg", ["--probs", "0.5,0.5,0,0,0,0,0"],
              "error: each probability must lie in (0, 1]\n"),
+            # a numpy scalar's repr printed "got np.float64(0.7)" under numpy 2
+            ("example3.cfg", ["--probs", ",".join(["0.1"] * 7)],
+             "error: probabilities must sum to 1, got 0.7\n"),
             # the probabilities sum to 1 + 8e-13, within the schedule's 1e-12, and the three
             # at agent 0 times h a = 1 - 2^-53 exceed 1, so E(Phi)'s diagonal there is negative
             ("example3.cfg", ["--m", "0", "--h", "0.9999999999999999", "--probs",
@@ -280,7 +284,7 @@ class TestCliExitCodes:
             ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
         ],
         ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
-             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "not-stochastic",
+             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "probs-sum", "not-stochastic",
              "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
              "paper-x0-length", "unknown-case"],
     )

@@ -7,22 +7,22 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     RunConfig,
-    WeightedDigraph,
-    gossip_expected_matrix,
+    case_matrix,
     monte_carlo_mean,
     simulate_deterministic,
 )
 from hybridconsensus.config import load_config
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import ConsensusError
-from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, simulate_gossip
+from hybridconsensus.reporting import trajectory_csv_blocks
+from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, gossip_pair_matrix, simulate_gossip
 from conftest import PRESETS, random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
 def two_node(m=0, h=0.2, x0=(0.0, 1.0)):
-    g = WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0))
 
 
@@ -43,13 +43,17 @@ class TestSimulateDeterministic:
             simulate_deterministic(two_node(), 3, RunConfig(steps=1))
 
     def test_sample_grid_spacing(self):
-        traj = simulate_deterministic(two_node(h=0.25), 1, RunConfig(steps=4))
-        np.testing.assert_allclose(np.diff(traj.sample_times), 0.25)
+        # a trajectory holds no times: sample k is written at t_k = k*h
+        sys = two_node(h=0.25)
+        traj = simulate_deterministic(sys, 1, RunConfig(steps=4))
+        rows = [line.split(",") for line in "".join(trajectory_csv_blocks(sys, traj)).splitlines()[1:]]
+        times = [float(row[0]) for row in rows if row[4] == "sample"]
+        assert times == [0.25 * k for k in range(5) for _ in range(2)]
 
     def test_consensus_on_spanning_tree_graph(self):
         rng = np.random.default_rng(83)
         g = random_spanning_graph(rng, 6, extra=6, w_lo=0.3)
-        h = 0.9 / g.in_degrees().max()
+        h = 0.9 / g.in_degrees.max()
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
         traj = simulate_deterministic(sys, 1, RunConfig(steps=3000, dense_per_step=0))
         final = traj.sample_states[-1]
@@ -59,7 +63,7 @@ class TestSimulateDeterministic:
         # the last dense record of each interval is the next sampled state, bit for bit
         rng = np.random.default_rng(89)
         g = random_spanning_graph(rng, 5, extra=4, w_lo=0.2)
-        h = 0.5 / g.in_degrees().max()
+        h = 0.5 / g.in_degrees.max()
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-2, 2, 5))
         runs = [(sys, case, RunConfig(steps=5, dense_per_step=4)) for case in (1, 2)]
         for path in (PRESETS / "example1.cfg", PRESETS / "example2.cfg", DATA / "weighted.cfg"):
@@ -82,7 +86,7 @@ class TestSimulateDeterministic:
     def test_translation_invariance(self):
         rng = np.random.default_rng(97)
         g = random_spanning_graph(rng, 5, extra=4)
-        h = 0.9 / max(g.in_degrees().max(), 1e-9)
+        h = 0.9 / max(g.in_degrees.max(), 1e-9)
         x0 = rng.uniform(-1, 1, 5)
         base = HybridSystem(g, m=2, h=h, x0=x0)
         shifted = HybridSystem(g, m=2, h=h, x0=x0 + 3.0)
@@ -100,8 +104,8 @@ class TestSimulateDeterministic:
             x0 = rng.uniform(-10, 10, n)
             for case in (1, 2):
                 # case 2 also takes continuous in-degrees past 1/h (Remark 1)
-                h = 0.9 / max(g.in_degrees()[m:].max(initial=0.0) if case == 2 else
-                              g.in_degrees().max(), 1.0)
+                h = 0.9 / max(g.in_degrees[m:].max(initial=0.0) if case == 2 else
+                              g.in_degrees.max(), 1.0)
                 sys = HybridSystem(g, m=min(m, n), h=h, x0=x0)
                 traj = simulate_deterministic(sys, case, RunConfig(steps=6, dense_per_step=3))
                 taus = dense_tau_grid(h, 3)
@@ -113,7 +117,7 @@ class TestSimulateDeterministic:
         rng = np.random.default_rng(101)
         for case in (1, 2):
             g = random_spanning_graph(rng, 6, extra=8, w_lo=0.2)
-            h = 0.9 / g.in_degrees().max()
+            h = 0.9 / g.in_degrees.max()
             sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-4, 4, 6))
             traj = simulate_deterministic(sys, case, RunConfig(steps=100, dense_per_step=0))
             states = traj.sample_states
@@ -236,7 +240,7 @@ class TestMonteCarlo:
         sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5))
         sched = GossipSchedule.uniform(g)
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=40, trials=800, seed=13))
-        E = dense(gossip_expected_matrix(sys, sched))
+        E = dense(case_matrix(sys, 3, sched))
         predicted = np.array(sys.x0)
         hits = total = 0
         for k in range(1, 41):

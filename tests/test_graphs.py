@@ -9,51 +9,75 @@ from hybridconsensus import (
     WeightedDigraph,
     read_edge_list,
 )
+from hybridconsensus import graphs
 from hybridconsensus.errors import ConsensusError, InvalidGraph, ParseError
 from hybridconsensus.graphs import strong_components
-from oracles import dense, edge_form, has_spanning_tree, laplacian, write_edge_list
+from oracles import dense, digraph, edge_form, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 
 
 class TestConstruction:
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidGraph):
-            WeightedDigraph(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        with pytest.raises(InvalidGraph, match="^weights must be nonnegative$"):
+            WeightedDigraph(2, [0, 1], [1, 0], [-1.0, 1.0])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidGraph):
-            WeightedDigraph(np.array([[0.5, 1.0], [1.0, 0.0]]))
+        with pytest.raises(InvalidGraph, match=r"^self-loops \(nonzero diagonal\) are not allowed$"):
+            WeightedDigraph(2, [0, 0, 1], [0, 1, 0], [0.5, 1.0, 1.0])
 
     def test_rejects_edgeless(self):
-        with pytest.raises(InvalidGraph):
-            WeightedDigraph(np.zeros((3, 3)))
+        with pytest.raises(InvalidGraph, match="^graph must contain at least one edge$"):
+            WeightedDigraph(3, [], [], [])
 
     def test_rejects_nan_and_inf(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidGraph):
-                WeightedDigraph(np.array([[0.0, bad], [1.0, 0.0]]))
+            with pytest.raises(InvalidGraph, match="^weights must be finite$"):
+                WeightedDigraph(2, [0, 1], [1, 0], [bad, 1.0])
+
+    @pytest.mark.parametrize("rows, cols", [([0, 2], [1, 0]), ([0, 1], [1, -1])], ids=["n", "-1"])
+    def test_rejects_index_out_of_range(self, rows, cols):
+        with pytest.raises(InvalidGraph, match=r"^vertex indices must lie in 0\.\.1$"):
+            WeightedDigraph(2, rows, cols, [1.0, 1.0])
+
+    @pytest.mark.parametrize("rows, cols", [([1, 0], [0, 1]), ([0, 0, 1], [2, 1, 0])], ids=["rows", "columns"])
+    def test_rejects_entries_out_of_order(self, rows, cols):
+        with pytest.raises(InvalidGraph, match=r"^entries must be sorted by row, then column, each pair once$"):
+            WeightedDigraph(3, rows, cols, np.ones(len(rows)))
+
+    def test_rejects_repeated_pair(self):
+        # a zero weight repeats its pair too: the order is checked before zeros are dropped
+        for vals in ([1.0, 2.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(InvalidGraph, match="each pair once$"):
+                WeightedDigraph(2, [0, 0, 1], [1, 1, 0], vals)
 
     def test_negative_zero_is_no_edge(self):
-        # -0.0 entries are no edges, and a row of them has in-degree +0.0
-        g = WeightedDigraph(np.array([[-0.0, 1.0], [-0.0, -0.0]]))
+        # -0.0 entries, diagonal ones included, are no edges, and a row of
+        # them has in-degree +0.0
+        g = WeightedDigraph(2, [0, 0, 1, 1], [0, 1, 0, 1], [-0.0, 1.0, -0.0, -0.0])
         assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0], [1], [1.0])
-        assert np.array_equal(g.in_degrees().view(np.int64), np.array([1.0, 0.0]).view(np.int64))
+        assert np.array_equal(g.in_degrees.view(np.int64), np.array([1.0, 0.0]).view(np.int64))
 
     def test_weights_immutable(self):
         g = ring_graph(3)
-        for stored in (g.rows, g.cols, g.vals, g.in_degrees()):
+        for stored in (g.rows, g.cols, g.vals, g.in_degrees):
             with pytest.raises(ValueError):
                 stored[0] = 2
+
+    def test_caller_arrays_stay_writable(self):
+        # the graph holds copies: the arrays a caller passes are left as they were
+        rows, cols, vals = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        WeightedDigraph(2, rows, cols, vals)
+        assert rows.flags.writeable and cols.flags.writeable and vals.flags.writeable
 
 
 class TestBuildMatrices:
     def test_two_node_symmetric(self):
-        g = WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
         L = laplacian(g)
         np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_single_edge(self):
-        g = WeightedDigraph(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        g = digraph(np.array([[0.0, 0.0], [1.0, 0.0]]))
         L = laplacian(g)
         np.testing.assert_array_equal(L, [[0.0, 0.0], [-1.0, 1.0]])
 
@@ -84,13 +108,13 @@ class TestSpanningTree:
                 for j in block:
                     if i != j:
                         w[i, j] = 1.0
-        assert not has_spanning_tree(WeightedDigraph(w))
+        assert not has_spanning_tree(digraph(w))
 
     def test_inward_star(self):
         # the center hears every leaf; no information ever reaches a leaf
         w = np.zeros((6, 6))
         w[0, 1:] = 1.0
-        assert not has_spanning_tree(WeightedDigraph(w))
+        assert not has_spanning_tree(digraph(w))
 
     def test_monotone_under_edge_addition(self):
         rng = np.random.default_rng(5)
@@ -101,7 +125,7 @@ class TestSpanningTree:
             i, j = rng.integers(0, 7, size=2)
             if i != j:
                 w[i, j] = 0.5
-            assert has_spanning_tree(WeightedDigraph(w))
+            assert has_spanning_tree(digraph(w))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_self_loops_change_no_class(self, seed):
@@ -111,7 +135,7 @@ class TestSpanningTree:
         w = (rng.random((n, n)) < rng.uniform(0.02, 0.3)).astype(float)
         np.fill_diagonal(w, 0.0)
         w[0, 1] = 1.0  # at least one edge
-        g, looped = WeightedDigraph(w), edge_form(w + np.eye(n))
+        g, looped = digraph(w), edge_form(w + np.eye(n))
         assert np.count_nonzero(looped.rows == looped.cols) == n
         label, closed, _ = strong_components(n, g.rows, g.cols)
         with_loops = strong_components(n, looped.rows, looped.cols)
@@ -124,12 +148,12 @@ class TestConnectivity:
     def test_path_graph(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
-        assert has_spanning_tree(WeightedDigraph(w))
+        assert has_spanning_tree(digraph(w))
 
     def test_isolated_vertex(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
-        assert not has_spanning_tree(WeightedDigraph(w))
+        assert not has_spanning_tree(digraph(w))
 
     def test_asymmetric_rejected(self):
         g = ring_graph(4)
@@ -147,7 +171,7 @@ class TestConnectivity:
             w = w + w.T
             if not np.any(w > 0):
                 w[0, 1] = w[1, 0] = 1.0
-            g = WeightedDigraph(w)
+            g = digraph(w)
             # connected iff every walk count of length n - 1 in I + A is positive
             walks = np.linalg.matrix_power(np.eye(n) + (w > 0), n - 1)
             assert bool(np.all(walks > 0)) == has_spanning_tree(g)
@@ -188,6 +212,23 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match=r"g\.edges:2: no room for 1000000000000000000 vertices"):
             read_edge_list(path)
 
+    def test_no_room_while_building_names_the_header(self, tmp_path, monkeypatch):
+        # a count that fits an index but not memory fails in the constructor,
+        # after every line is read: a bad line is reported first
+        def no_room(*args):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(graphs, "WeightedDigraph", no_room)
+        path = tmp_path / "g.edges"
+        path.write_text("# a count too large to hold\nn 3\n1 2 1.0\n2 1 1.0\n")
+        with pytest.raises(ParseError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == f"{path}:2: no room for 3 vertices: Unable to allocate 8.00 EiB"
+        assert isinstance(exc.value.__cause__, MemoryError)
+        path.write_text("# a count too large to hold\nn 3\n1 2 1.0\n2 1\n")
+        with pytest.raises(ParseError, match=r"g\.edges:4: expected 'i j w'$"):
+            read_edge_list(path)
+
     def test_reader_holds_no_dense_weights(self, tmp_path):
         # n = 20,000 with 10^5 edges: the n x n weights the reader once filled
         # took 3.2 GB; the in-degrees are summed a few rows at a time instead
@@ -215,8 +256,8 @@ class TestEdgeListFormat:
         start = time.perf_counter()
         g = read_edge_list(path)
         assert time.perf_counter() - start < 0.5
-        assert g.in_degrees()[[0, 1, 4]].tolist() == [1.0, 0.5, 2.0]
-        assert np.count_nonzero(g.in_degrees()) == 3
+        assert g.in_degrees[[0, 1, 4]].tolist() == [1.0, 0.5, 2.0]
+        assert np.count_nonzero(g.in_degrees) == 3
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -64,7 +64,7 @@ HELP_DIGESTS = {
 
 
 def digest(data: bytes, cfg: Path) -> str:
-    graph = str(load_config(cfg).graph_path).encode()
+    graph = load_config(cfg).graph.encode()
     return hashlib.sha256(data.replace(graph, b"GRAPH")).hexdigest()
 
 
@@ -119,7 +119,7 @@ def test_weighted_fixture_separates_the_row_sums():
     in-degree, and its largest discrete one, differ in the last bit from
     numpy's pairwise row sums.  `bounds` prints 1/max d_ii of both, so the
     digests above would see a switch of summation order."""
-    w = dense(load_config(CONFIGS["weighted"]).graph)
+    w = dense(load_config(CONFIGS["weighted"]).system.graph)
     rows, cols = np.nonzero(w)
     by_entries = np.bincount(rows, weights=w[rows, cols], minlength=len(w))
     degrees, m = w.sum(axis=1), load_config(CONFIGS["weighted"]).m

@@ -21,7 +21,6 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     RunConfig,
-    WeightedDigraph,
     check_stochastic,
     decide,
     left_eigenvector,
@@ -40,6 +39,7 @@ from oracles import (
     NotRankOne,
     case_matrix_dense,
     dense,
+    digraph,
     edge_form,
     exact_nu,
     has_spanning_tree,
@@ -90,7 +90,7 @@ def systems(draw):
     else:
         g = random_split_graph(rng, n)
     case = draw(st.sampled_from([1, 2]))
-    d = g.in_degrees()
+    d = g.in_degrees
     dmax = d.max() if case == 1 else max(d[m:].max(initial=0.0), 1e-9)
     return HybridSystem(g, m=m, h=frac / dmax, x0=x0), case, None
 
@@ -201,8 +201,8 @@ def bridged_systems(draw):
     a, b = int(rng.integers(0, cut)), int(rng.integers(cut, n))
     w[a, b] = draw(bridge)
     w[b, a] = w[a, b] if case == 3 else draw(bridge | st.just(0.0))
-    g = WeightedDigraph(w)
-    m, d, frac = draw(st.integers(0, n)), g.in_degrees(), draw(st.floats(0.05, 0.95))
+    g = digraph(w)
+    m, d, frac = draw(st.integers(0, n)), g.in_degrees, draw(st.floats(0.05, 0.95))
     if case == 2 and draw(st.booleans()):
         return HybridSystem(g, m=n, h=10.0 ** draw(st.floats(1.0, 3.0)), x0=np.zeros(n)), 2, None
     limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: g.vals.max()}[case]
@@ -251,9 +251,9 @@ def test_in_degrees_are_dense_row_sums(seed, n, density, block):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graphs, "_BLOCK", block):
         path = Path(tmp) / "g.edges"
         path.write_text("\n".join(lines) + "\n")
-        built, read = WeightedDigraph(w), read_edge_list(path)
-    assert np.array_equal(bits(built.in_degrees()), bits(w.sum(axis=1)))
-    assert np.array_equal(bits(read.in_degrees()), bits(w.sum(axis=1)))
+        built, read = digraph(w), read_edge_list(path)
+    assert np.array_equal(bits(built.in_degrees), bits(w.sum(axis=1)))
+    assert np.array_equal(bits(read.in_degrees), bits(w.sum(axis=1)))
 
 
 @st.composite
@@ -293,7 +293,7 @@ def test_reader_matches_line_by_line_reference(text):
 
     def entries(path):
         g = read_edge_list(path)
-        return g.rows, g.cols, g.vals, g.in_degrees()
+        return g.rows, g.cols, g.vals, g.in_degrees
 
     def result(read, path):
         try:
@@ -342,10 +342,10 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
         path.write_text(f"n {n}\n" + "\n".join(lines) + "\n")
         g = read_edge_list(path)
     assert np.array_equal(bits(dense(g)), bits(w))
-    assert np.array_equal(bits(g.in_degrees()), bits(dense(g).sum(axis=1)))
+    assert np.array_equal(bits(g.in_degrees), bits(dense(g).sum(axis=1)))
 
     m = int(rng.integers(0, n + 1))
-    d = g.in_degrees()
+    d = g.in_degrees
     limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: w.max()}[case]
     sys = HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n))
     sched = GossipSchedule.uniform(g) if case == 3 else None
@@ -397,7 +397,7 @@ def test_long_directed_path():
     idx = np.arange(n - 1)
     w = np.zeros((n, n))
     w[idx, idx + 1] = 1.0
-    assert has_spanning_tree(WeightedDigraph(w))
+    assert has_spanning_tree(digraph(w))
     del w
     # the case-1 map I - hL, written in place to keep one n x n array alive
     P = np.eye(n)

@@ -14,19 +14,18 @@ from hybridconsensus import (
     case_matrix,
     check_stochastic,
     gains,
-    gossip_expected_matrix,
     left_eigenvector,
     read_edge_list,
     simulate_deterministic,
 )
 from hybridconsensus.errors import ConsensusError
 from hybridconsensus.protocols import PROTOCOLS, Protocol
-from oracles import continuous_interpolant, dense, gossip_interpolant, gossip_pair_matrix, iteration_matrix
+from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, gossip_pair_matrix, iteration_matrix
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
 def two_node(m=1, h=0.2, x0=(0.0, 1.0)):
-    g = WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0))
 
 
@@ -34,14 +33,14 @@ def path3() -> WeightedDigraph:
     """The path 0 - 1 - 2 with unit weights: the edges (0, 1) and (1, 2)."""
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 class TestBounds:
     def test_case1_max_in_degree_three(self):
         w = np.zeros((4, 4))
         w[0, 1:] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=0, h=0.1, x0=np.zeros(4))
+        sys = HybridSystem(digraph(w), m=0, h=0.1, x0=np.zeros(4))
         assert bound(sys, 1) == pytest.approx(1 / 3)
 
     def test_case2_ignores_continuous_degrees(self):
@@ -51,7 +50,7 @@ class TestBounds:
             w[i, (i + 1) % 5] = 5.0
         w[3, 0] = 1.0
         w[4, 0] = w[4, 1] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=3, h=0.1, x0=np.zeros(5))
+        sys = HybridSystem(digraph(w), m=3, h=0.1, x0=np.zeros(5))
         assert bound(sys, 2) == pytest.approx(0.5)
         assert bound(sys, 1) == pytest.approx(0.2)
 
@@ -72,7 +71,7 @@ class TestCase1Matrix:
     def test_isolated_row_is_identity_row(self):
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 0] = 1.0  # agent 0 hears nobody
-        sys = HybridSystem(WeightedDigraph(w), m=0, h=0.5, x0=np.zeros(3))
+        sys = HybridSystem(digraph(w), m=0, h=0.5, x0=np.zeros(3))
         M = dense(case_matrix(sys, 1))
         np.testing.assert_array_equal(M[0], [1.0, 0.0, 0.0])
 
@@ -80,7 +79,7 @@ class TestCase1Matrix:
         w = np.zeros((2, 2))
         w[0, 1] = 2.0
         w[1, 0] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=0, h=1.0, x0=np.zeros(2))
+        sys = HybridSystem(digraph(w), m=0, h=1.0, x0=np.zeros(2))
         with pytest.raises(ConsensusError, match=r"^h = 1\.0 must be strictly below bound_case1 \(1/max d_ii\) = 0\.5$"):
             case_matrix(sys, 1)
 
@@ -88,7 +87,7 @@ class TestCase1Matrix:
         rng = np.random.default_rng(41)
         for _ in range(30):
             g = random_spanning_graph(rng, 6, extra=6)
-            h = 0.9 / max(g.in_degrees().max(), 1e-9)
+            h = 0.9 / max(g.in_degrees.max(), 1e-9)
             sys = HybridSystem(g, m=3, h=h, x0=np.zeros(6))
             M = dense(case_matrix(sys, 1))
             assert np.diag(M).min() > 0
@@ -109,7 +108,7 @@ class TestCase2:
     def test_gain_zero_degree_limit(self):
         w = np.zeros((2, 2))
         w[1, 0] = 1.0  # agent 0 (continuous) hears nobody
-        sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(2))
+        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(2))
         assert gains(sys, 2)[0] == 0.2
 
     def test_matrix_direct_substitution(self):
@@ -121,7 +120,7 @@ class TestCase2:
         rng = np.random.default_rng(43)
         for _ in range(10):
             g = random_spanning_graph(rng, 5, extra=4)
-            h = 0.9 / max(g.in_degrees().max(), 1e-9)
+            h = 0.9 / max(g.in_degrees.max(), 1e-9)
             sys = HybridSystem(g, m=0, h=h, x0=np.zeros(5))
             np.testing.assert_array_equal(
                 dense(case_matrix(sys, 2)), dense(case_matrix(sys, 1))
@@ -139,7 +138,7 @@ class TestCase2:
         for _ in range(20):
             g = random_symmetric_connected(rng, 5)
             sys = HybridSystem(g, m=5, h=rng.uniform(0.05, 2.0), x0=np.zeros(5))
-            d = g.in_degrees()
+            d = g.in_degrees
             gain = gains(sys, 2)
             for i in range(5):
                 if d[i] > 0:
@@ -154,7 +153,7 @@ def weak_signed_graph(rng: np.random.Generator) -> WeightedDigraph:
     weak = (w > 0) & (rng.random((n, n)) < 0.3)
     w[weak] *= 1e-17
     w[(w == 0) & (rng.random((n, n)) < 0.5)] = -0.0
-    return WeightedDigraph(w)
+    return digraph(w)
 
 
 class TestSampledMapWriter:
@@ -166,7 +165,7 @@ class TestSampledMapWriter:
         for _ in range(300):
             g = weak_signed_graph(rng)
             sys = HybridSystem(g, m=int(rng.integers(0, g.n + 1)),
-                               h=rng.uniform(0.05, 0.95) / g.in_degrees().max(), x0=np.zeros(g.n))
+                               h=rng.uniform(0.05, 0.95) / g.in_degrees.max(), x0=np.zeros(g.n))
             got = dense(case_matrix(sys, 1))
             want = dense(iteration_matrix(g, np.full(g.n, sys.h)))  # I - h*L
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -177,7 +176,7 @@ class TestSampledMapWriter:
         for _ in range(300):
             g = weak_signed_graph(rng)
             m = int(rng.integers(0, g.n + 1))
-            h = rng.uniform(0.05, 0.95) / max(g.in_degrees()[m:].max(initial=0.0), 0.5)
+            h = rng.uniform(0.05, 0.95) / max(g.in_degrees[m:].max(initial=0.0), 0.5)
             sys = HybridSystem(g, m=m, h=h, x0=np.zeros(g.n))
             got = dense(case_matrix(sys, 2))
             want = dense(iteration_matrix(g, gains(sys, 2)))
@@ -226,7 +225,7 @@ class TestGossipPairMatrix:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         w[1, 2] = w[2, 1] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=0, h=0.2, x0=np.zeros(3))
+        sys = HybridSystem(digraph(w), m=0, h=0.2, x0=np.zeros(3))
         with pytest.raises(ValueError):
             gossip_pair_matrix(sys, 0, 2)
 
@@ -291,7 +290,7 @@ def test_record_arrays_are_read_only(tmp_path):
     P = check_stochastic(StochasticMatrix(np.array([0, 0, 1]), np.array([1, 0, 1]),
                                           np.array([0.5, 0.5, 1.0])))
     g = sys.graph  # read from a file; test_weights_immutable builds one from weights
-    held = (g.rows, g.cols, g.vals, g.in_degrees(), sys.x0, sched.i, sched.j, sched.vals,
+    held = (g.rows, g.cols, g.vals, g.in_degrees, sys.x0, sched.i, sched.j, sched.vals,
             sched.probs, sched.cumulative, P.rows, P.cols, P.vals)
     for a in held:
         with pytest.raises(ValueError, match="read-only"):
@@ -312,7 +311,7 @@ class TestGossipExpectedMatrix:
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
         np.testing.assert_array_equal(
-            dense(gossip_expected_matrix(sys, sched)),
+            dense(case_matrix(sys, 3, sched)),
             dense(gossip_pair_matrix(sys, 0, 1)),
         )
 
@@ -320,21 +319,21 @@ class TestGossipExpectedMatrix:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         w[1, 2] = w[2, 1] = 1.0
-        sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(3))
+        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3))
         sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
         expected = 0.5 * dense(gossip_pair_matrix(sys, 0, 1)) + 0.5 * dense(gossip_pair_matrix(
             sys, 1, 2
         ))
-        np.testing.assert_allclose(dense(gossip_expected_matrix(sys, sched)), expected)
+        np.testing.assert_allclose(dense(case_matrix(sys, 3, sched)), expected)
 
     def test_triangle_uniform_brute_force(self):
         w = np.ones((3, 3)) - np.eye(3)
-        sys = HybridSystem(WeightedDigraph(w), m=1, h=0.2, x0=np.zeros(3))
+        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3))
         sched = GossipSchedule.uniform(sys.graph)
         brute = sum(
             dense(gossip_pair_matrix(sys, i, j)) for i, j in [(0, 1), (0, 2), (1, 2)]
         ) / 3.0
-        E = dense(gossip_expected_matrix(sys, sched))
+        E = dense(case_matrix(sys, 3, sched))
         np.testing.assert_allclose(E, brute, atol=1e-15)
         np.testing.assert_allclose(E.sum(axis=1), np.ones(3), atol=1e-12)
         # off-diagonal support matches the edge set
@@ -350,7 +349,7 @@ class TestGossipExpectedMatrix:
         sched = GossipSchedule(g, probs / probs.sum())
         loop = sum(p * dense(gossip_pair_matrix(sys, i, j))
                    for i, j, p in zip(sched.i, sched.j, sched.probs))
-        E = dense(gossip_expected_matrix(sys, sched))
+        E = dense(case_matrix(sys, 3, sched))
         assert np.max(np.abs(E - loop)) <= 1e-14
 
 
@@ -369,7 +368,7 @@ class TestInterpolants:
         for case in (1, 2):
             for _ in range(20):
                 g = random_spanning_graph(rng, 5, extra=5)
-                h = 0.9 / max(g.in_degrees().max(), 1e-9)
+                h = 0.9 / max(g.in_degrees.max(), 1e-9)
                 sys = HybridSystem(g, m=3, h=h, x0=np.zeros(5))
                 M = dense(case_matrix(sys, case))
                 x = rng.uniform(-1, 1, 5)
@@ -440,7 +439,7 @@ class TestIterationMatrix:
         rng = np.random.default_rng(79)
         for _ in range(20):
             g = random_spanning_graph(rng, 6, extra=6, w_lo=0.1)
-            d = g.in_degrees()
+            d = g.in_degrees
             gains = np.array([rng.uniform(0.05, 0.95) / d[i] if d[i] > 0 else 1.0 for i in range(6)])
             M = dense(iteration_matrix(g, gains))
             assert np.diag(M).min() > 0
