@@ -16,7 +16,7 @@ _EXPORTS = {
     "engine": ("RunConfig", "Trajectory", "monte_carlo_mean", "simulate_deterministic"),
     "graphs": ("WeightedDigraph", "read_edge_list"),
     "protocols": ("GossipSchedule", "HybridSystem", "bound", "case_matrix", "gains"),
-    "spectral": ("PerronVector", "StochasticMatrix", "check_stochastic", "left_eigenvector"),
+    "spectral": ("PerronVector", "StochasticMatrix", "left_eigenvector"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -60,7 +60,7 @@ def verify_run(
     The measured disagreement is max_i x_i - min_i x_i at the last sampled
     instant (of the mean states in case 3).  converged requires both it and
     the per-agent gap to the predicted value to fall below tol, widened by
-    the 4-standard-error band of the Monte-Carlo mean (zero in cases 1-2).
+    the 4-standard-error band of the final Monte-Carlo mean (zero in cases 1-2).
     """
     verdict = decide(sys, case, sched)
     if case == 3:
@@ -70,7 +70,7 @@ def verify_run(
     measured = float(np.ptp(traj.sample_states[-1]))
     converged = False
     if verdict.solvable:
-        slack = 4.0 * traj.stderr[-1]
+        slack = 4.0 * traj.stderr
         gap = np.abs(traj.sample_states[-1] - verdict.predicted_value)
         converged = bool(measured < tol + float(slack.max()) and np.all(gap < tol + slack))
     verdict = verdict._replace(measured_final_disagreement=measured, converged=converged)

@@ -1,5 +1,6 @@
 """Trajectory execution: sampled-map iteration with dense intra-sample
-states (cases 1-2), and the Monte-Carlo mean of seeded gossip runs (case 3).
+states (cases 1-2), and the Monte-Carlo mean of seeded gossip runs, with
+its standard error at the last step (case 3).
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
 pair reproduces a trajectory bit-for-bit on any platform.  Gossip edges
@@ -36,13 +37,13 @@ class RunConfig:
 
 class Trajectory:
     """A run's sampled states, and its continuous agents' states between samples.
-    Case 3 gives the mean over trials, with its standard error and no dense
-    states; cases 1-2 give one run, whose standard error is zero."""
+    Case 3 gives the mean over trials, with the final step's standard error and
+    no dense states; cases 1-2 give one run, whose standard error is zero."""
 
     def __init__(self, sample_states: np.ndarray, dense: np.ndarray, stderr: np.ndarray):
         self.sample_states = sample_states  # (K+1, n): state k at t_k = k*h
         self.dense = dense  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
-        self.stderr = stderr  # (K+1, n) standard error of the mean over trials
+        self.stderr = stderr  # (n,) standard error of the mean over trials at t_K
 
 
 def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
@@ -68,11 +69,7 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
     s = f / f[:, -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
     dense = (1 - s) * states[:-1, :m, None]
     dense += s * states[1:, :m, None]
-    return Trajectory(
-        sample_states=states,
-        dense=dense,
-        stderr=np.broadcast_to(0.0, states.shape),  # read-only zeros, no memory
-    )
+    return Trajectory(sample_states=states, dense=dense, stderr=np.zeros(n))
 
 
 def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
@@ -81,19 +78,19 @@ def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
 
 
 def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -> Trajectory:
-    """Empirical mean and standard error of the sampled states over
-    independent gossip trials; trial r draws its edges with seed cfg.seed + r.
+    """Empirical mean of the sampled states over independent gossip trials,
+    and its standard error at the last step; trial r draws its edges with
+    seed cfg.seed + r.
 
     The trials run side by side: each draw is applied as a two-row update
-    of the (trials, n) state, and the mean and standard error over trials
-    are kept per step.
+    of the (trials, n) state, and the mean over trials is kept per step.
     """
     if cfg.trials < 2:
         raise ValueError("monte_carlo_mean needs trials >= 2")
     gains = pair_gains(sys, sched)  # also checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
-    mean, stderr = np.empty((2, cfg.steps + 1, sys.n))
+    mean = np.empty((cfg.steps + 1, sys.n))
     choice = np.empty((cfg.steps, cfg.trials), np.intp)
     for r in range(cfg.trials):
         choice[:, r] = _draw_edges(sched, cfg.steps, cfg.seed + r)
@@ -106,9 +103,8 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
             x[rows, i] = xi + gains[e, 0] * (xj - xi)
             x[rows, j] = xj + gains[e, 1] * (xi - xj)
         mean[k] = x.mean(axis=0)
-        stderr[k] = x.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     return Trajectory(
         sample_states=mean,
         dense=np.empty((cfg.steps, sys.m, 0)),
-        stderr=stderr,
+        stderr=x.std(axis=0, ddof=1) / math.sqrt(cfg.trials),
     )

@@ -31,13 +31,17 @@ _BLOCK = 2**17
 
 
 class WeightedDigraph:
-    """Nonnegative n x n adjacency structure: the weights `vals` at (`rows`,
-    `cols`), given sorted by row, then column, each pair once.  Zero weights
-    are no edge and are dropped; the positive entries and the in-degrees
-    d_ii = sum_j a_ij are held as read-only arrays."""
+    """Nonnegative n x n adjacency structure: the weights `vals` at the
+    integer indices (`rows`, `cols`), given sorted by row, then column, each
+    pair once.  Zero weights are no edge and are dropped; the positive
+    entries and the in-degrees d_ii = sum_j a_ij are held as read-only
+    arrays."""
 
     def __init__(self, n: int, rows, cols, vals):
+        given = rows, cols
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        if not all(a is b or np.array_equal(a, b) for a, b in zip((rows, cols), given)):
+            raise InvalidGraph("vertex indices must be integers")  # the cast truncated one
         vals = np.asarray(vals, dtype=float)
         if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
             raise InvalidGraph(f"vertex indices must lie in 0..{n - 1}")

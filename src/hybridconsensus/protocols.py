@@ -15,9 +15,10 @@ agents share the sampling grid t_k = k*h.
   their expected matrix E(Phi).
 
 `case_matrix` writes the off-diagonal entries from the graph's edges, and
-the diagonal; `spectral` folds the two into its edge form and checks the
-result.  Cases 1 and 2 write I - diag(g) L, where L = D - A and
-d_ii = sum_j a_ij: g_i a_ij on the edges, the diagonal in closed form.
+the diagonal; the `StochasticMatrix` constructor folds the two into its
+edge form and checks the result.  Cases 1 and 2 write I - diag(g) L, where
+L = D - A and d_ii = sum_j a_ij: g_i a_ij on the edges, the diagonal in
+closed form.
 
 `PROTOCOLS` is the case table: for each case the name of its
 sampling-period bound and its consensus condition.  `protocol(case)` looks
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConsensusError
 from .graphs import WeightedDigraph
-from .spectral import StochasticMatrix, _edge_form
+from .spectral import StochasticMatrix
 
 
 class HybridSystem:
@@ -186,11 +187,11 @@ def case_matrix(
         vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
         diag = np.ones(sys.n)
         np.add.at(diag, rows, -vals)
-        return _edge_form(diag, rows, cols, vals)
+        return StochasticMatrix(diag, rows, cols, vals)
     H = gains(sys, case)  # also enforces the h bound
     k, g, d = _observers(sys, case), sys.graph, sys.graph.in_degrees
     diag = np.r_[np.exp(-d[:k] * sys.h), 1.0 - H[k:] * d[k:]]
-    return _edge_form(diag, g.rows, g.cols, H[g.rows] * g.vals)
+    return StochasticMatrix(diag, g.rows, g.cols, H[g.rows] * g.vals)
 
 
 def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Stochastic-matrix analysis: the row-stochasticity check and the
+"""Stochastic-matrix analysis: the checked matrix in edge form and the
 consensus weight vector nu.
 
 Matrices are held in edge form only, and one product over the entries
@@ -25,17 +25,30 @@ NU_RESIDUAL_TOL = 1e-10
 
 
 class StochasticMatrix:
-    """A square matrix in edge form: entries `vals` at (`rows`, `cols`), each
-    row's nonzero off-diagonal entries in column order, then its diagonal,
-    even if zero: `run` sums each row in that order.  `check_stochastic`
-    returns the ones it has verified, with read-only arrays."""
+    """A checked row-stochastic matrix in edge form, built from the arrays of
+    its diagonal `diag` and its off-diagonal entries `vals` at (`rows`,
+    `cols`), in any order.  Entries that underflowed to zero are dropped, and
+    each row holds its nonzero off-diagonal entries in column order, then its
+    diagonal, even if zero: `run` sums each row in that order.  Raises
+    ConsensusError unless every entry is nonnegative and every row sums to
+    within STOCHASTIC_TOL of 1; the arrays held are read-only."""
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        self.rows, self.cols, self.vals = rows, cols, vals
-
-    @property
-    def n(self) -> int:
-        return int(self.rows[-1]) + 1  # the last entry is the last row's diagonal
+    def __init__(self, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        keep, n = vals != 0, len(diag)
+        rows, cols, vals = np.r_[rows[keep], :n], np.r_[cols[keep], :n], np.r_[vals[keep], diag]
+        order = np.argsort(rows * (n + 1) + np.where(rows == cols, n, cols), kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        negative = np.zeros(n, dtype=bool)
+        negative[rows[vals < 0]] = True
+        residual = np.abs(_edge_product(rows, cols, vals, np.ones(n)) - 1.0)
+        bad = np.flatnonzero(negative | ~(residual <= STOCHASTIC_TOL))  # a NaN residual fails too
+        if bad.size:
+            row = int(bad[0])
+            value = np.min(vals[rows == row]) if negative[row] else residual[row]
+            raise ConsensusError(f"row {row} violates stochasticity (residual {value:.3e})")
+        for a in (rows, cols, vals):
+            a.setflags(write=False)
+        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
 
 
 class PerronVector:
@@ -51,31 +64,6 @@ def _edge_product(rows, cols, vals, x: np.ndarray) -> np.ndarray:
     """y_r = sum of vals[e] * x[cols[e]] over the entries e with rows[e] = r,
     added in entry order: P x from P's entries, x P with rows and cols swapped."""
     return np.bincount(rows, vals * x[cols], minlength=len(x))
-
-
-def _edge_form(diag, rows, cols, vals) -> StochasticMatrix:
-    """The checked matrix with diagonal `diag` and off-diagonal entries `vals`
-    at (`rows`, `cols`), in any order, in edge form: entries that underflowed
-    to zero are dropped, and each row is sorted by column, its diagonal last."""
-    keep, n = vals != 0, len(diag)
-    rows, cols, vals = np.r_[rows[keep], :n], np.r_[cols[keep], :n], np.r_[vals[keep], diag]
-    order = np.argsort(rows * (n + 1) + np.where(rows == cols, n, cols), kind="stable")
-    return check_stochastic(StochasticMatrix(rows[order], cols[order], vals[order]))
-
-
-def check_stochastic(P: StochasticMatrix) -> StochasticMatrix:
-    """`P` after verifying nonnegativity and row sums within STOCHASTIC_TOL of 1."""
-    negative = np.zeros(P.n, dtype=bool)
-    negative[P.rows[P.vals < 0]] = True
-    residual = np.abs(_edge_product(P.rows, P.cols, P.vals, np.ones(P.n)) - 1.0)
-    bad = np.flatnonzero(negative | ~(residual <= STOCHASTIC_TOL))  # a NaN residual fails too
-    if bad.size:
-        row = int(bad[0])
-        value = np.min(P.vals[P.rows == row]) if negative[row] else residual[row]
-        raise ConsensusError(f"row {row} violates stochasticity (residual {value:.3e})")
-    for a in (P.rows, P.cols, P.vals):
-        a.setflags(write=False)
-    return P
 
 
 def _gth(W: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from hybridconsensus import (
     StochasticMatrix,
     Trajectory,
     WeightedDigraph,
-    check_stochastic,
 )
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import ConsensusError, ParseError
@@ -134,16 +133,13 @@ def read_edge_list_by_line(path: Path) -> tuple[np.ndarray, ...]:
 
 
 def edge_form(matrix) -> StochasticMatrix:
-    """A dense square array's entries in the form `check_stochastic` takes:
-    each row's nonzero off-diagonal entries in column order, then its
-    diagonal entry, zero or not."""
+    """The checked matrix whose entries are the dense square array's: its
+    diagonal, and its nonzero off-diagonal entries in row-major order."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConsensusError("row -1 violates stochasticity (residual nan)")
-    rows, cols = np.nonzero((m != 0) | np.eye(len(m), dtype=bool))
-    order = np.lexsort((cols, rows == cols, rows))  # the diagonal last in each row
-    rows, cols = rows[order], cols[order]
-    return StochasticMatrix(rows, cols, m[rows, cols])
+    rows, cols = np.nonzero((m != 0) & ~np.eye(len(m), dtype=bool))
+    return StochasticMatrix(m.diagonal(), rows, cols, m[rows, cols])
 
 
 def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMatrix:
@@ -158,7 +154,7 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
         i = int(bad[0])
         h, limit = float(gains[i]), 1.0 / float(d[i])
         raise ConsensusError(f"h = {h} must be strictly below 1/d_{i}{i} = {limit}")
-    return check_stochastic(edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph)))
+    return edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph))
 
 
 def case_matrix_dense(
@@ -220,7 +216,7 @@ def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
     phi[i, j] += gi
     phi[j, j] -= gj
     phi[j, i] += gj
-    return check_stochastic(edge_form(phi))
+    return edge_form(phi)
 
 
 def sia_limit(
@@ -386,4 +382,4 @@ def simulate_gossip(
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
                     between[k, end, col] = x[end] + g * (x[other] - x[end])
-    return Trajectory(states, between, np.broadcast_to(0.0, states.shape)), drawn
+    return Trajectory(states, between, np.zeros(sys.n)), drawn

@@ -183,7 +183,7 @@ def test_criterion_5_gossip_mean_consensus():
     power = np.array(x0)
     for _ in range(steps):
         power = dense(E) @ power
-    band = np.maximum(4.0 * mc.stderr[-1], 1e-12)
+    band = np.maximum(4.0 * mc.stderr, 1e-12)
     entry_gaps = np.abs(mc.sample_states[-1] - power)
     nu = left_eigenvector(E).nu
     predicted = float(nu @ x0)

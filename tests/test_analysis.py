@@ -258,7 +258,7 @@ class TestVerifyRun:
             sys, 3, RunConfig(steps=400, trials=400, seed=3), tol=1e-3, sched=sched
         )
         assert verdict.solvable and verdict.converged
-        assert abs(mc.sample_states[-1].mean() - verdict.predicted_value) < 4 * mc.stderr[-1].max() + 1e-3
+        assert abs(mc.sample_states[-1].mean() - verdict.predicted_value) < 4 * mc.stderr.max() + 1e-3
 
     def test_h_over_bound_propagates(self):
         g = undirected_ring_with_chord()

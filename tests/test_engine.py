@@ -32,6 +32,11 @@ class TestSimulateDeterministic:
         assert traj.sample_states.shape == (1, 2)
         np.testing.assert_array_equal(traj.sample_states[0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_stderr_is_zero_per_agent(self, case):
+        traj = simulate_deterministic(two_node(m=1), case, RunConfig(steps=3))
+        assert traj.stderr.shape == (2,) and not traj.stderr.any()
+
     def test_one_step_by_hand(self):
         traj = simulate_deterministic(two_node(), 1, RunConfig(steps=1))
         np.testing.assert_allclose(traj.sample_states[1], [0.2, 0.8], atol=1e-15)
@@ -230,7 +235,7 @@ class TestMonteCarlo:
                 all_states[r, k + 1] = x
         tol = 1e-12 * np.abs(x0).max()
         np.testing.assert_allclose(mc.sample_states, all_states.mean(axis=0), rtol=0, atol=tol)
-        stderr = all_states.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
+        stderr = all_states[:, -1].std(axis=0, ddof=1) / np.sqrt(cfg.trials)
         np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=tol)
 
     def test_mean_tracks_expected_matrix_power(self):
@@ -239,16 +244,44 @@ class TestMonteCarlo:
         hmax = 1.0 / dense(g).max()
         sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5))
         sched = GossipSchedule.uniform(g)
-        mc = monte_carlo_mean(sys, sched, RunConfig(steps=40, trials=800, seed=13))
         E = dense(case_matrix(sys, 3, sched))
         predicted = np.array(sys.x0)
         hits = total = 0
         for k in range(1, 41):
             predicted = E @ predicted
-            band = np.maximum(4.0 * mc.stderr[k], 1e-12)
+            # a run's standard error is its last step's: step k's band is a k-step run's
+            mc = monte_carlo_mean(sys, sched, RunConfig(steps=k, trials=800, seed=13))
+            band = np.maximum(4.0 * mc.stderr, 1e-12)
             hits += int(np.sum(np.abs(mc.sample_states[k] - predicted) <= band))
             total += 5
         assert hits / total >= 0.95
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 39, 40])
+    def test_shorter_run_is_a_prefix(self, k):
+        # trial r's first k draws are the same in a k-step and a 40-step run
+        rng = np.random.default_rng(107)
+        g = random_symmetric_connected(rng, 5)
+        x0 = rng.uniform(-8, 8, 5)
+        sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0)
+        sched = GossipSchedule.uniform(g)
+        cfg = RunConfig(steps=40, trials=30, seed=17)
+        long = monte_carlo_mean(sys, sched, cfg)
+        short = monte_carlo_mean(sys, sched, RunConfig(steps=k, trials=cfg.trials, seed=cfg.seed))
+        assert short.sample_states.tobytes() == long.sample_states[: k + 1].tobytes()
+        assert short.stderr.shape == long.stderr.shape == (5,)
+        if k == cfg.steps:
+            assert short.stderr.tobytes() == long.stderr.tobytes()
+        # step k of the longer run's trials, one full pair matrix per drawn edge
+        at_k = np.empty((cfg.trials, 5))
+        for r in range(cfg.trials):
+            run_cfg = RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
+            _, edges = simulate_gossip(sys, sched, run_cfg)
+            x = np.array(x0)
+            for i, j in edges[:k]:
+                x = dense(gossip_pair_matrix(sys, i, j)) @ x
+            at_k[r] = x
+        stderr = at_k.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
+        np.testing.assert_allclose(short.stderr, stderr, rtol=0, atol=1e-12 * np.abs(x0).max())
 
 
 class TestRunConfig:

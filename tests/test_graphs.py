@@ -44,6 +44,17 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match=r"^entries must be sorted by row, then column, each pair once$"):
             WeightedDigraph(3, rows, cols, np.ones(len(rows)))
 
+    @pytest.mark.parametrize("rows, cols", [([0.7, 1.9], [1.2, 0.4]), (np.array([0.0, 1.5]), np.array([1.0, 0.0]))],
+                             ids=["list", "array"])
+    def test_rejects_fractional_index(self, rows, cols):
+        # an index cast truncates them to the edges 0 -> 1 and 1 -> 0
+        with pytest.raises(InvalidGraph, match="^vertex indices must be integers$"):
+            WeightedDigraph(2, rows, cols, [1.0, 2.0])
+
+    def test_integral_float_indices_accepted(self):
+        g = WeightedDigraph(2, np.array([0.0, 1.0]), [1.0, 0.0], [1.0, 2.0])
+        assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0, 1], [1, 0], [1.0, 2.0])
+
     def test_rejects_repeated_pair(self):
         # a zero weight repeats its pair too: the order is checked before zeros are dropped
         for vals in ([1.0, 2.0, 1.0], [0.0, 2.0, 1.0]):
@@ -135,7 +146,8 @@ class TestSpanningTree:
         w = (rng.random((n, n)) < rng.uniform(0.02, 0.3)).astype(float)
         np.fill_diagonal(w, 0.0)
         w[0, 1] = 1.0  # at least one edge
-        g, looped = digraph(w), edge_form(w + np.eye(n))
+        looped = w + np.eye(n)
+        g, looped = digraph(w), edge_form(looped / looped.sum(axis=1, keepdims=True))
         assert np.count_nonzero(looped.rows == looped.cols) == n
         label, closed, _ = strong_components(n, g.rows, g.cols)
         with_loops = strong_components(n, looped.rows, looped.cols)

@@ -12,7 +12,6 @@ from hybridconsensus import (
     WeightedDigraph,
     bound,
     case_matrix,
-    check_stochastic,
     gains,
     left_eigenvector,
     read_edge_list,
@@ -287,8 +286,7 @@ def test_record_arrays_are_read_only(tmp_path):
     x0 = np.array([0.0, 1.0])
     sys = HybridSystem(read_edge_list(path), m=1, h=0.2, x0=x0)
     sched = GossipSchedule(sys.graph, np.array([1.0]))
-    P = check_stochastic(StochasticMatrix(np.array([0, 0, 1]), np.array([1, 0, 1]),
-                                          np.array([0.5, 0.5, 1.0])))
+    P = StochasticMatrix(np.array([0.5, 1.0]), np.array([0]), np.array([1]), np.array([0.5]))
     g = sys.graph  # read from a file; test_weights_immutable builds one from weights
     held = (g.rows, g.cols, g.vals, g.in_degrees, sys.x0, sched.i, sched.j, sched.vals,
             sched.probs, sched.cumulative, P.rows, P.cols, P.vals)

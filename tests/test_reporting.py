@@ -10,7 +10,6 @@ from hybridconsensus import (
     RunConfig,
     StochasticMatrix,
     Trajectory,
-    check_stochastic,
     simulate_deterministic,
     verify_run,
 )
@@ -183,8 +182,7 @@ class TestMatrixOutput:
     def test_rows_take_one_row_of_memory(self):
         # x_i <- (x_i + x_{i+1}) / 2 around a ring of 2000: the dense form alone is 32 MB
         n, ii = 2000, np.arange(2000)
-        cols = np.c_[(ii + 1) % n, ii].ravel()  # each row's off-diagonal entry, then its diagonal
-        P = check_stochastic(StochasticMatrix(np.repeat(ii, 2), cols, np.full(2 * n, 0.5)))
+        P = StochasticMatrix(np.full(n, 0.5), ii, (ii + 1) % n, np.full(n, 0.5))
         rows = 0
         tracemalloc.start()
         try:

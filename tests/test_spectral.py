@@ -1,14 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hybridconsensus import check_stochastic, left_eigenvector
+from hybridconsensus import StochasticMatrix, left_eigenvector
 from hybridconsensus.errors import ConsensusError, DegenerateEigenspace
 from hybridconsensus.graphs import strong_components
 from oracles import NotRankOne, edge_form, period_by_powers, sia_limit
 
 
-def P(entries):
-    return check_stochastic(edge_form(entries))
+P = edge_form  # the checked matrix whose dense array is `entries`
 
 
 class TestCheckStochastic:
@@ -44,6 +45,31 @@ class TestCheckStochastic:
             P([[0.9, -0.3], [0.2, 0.8]])
 
 
+class TestEdgeForm:
+    def arrays(self, M):
+        return M.rows.tolist(), M.cols.tolist(), M.vals.tolist()
+
+    def test_shuffled_entries_give_the_same_arrays(self):
+        # each row's off-diagonal entries in column order, then its diagonal
+        want = ([0, 0, 0, 1, 1, 1, 2], [1, 2, 0, 0, 2, 1, 2], [0.2, 0.3, 0.5, 0.25, 0.5, 0.25, 1.0])
+        entries = [(1, 0, 0.25), (0, 2, 0.3), (1, 2, 0.5), (0, 1, 0.2)]
+        for shuffled in itertools.permutations(entries):
+            rows, cols, vals = (np.array(c) for c in zip(*shuffled))
+            assert self.arrays(StochasticMatrix(np.array([0.5, 0.25, 1.0]), rows, cols, vals)) == want
+
+    def test_zero_off_diagonal_entry_dropped(self):
+        # 0.0, -0.0 and an entry that underflowed to zero are no entries
+        vals = np.array([0.5, 0.0, -0.0, np.exp(-1e3)])
+        M = StochasticMatrix(np.array([0.5, 1.0, 1.0]), np.array([0, 1, 2, 2]), np.array([1, 0, 0, 1]), vals)
+        assert self.arrays(M) == ([0, 0, 1, 2], [1, 0, 1, 2], [0.5, 0.5, 1.0, 1.0])
+
+    def test_zero_diagonal_entry_kept(self):
+        # every row ends with its diagonal: `run` sums each row in that order
+        M = StochasticMatrix(np.array([0.0, 1.0]), np.array([0]), np.array([1]), np.array([1.0]))
+        assert self.arrays(M) == ([0, 0, 1], [1, 0, 1], [1.0, 0.0, 1.0])
+        assert M.n == 2
+
+
 class TestSiaLimit:
     def test_symmetric_two_node(self):
         limit, nu = sia_limit(P([[0.8, 0.2], [0.2, 0.8]]))
@@ -74,7 +100,7 @@ class TestSiaLimit:
 class TestLeftEigenvector:
     def test_doubly_stochastic_uniform(self):
         M = np.full((4, 4), 0.25)
-        nu = left_eigenvector(check_stochastic(edge_form(M))).nu
+        nu = left_eigenvector(edge_form(M)).nu
         np.testing.assert_allclose(nu, np.full(4, 0.25), atol=1e-12)
 
     def test_leader_follower_by_hand(self):
@@ -118,7 +144,7 @@ class TestOracleAgreement:
         for _ in range(40):
             n = int(rng.integers(2, 8))
             raw = rng.uniform(0, 1, (n, n)) + np.eye(n)  # positive diagonal
-            M = check_stochastic(edge_form(raw / raw.sum(axis=1, keepdims=True)))
+            M = edge_form(raw / raw.sum(axis=1, keepdims=True))
             _, nu_power = sia_limit(M, tol=tol)
             nu_solve = left_eigenvector(M)
             assert np.max(np.abs(nu_power.nu - nu_solve.nu)) < 10 * tol
@@ -130,4 +156,4 @@ class TestOracleAgreement:
         prod = np.eye(5)
         for _ in range(20):
             prod = prod @ M
-            check_stochastic(edge_form(prod))
+            edge_form(prod)
