@@ -16,8 +16,8 @@ class ParseError(ConsensusError):
 
 
 class InvalidGraph(ConsensusError):
-    """Weights that are negative, non-finite, on the diagonal or all zero;
-    the edge-list reader makes it a ParseError naming the file."""
+    """Bad weights (negative, non-finite, on the diagonal, all zero) or indices
+    (not integers in 0..n-1, a pair twice); the edge-list reader makes it a ParseError."""
 
 
 class DegenerateEigenspace(ConsensusError):

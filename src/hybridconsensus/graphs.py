@@ -10,8 +10,8 @@ two closed classes never hear each other and so witness that consensus
 fails.
 
 A graph is held as its edges alone: the positive entries sorted by row,
-then column, and the in-degrees.  It is built from those entries, as the
-edge-list reader does; no n x n array is made.
+then column, and the in-degrees.  It is built from its entries in any
+order, as the edge-list reader does; no n x n array is made.
 """
 
 from __future__ import annotations
@@ -30,25 +30,37 @@ from .errors import InvalidGraph, ParseError
 _BLOCK = 2**17
 
 
+def sorted_entries(n: int, rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, vals) in edge form: sorted by row, then column,
+    with a row's diagonal entry last.  Raises InvalidGraph unless the three
+    have one length, every index is an integer in 0..n-1, each pair is given
+    once and n * (n + 1) fits an index."""
+    if not len(rows) == len(cols) == len(vals):
+        raise InvalidGraph("rows, cols and vals must be of equal length")
+    given = rows, cols
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if not all(a is b or np.array_equal(a, b) for a, b in zip((rows, cols), given)):
+        raise InvalidGraph("vertex indices must be integers")  # the cast truncated one
+    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+        raise InvalidGraph(f"vertex indices must lie in 0..{n - 1}")
+    if n > np.iinfo(np.intp).max // (n + 1):
+        raise InvalidGraph(f"no room for {n} vertices: n * (n + 1) overflows an index")
+    key = rows * (n + 1) + np.where(rows == cols, n, cols)
+    order = np.argsort(key, kind="stable")
+    if np.any(np.diff(key[order]) == 0):
+        raise InvalidGraph("entries must name each pair once")
+    return rows[order], cols[order], np.asarray(vals, dtype=float)[order]
+
+
 class WeightedDigraph:
     """Nonnegative n x n adjacency structure: the weights `vals` at the
-    integer indices (`rows`, `cols`), given sorted by row, then column, each
-    pair once.  Zero weights are no edge and are dropped; the positive
-    entries and the in-degrees d_ii = sum_j a_ij are held as read-only
+    integer indices (`rows`, `cols`), in any order, each pair once.  Zero
+    weights are no edge and are dropped; the positive entries, sorted by row,
+    then column, and the in-degrees d_ii = sum_j a_ij are held as read-only
     arrays."""
 
     def __init__(self, n: int, rows, cols, vals):
-        given = rows, cols
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        if not all(a is b or np.array_equal(a, b) for a, b in zip((rows, cols), given)):
-            raise InvalidGraph("vertex indices must be integers")  # the cast truncated one
-        vals = np.asarray(vals, dtype=float)
-        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
-            raise InvalidGraph(f"vertex indices must lie in 0..{n - 1}")
-        rises = rows[1:] > rows[:-1]  # a later row, or the same row and a later column
-        rises |= (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])
-        if not rises.all():
-            raise InvalidGraph("entries must be sorted by row, then column, each pair once")
+        rows, cols, vals = sorted_entries(n, rows, cols, vals)
         keep = vals != 0  # NaN included, -0.0 not
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if not np.all(np.isfinite(vals)):
@@ -78,12 +90,8 @@ class WeightedDigraph:
     @cached_property
     def is_symmetric(self) -> bool:
         """a_ij = a_ji for every pair (computed on first use)."""
-        t = np.lexsort((self.rows, self.cols))  # the transpose's entries, sorted by row
-        return bool(
-            np.array_equal(self.cols[t], self.rows)
-            and np.array_equal(self.rows[t], self.cols)
-            and np.array_equal(self.vals[t], self.vals)
-        )
+        transpose = sorted_entries(self.n, self.cols, self.rows, self.vals)
+        return all(map(np.array_equal, transpose, (self.rows, self.cols, self.vals)))
 
 
 def strong_components(
@@ -158,7 +166,7 @@ def content_lines(path: Path) -> Iterator[tuple[int, str]]:
     # "\n" only, as grep -n counts: str.splitlines also breaks at \f, U+2028 and
     # other characters a comment may hold.  read_text made \r\n and \r into \n.
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 
@@ -167,8 +175,8 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     """Parse the `n <count>` / `i j w` edge-list format.
 
     Each edge line is checked once, as it is read: token count, `int`, `int`,
-    `float`, index range.  Duplicate `i j` pairs before the first line that
-    fails are found by sorting, so the error raised names the first bad line.
+    `float`, index range, and a pair not given on an earlier line, so the
+    error raised names the first bad line.
     """
     path = Path(path)
     lines = content_lines(path)
@@ -184,37 +192,25 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
         raise ParseError(f"{path}:{header}: bad vertex count") from exc
     if n < 1:
         raise ParseError(f"{path}:{header}: vertex count must be positive")
-    if n > np.iinfo(np.intp).max // n:  # the sort key row * n + column below would overflow
+    if n > np.iinfo(np.intp).max // (n + 1):  # the sort key of sorted_entries would overflow
         raise ParseError(f"{path}:{header}: no room for {n} vertices: n * n overflows an index")
 
-    keys, weights, linenos, error = [], [], [], None
+    vals, first = [], {}
     for lineno, text in lines:
         tokens = text.split()
         if len(tokens) != 3:
-            error = "expected 'i j w'"
-            break
+            raise ParseError(f"{path}:{lineno}: expected 'i j w'")
         try:
             i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
         except ValueError:
-            error = "bad edge entry"
-            break
+            raise ParseError(f"{path}:{lineno}: bad edge entry") from None
         if not (1 <= i <= n and 1 <= j <= n):
-            error = f"index out of range 1..{n}"
-            break
-        keys.append((i - 1) * n + j - 1)  # row * n + column
-        weights.append(v)
-        linenos.append(lineno)
-    keys = np.array(keys, dtype=np.intp)
-    order = np.argsort(keys, kind="stable")  # by row, then column, then line
-    keys, vals = keys[order], np.array(weights, dtype=float)[order]
-    (again,) = np.nonzero(keys[1:] == keys[:-1])
-    rows, cols = np.divmod(keys, n)
-    if again.size:  # the first line that repeats an earlier one, ahead of `error`'s
-        s = again[np.argmin(order[again + 1])]
-        lineno, first = linenos[order[s + 1]], linenos[order[s]]
-        error = f"duplicate edge {rows[s] + 1} {cols[s] + 1} (first on line {first})"
-    if error:
-        raise ParseError(f"{path}:{lineno}: {error}")
+            raise ParseError(f"{path}:{lineno}: index out of range 1..{n}")
+        seen = first.setdefault(i * n + j, lineno)  # below n * (n + 1), as the header checked
+        if seen != lineno:
+            raise ParseError(f"{path}:{lineno}: duplicate edge {i} {j} (first on line {seen})")
+        vals.append(v)
+    rows, cols = np.divmod(np.fromiter(first, dtype=np.intp, count=len(first)) - n - 1, n)
     try:
         return WeightedDigraph(n, rows, cols, vals)
     except InvalidGraph as exc:

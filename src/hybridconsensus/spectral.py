@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsensusError, DegenerateEigenspace
-from .graphs import strong_components
+from .graphs import sorted_entries, strong_components
 
 STOCHASTIC_TOL = 1e-12
 NU_RESIDUAL_TOL = 1e-10
@@ -27,17 +27,18 @@ NU_RESIDUAL_TOL = 1e-10
 class StochasticMatrix:
     """A checked row-stochastic matrix in edge form, built from the arrays of
     its diagonal `diag` and its off-diagonal entries `vals` at (`rows`,
-    `cols`), in any order.  Entries that underflowed to zero are dropped, and
-    each row holds its nonzero off-diagonal entries in column order, then its
-    diagonal, even if zero: `run` sums each row in that order.  Raises
-    ConsensusError unless every entry is nonnegative and every row sums to
-    within STOCHASTIC_TOL of 1; the arrays held are read-only."""
+    `cols`), in any order, each pair once, so none at (i, i).  Entries that
+    underflowed to zero are dropped, and each row holds its nonzero
+    off-diagonal entries in column order, then its diagonal, even if zero:
+    `run` sums each row in that order.  Raises ConsensusError unless every
+    index is an integer in 0..n-1, every entry is nonnegative and every row
+    sums to within STOCHASTIC_TOL of 1; the arrays held are read-only."""
 
     def __init__(self, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        keep, n = vals != 0, len(diag)
-        rows, cols, vals = np.r_[rows[keep], :n], np.r_[cols[keep], :n], np.r_[vals[keep], diag]
-        order = np.argsort(rows * (n + 1) + np.where(rows == cols, n, cols), kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        n = len(diag)
+        rows, cols, vals = sorted_entries(n, np.r_[rows, :n], np.r_[cols, :n], np.r_[vals, diag])
+        keep = (vals != 0) | (rows == cols)  # a zero diagonal entry stays
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
         negative = np.zeros(n, dtype=bool)
         negative[rows[vals < 0]] = True
         residual = np.abs(_edge_product(rows, cols, vals, np.ones(n)) - 1.0)

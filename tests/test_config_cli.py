@@ -400,6 +400,20 @@ class TestCliSubcommands:
         assert ran["condition"] == verdict["condition"]
         assert not ran["solvable"] and not ran["converged"]
 
+    @pytest.mark.parametrize("h, solvable", [(5, True), (20, True), (40, True), (744, True), (746, False)])
+    def test_underflow_edge_verdicts(self, tmp_path, presets_dir, capsys, h, solvable):
+        # today's behaviour just below the Remark-1 edge (ROADMAP item 15): `check`
+        # calls the ring solvable until every e^{-h} underflows to 0 at h = 746, but
+        # the float stepper cannot bear that out, so `run` exits 2.  A fix of item 15
+        # changes these asserts knowingly.
+        args = [str(presets_dir / "example1.cfg"), "--case", "2", "--m", "6", "--h", str(h)]
+        assert main(["check", *args]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["solvable"] is solvable
+        if not solvable:
+            assert verdict["condition"].startswith("the root class is periodic, with period 6;")
+        assert main(["run", *args, "--out", str(tmp_path)]) == (2 if solvable else 0)
+
     def test_matrix_dump_is_row_stochastic(self, presets_dir):
         result = run_cli("matrix", str(presets_dir / "example1.cfg"))
         rows = [list(map(float, line.split(","))) for line in result.stdout.strip().splitlines()]

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -39,10 +40,17 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match=r"^vertex indices must lie in 0\.\.1$"):
             WeightedDigraph(2, rows, cols, [1.0, 1.0])
 
-    @pytest.mark.parametrize("rows, cols", [([1, 0], [0, 1]), ([0, 0, 1], [2, 1, 0])], ids=["rows", "columns"])
-    def test_rejects_entries_out_of_order(self, rows, cols):
-        with pytest.raises(InvalidGraph, match=r"^entries must be sorted by row, then column, each pair once$"):
-            WeightedDigraph(3, rows, cols, np.ones(len(rows)))
+    def test_shuffled_entries_give_the_same_graph(self):
+        # entries come in any order, a zero on the diagonal among them: every
+        # order builds the same arrays, bit for bit
+        entries = [(0, 1, 0.5), (0, 2, 3e-17), (1, 0, 2.0), (1, 1, 0.0), (2, 0, 1.0), (2, 1, 0.25)]
+        held = []
+        for shuffled in itertools.permutations(entries):
+            g = WeightedDigraph(3, *(np.array(c) for c in zip(*shuffled)))
+            held.append([a.tobytes() for a in (g.rows, g.cols, g.vals, g.in_degrees)])
+        assert all(arrays == held[0] for arrays in held)
+        assert (g.rows.tolist(), g.cols.tolist()) == ([0, 0, 1, 2, 2], [1, 2, 0, 0, 1])
+        assert g.vals.tolist() == [0.5, 3e-17, 2.0, 1.0, 0.25]
 
     @pytest.mark.parametrize("rows, cols", [([0.7, 1.9], [1.2, 0.4]), (np.array([0.0, 1.5]), np.array([1.0, 0.0]))],
                              ids=["list", "array"])
@@ -56,10 +64,23 @@ class TestConstruction:
         assert (g.rows.tolist(), g.cols.tolist(), g.vals.tolist()) == ([0, 1], [1, 0], [1.0, 2.0])
 
     def test_rejects_repeated_pair(self):
-        # a zero weight repeats its pair too: the order is checked before zeros are dropped
+        # a zero weight repeats its pair too: pairs are checked before zeros are dropped
         for vals in ([1.0, 2.0, 1.0], [0.0, 2.0, 1.0]):
             with pytest.raises(InvalidGraph, match="each pair once$"):
                 WeightedDigraph(2, [0, 0, 1], [1, 1, 0], vals)
+
+    @pytest.mark.parametrize("rows, cols, vals", [([0, 1], [1, 0], [1.0, 2.0, 3.0]), ([0, 1], [1, 0], [1.0]),
+                                                  ([0, 1], [1], [1.0, 2.0])], ids=["vals-longer", "vals-shorter", "cols-shorter"])
+    def test_rejects_entry_arrays_of_unequal_length(self, rows, cols, vals):
+        # a longer vals would otherwise be cut to the indices' length without a word
+        with pytest.raises(InvalidGraph, match="^rows, cols and vals must be of equal length$"):
+            WeightedDigraph(2, rows, cols, vals)
+
+    def test_rejects_count_whose_order_key_overflows(self):
+        # the entries are ordered by the key row * (n + 1) + column, which
+        # must fit an index; this is checked before anything n long is made
+        with pytest.raises(InvalidGraph, match=r"^no room for 10000000000000 vertices: n \* \(n \+ 1\)"):
+            WeightedDigraph(10**13, [0, 1], [1, 0], [1.0, 1.0])
 
     def test_negative_zero_is_no_edge(self):
         # -0.0 entries, diagonal ones included, are no edges, and a row of
@@ -217,8 +238,8 @@ class TestEdgeListFormat:
             read_edge_list(path)
 
     def test_vertex_count_beyond_memory_rejected(self, tmp_path):
-        # 10^18 in-degrees need 7 EiB, and n * n overflows the reader's sort
-        # key: the header is rejected on every host
+        # 10^18 in-degrees need 7 EiB, and n * (n + 1) overflows the key of the
+        # entries' order: the header is rejected on every host
         path = tmp_path / "g.edges"
         path.write_text("# a count no host can hold\nn 1000000000000000000\n1 2 1.0\n2 1 1.0\n")
         with pytest.raises(ParseError, match=r"g\.edges:2: no room for 1000000000000000000 vertices"):
@@ -311,8 +332,8 @@ class TestEdgeListFormat:
         ],
     )
     def test_first_bad_line_is_reported(self, tmp_path, body, message):
-        # each line is checked as it is read, and repeated pairs are found by
-        # sorting afterwards; the error is the one met first in the file
+        # each line, a repeat of an earlier pair included, is checked as it is
+        # read; the error is the one met first in the file
         path = tmp_path / "g.edges"
         path.write_text("n 3\n" + body)
         with pytest.raises(ParseError) as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -21,6 +22,8 @@ from hybridconsensus import (
     GossipSchedule,
     HybridSystem,
     RunConfig,
+    StochasticMatrix,
+    WeightedDigraph,
     decide,
     left_eigenvector,
     monte_carlo_mean,
@@ -29,7 +32,7 @@ from hybridconsensus import (
 )
 from hybridconsensus import graphs
 from hybridconsensus.config import PAPER_X0
-from hybridconsensus.errors import ParseError
+from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import case_matrix
 from hybridconsensus.spectral import _gth
@@ -253,6 +256,42 @@ def test_in_degrees_are_dense_row_sums(seed, n, density, block):
         built, read = digraph(w), read_edge_list(path)
     assert np.array_equal(bits(built.in_degrees), bits(w.sum(axis=1)))
     assert np.array_equal(bits(read.in_degrees), bits(w.sum(axis=1)))
+
+
+@given(st.data())
+def test_entries_in_any_order_build_the_same_records(data):
+    """Any order of the same entries builds the same graph and the same
+    stochastic matrix, array for array and bit for bit.  A pair given twice
+    is rejected by both, before zero weights are dropped, and an entry at
+    (i, i), which repeats the diagonal's pair, by the matrix."""
+    n = data.draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=n * (n - 1), unique=True))
+    weight = st.sampled_from([1.0, 0.5, 2.5, 3e-17, 0.0, -0.0])
+    w = np.array(data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs))))
+    w[0] = 1.0  # at least one edge
+    rows, cols = (np.array(c) for c in zip(*pairs))
+    diag = 1.0 / (1.0 + np.bincount(rows, w, minlength=n))
+    p = w * diag[rows]  # the off-diagonal entries of a stochastic matrix with diagonal `diag`
+
+    def records(at):
+        g = WeightedDigraph(n, rows[at], cols[at], w[at])
+        P = StochasticMatrix(diag, rows[at], cols[at], p[at])
+        return [a.tobytes() for a in (g.rows, g.cols, g.vals, g.in_degrees, P.rows, P.cols, P.vals)]
+
+    order = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.intp)
+    assert records(order) == records(np.arange(len(pairs)))
+
+    k = data.draw(st.integers(0, len(pairs)))  # where the bad entry goes
+    at = np.insert(order, k, data.draw(st.integers(0, len(pairs) - 1)))  # one pair twice
+    with pytest.raises(ConsensusError, match="each pair once$"):
+        WeightedDigraph(n, rows[at], cols[at], w[at])
+    with pytest.raises(ConsensusError, match="each pair once$"):
+        StochasticMatrix(diag, rows[at], cols[at], p[at])
+    i = data.draw(st.integers(0, n - 1))
+    with pytest.raises(ConsensusError, match="each pair once$"):
+        StochasticMatrix(diag, np.insert(rows[order], k, i), np.insert(cols[order], k, i),
+                         np.insert(p[order], k, data.draw(weight)))
 
 
 @st.composite

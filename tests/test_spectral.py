@@ -63,6 +63,25 @@ class TestEdgeForm:
         M = StochasticMatrix(np.array([0.5, 1.0, 1.0]), np.array([0, 1, 2, 2]), np.array([1, 0, 0, 1]), vals)
         assert self.arrays(M) == ([0, 0, 1, 2], [1, 0, 1, 2], [0.5, 0.5, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "rows, cols, vals, message",
+        [
+            ([0], [0], [0.5], "^entries must name each pair once$"),
+            ([0, 0], [1, 1], [0.25, 0.25], "^entries must name each pair once$"),
+            ([0], [-1], [0.5], r"^vertex indices must lie in 0\.\.1$"),
+            ([2], [1], [0.5], r"^vertex indices must lie in 0\.\.1$"),
+            ([0.5], [1], [0.5], "^vertex indices must be integers$"),
+            ([0], [1], [0.5, 0.5], "^rows, cols and vals must be of equal length$"),
+        ],
+        ids=["off-diagonal-at-i-i", "repeated-pair", "column-minus-1", "row-n", "fractional-row", "vals-longer"],
+    )
+    def test_rejects_bad_entries(self, rows, cols, vals, message):
+        # each was accepted, or failed with a bare numpy error: an entry at (0, 0)
+        # beside the diagonal was stepped as 1.0 x_0 but printed as 0.5, and a
+        # repeated pair was stepped as 0.5 but printed as 0.25
+        with pytest.raises(ConsensusError, match=message):
+            StochasticMatrix(np.array([0.5, 1.0]), np.array(rows), np.array(cols), np.array(vals))
+
     def test_zero_diagonal_entry_kept(self):
         # every row ends with its diagonal: `run` sums each row in that order
         M = StochasticMatrix(np.array([0.0, 1.0]), np.array([0]), np.array([1]), np.array([1.0]))
