@@ -1,6 +1,7 @@
-"""Trajectory execution: sampled-map iteration with dense intra-sample
-states (cases 1-2), and the Monte-Carlo mean of seeded gossip runs, with
-its standard error at the last step (case 3).
+"""Trajectory execution: sampled-map iteration, with the blend weights that
+give the intra-sample states from two consecutive samples (cases 1-2), and
+the Monte-Carlo mean of seeded gossip runs, with its standard error at the
+last step (case 3).
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
 pair reproduces a trajectory bit-for-bit on any platform.  Gossip edges
@@ -36,13 +37,15 @@ class RunConfig:
 
 
 class Trajectory:
-    """A run's sampled states, and its continuous agents' states between samples.
-    Case 3 gives the mean over trials, with the final step's standard error and
-    no dense states; cases 1-2 give one run, whose standard error is zero."""
+    """A run's sampled states, and the weights that blend two of them into a
+    continuous agent's state between samples: agent i < m at t_k + dense_tau_grid[j]
+    is (1 - s) x_k[i] + s x_{k+1}[i], s = blend[i, j].  Case 3 gives the mean over
+    trials, with the final step's standard error and no blend columns; cases 1-2
+    give one run, whose standard error is zero."""
 
-    def __init__(self, sample_states: np.ndarray, dense: np.ndarray, stderr: np.ndarray):
+    def __init__(self, sample_states: np.ndarray, blend: np.ndarray, stderr: np.ndarray):
         self.sample_states = sample_states  # (K+1, n): state k at t_k = k*h
-        self.dense = dense  # (K, m, dense_per_step): agent i at t_k + dense_tau_grid[j]
+        self.blend = blend  # (m, dense_per_step): s; the last column is 1 exactly
         self.stderr = stderr  # (n,) standard error of the mean over trials at t_K
 
 
@@ -52,24 +55,21 @@ def dense_tau_grid(h: float, dense_per_step: int) -> np.ndarray:
 
 
 def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Trajectory:
-    """Iterate the case-1/2 sampled map on its edges; dense states of continuous agents.
+    """Iterate the case-1/2 sampled map on its edges; blend weights of continuous agents.
 
     Agent i < m moves from x_k[i] along (A x_k - d x_k)[i] by its gain
     f = `gains(sys, case, tau)`: tau under zero-order hold, (1 - e^{-d tau}) / d
     when self-observing.  So at t_k + tau it is the blend (1 - s) x_k[i] + s x_{k+1}[i]
     of two samples, s = f(d_ii, tau) / f(d_ii, h), and exactly x_{k+1}[i] at h.
     """
-    n, m = sys.n, sys.m
     P = case_matrix(sys, case)
-    states = np.empty((cfg.steps + 1, n))
+    states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, x in enumerate(states[:-1]):
         states[k + 1] = _edge_product(P.rows, P.cols, P.vals, x)
-    f = gains(sys, case, dense_tau_grid(sys.h, cfg.dense_per_step))[:m]
+    f = gains(sys, case, dense_tau_grid(sys.h, cfg.dense_per_step))[: sys.m]
     s = f / f[:, -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
-    dense = (1 - s) * states[:-1, :m, None]
-    dense += s * states[1:, :m, None]
-    return Trajectory(sample_states=states, dense=dense, stderr=np.zeros(n))
+    return Trajectory(sample_states=states, blend=s, stderr=np.zeros(sys.n))
 
 
 def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
@@ -105,6 +105,6 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
         mean[k] = x.mean(axis=0)
     return Trajectory(
         sample_states=mean,
-        dense=np.empty((cfg.steps, sys.m, 0)),
+        blend=np.empty((sys.m, 0)),
         stderr=x.std(axis=0, ddof=1) / math.sqrt(cfg.trials),
     )

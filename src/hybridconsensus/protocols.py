@@ -137,15 +137,6 @@ def _require_h(sys: HybridSystem, case: int) -> None:
         raise ConsensusError(f"h = {sys.h} must be strictly below {name} = {limit}")
 
 
-def exp_gain(rate: np.ndarray, tau) -> np.ndarray:
-    """(1 - e^{-rate*tau}) / rate elementwise, continued by its limit tau at
-    rate = 0.  -expm1 keeps full precision however weak the link: 1 - exp(-x)
-    keeps none of it once x is below the float spacing at 1 (~1e-16)."""
-    rate = np.asarray(rate, dtype=float)
-    safe = np.where(rate > 0, rate, 1.0)
-    return np.where(rate > 0, -np.expm1(-safe * tau) / safe, tau)
-
-
 def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
     """Read-only gains g_i(tau) of cases 1-2, by which agent i moves
     x_i += g_i (A x - d x)_i by t_k + tau: tau if it holds its input,
@@ -154,9 +145,12 @@ def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
     the h bound."""
     _require_h(sys, case)
     k, tau = _observers(sys, case), np.asarray(sys.h if tau is None else tau, dtype=float)
-    d = sys.graph.in_degrees.reshape(-1, *[1] * tau.ndim)
+    d = sys.graph.in_degrees[:k].reshape(-1, *[1] * tau.ndim)
     g = np.broadcast_to(tau, (sys.n, *tau.shape)).copy()
-    g[:k] = exp_gain(d[:k], tau)
+    # (1 - e^{-d tau}) / d, continued by its limit tau at d = 0.  -expm1 keeps full
+    # precision however weak the link: 1 - exp(-x) keeps none of it once x is
+    # below the float spacing at 1 (~1e-16).
+    g[:k] = np.where(d > 0, -np.expm1(-d * tau) / np.where(d > 0, d, 1.0), tau)
     g.setflags(write=False)
     return g
 

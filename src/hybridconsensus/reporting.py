@@ -51,9 +51,12 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     """The header line, then blocks of about BLOCK_ROWS rows `t,agent,value,kind,record`.
     A block holds whole steps: step k is the n sample rows at t_k, then the
     dense rows of interval k at t_k + tau, agent by agent; the last step has
-    sample rows only.  Agent ids are 1-based; case 3 gives mean states, no dense rows."""
-    states, dense = traj.sample_states, traj.dense
-    (K, m, d), n, taus = dense.shape, sys.n, dense_tau_grid(sys.h, dense.shape[2])
+    sample rows only.  Each block blends its own dense values from the samples
+    at both ends of the interval.  Agent ids are 1-based; case 3 gives mean
+    states, no dense rows."""
+    states, s = traj.sample_states, traj.blend
+    (m, d), n, K = s.shape, sys.n, len(states) - 1
+    taus = dense_tau_grid(sys.h, d)
     agents = [f",{i + 1}," for i in range(n)]
     agent = agents + [a for a in agents[:m] for _ in range(d)]  # one step's rows
     ends = [",continuous,sample\n"] * m + [",discrete,sample\n"] * (n - m)  # agents < m continuous
@@ -64,7 +67,8 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
         k = np.arange(k0, min(k0 + per_block, K))
         t = np.repeat(_strs(k * sys.h)[:, None], len(agent), 1)  # t_k = k*h
         t[:, n:] = np.tile(_strs(k[:, None] * sys.h + taus), m)  # k*h + tau
-        yield _rows(t, agent, np.hstack([states[k], dense[k].reshape(len(k), m * d)]), end_nl)
+        dense = (1 - s) * states[k, :m, None] + s * states[k + 1, :m, None]
+        yield _rows(t, agent, np.hstack([states[k], dense.reshape(len(k), m * d)]), end_nl)
     yield _rows(np.repeat(_strs(np.array([K * sys.h])), n), agents, states[K:], ends)
 
 

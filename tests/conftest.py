@@ -6,7 +6,7 @@ import pytest
 from hybridconsensus import WeightedDigraph
 from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.reporting import CSV_HEADER
-from oracles import digraph
+from oracles import dense_states, digraph
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -96,8 +96,8 @@ def reference_csv_lines(sys, traj) -> list[str]:
     """The original per-row formatter, kept as the reference oracle for
     `reporting.trajectory_csv_blocks`: one f-string, two reprs per row."""
     lines = [CSV_HEADER]
-    states, dense = traj.sample_states, traj.dense.tolist()
-    taus = dense_tau_grid(sys.h, traj.dense.shape[2]).tolist()
+    states, dense = traj.sample_states, dense_states(traj).tolist()
+    taus = dense_tau_grid(sys.h, traj.blend.shape[1]).tolist()
     kinds = ["continuous" if i < sys.m else "discrete" for i in range(sys.n)]
     for k, row in enumerate(states.tolist()):
         for agent, value in enumerate(row):

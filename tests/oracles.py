@@ -355,13 +355,24 @@ def gossip_interpolant(
     return float(beta * x_k[i] + (1.0 - beta) * x_k[partner])
 
 
+def dense_states(traj: Trajectory) -> np.ndarray:
+    """(K, m, d) states of the continuous agents between samples, the values the
+    CSV writer prints as dense rows: (1 - s) x_k[i] + s x_{k+1}[i], s = blend[i, j],
+    formed one value at a time in Python floats."""
+    x, blend = traj.sample_states.tolist(), traj.blend.tolist()
+    values = [[(1 - s) * a[i] + s * b[i] for i, row in enumerate(blend) for s in row]
+              for a, b in zip(x, x[1:])]
+    return np.array(values, dtype=float).reshape(len(x) - 1, *traj.blend.shape)
+
+
 # --- single gossip runs -------------------------------------------------------
 
 
 def simulate_gossip(
     sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
-) -> tuple[Trajectory, tuple[tuple[int, int], ...]]:
-    """One seeded gossip run and the edges it drew.
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """One seeded gossip run: its (K+1, n) sampled states, the (K, m, d) states
+    of its continuous agents at t_k + dense_tau_grid[j], and the edges it drew.
 
     The edges are the ones `monte_carlo_mean` draws for the trial seeded
     cfg.seed.  Each sample applies the drawn edge's full pair matrix; between
@@ -382,4 +393,4 @@ def simulate_gossip(
                 other = edge[0] + edge[1] - end
                 if end < sys.m:
                     between[k, end, col] = x[end] + g * (x[other] - x[end])
-    return Trajectory(states, between, np.zeros(sys.n)), drawn
+    return states, between, drawn

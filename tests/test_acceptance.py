@@ -26,6 +26,7 @@ from hybridconsensus.config import PAPER_X0
 from hybridconsensus.protocols import pair_gains
 from oracles import (
     dense,
+    dense_states,
     digraph,
     NotRankOne,
     gossip_interpolant,
@@ -220,7 +221,7 @@ def test_criterion_6_endpoint_consistency():
             sys_ = HybridSystem(g, m=m, h=h, x0=rng.uniform(-1, 1, n))
             M = dense(case_matrix(sys_, case))
             cfg = RunConfig(steps=1, dense_per_step=int(rng.integers(1, 4)))
-            states = simulate_deterministic(sys_, case, cfg).dense
+            states = dense_states(simulate_deterministic(sys_, case, cfg))
             i = int(rng.integers(0, m))
             gap = abs(states[0, i, -1] - M[i] @ sys_.x0)
         else:

@@ -414,6 +414,25 @@ class TestCliSubcommands:
             assert verdict["condition"].startswith("the root class is periodic, with period 6;")
         assert main(["run", *args, "--out", str(tmp_path)]) == (2 if solvable else 0)
 
+    @pytest.mark.parametrize(
+        "scale, flags, converged",
+        [(1e7, [], False), (1e-10, ["--steps", "0"], True)],
+        ids=["1e7-paper", "1e-10-paper-no-step"],
+    )
+    def test_verdict_depends_on_the_units_of_x0(self, tmp_path, presets_dir, capsys, scale, flags,
+                                                converged):
+        # today's behaviour (ROADMAP item 12): `verify_run` compares the final
+        # disagreement and the gap to nu^T x0 with the absolute tol, so scaling the
+        # paper state changes `converged`.  At 1e7 the gap fails on rounding in the
+        # consensus component; at 1e-10 the run passes after no step at all.  A fix
+        # of item 12 changes these asserts knowingly.
+        x0 = ",".join(repr(scale * v) for v in PAPER_X0)
+        args = [str(presets_dir / "example1.cfg"), f"--x0={x0}", "--h", "0.2", *flags]
+        assert main(["run", *args, "--out", str(tmp_path)]) == (0 if converged else 2)
+        assert json.loads((tmp_path / "verdict.json").read_text())["converged"] is converged
+        mismatch = "converged = False does not match solvable = True\n"
+        assert capsys.readouterr().err == ("" if converged else mismatch)
+
     def test_matrix_dump_is_row_stochastic(self, presets_dir):
         result = run_cli("matrix", str(presets_dir / "example1.cfg"))
         rows = [list(map(float, line.split(","))) for line in result.stdout.strip().splitlines()]

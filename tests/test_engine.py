@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ from hybridconsensus.config import load_config
 from hybridconsensus.engine import _draw_edges, dense_tau_grid
 from hybridconsensus.errors import ConsensusError
 from hybridconsensus.reporting import trajectory_csv_blocks
-from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, gossip_pair_matrix, simulate_gossip
+from oracles import (
+    continuous_interpolant,
+    dense,
+    dense_states,
+    digraph,
+    gossip_interpolant,
+    gossip_pair_matrix,
+    simulate_gossip,
+)
 from conftest import PRESETS, random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -65,7 +74,8 @@ class TestSimulateDeterministic:
         assert final.max() - final.min() < 1e-8
 
     def test_dense_records_meet_next_sample(self):
-        # the last dense record of each interval is the next sampled state, bit for bit
+        # the last blend weight is 1.0 exactly, so the last dense record of each
+        # interval is the next sampled state, bit for bit
         rng = np.random.default_rng(89)
         g = random_spanning_graph(rng, 5, extra=4, w_lo=0.2)
         h = 0.5 / g.in_degrees.max()
@@ -76,10 +86,25 @@ class TestSimulateDeterministic:
             runs.append((cfg.system, cfg.case, cfg.run))
         for sys, case, run_cfg in runs:
             traj = simulate_deterministic(sys, case, run_cfg)
-            assert traj.dense.shape == (run_cfg.steps, sys.m, run_cfg.dense_per_step)
+            assert traj.blend.shape == (sys.m, run_cfg.dense_per_step)
+            assert np.all(traj.blend[:, -1] == 1.0)
             np.testing.assert_array_equal(
-                traj.dense[:, :, -1].view(np.int64), traj.sample_states[1:, : sys.m].view(np.int64)
+                dense_states(traj)[:, :, -1].view(np.int64),
+                traj.sample_states[1:, : sys.m].view(np.int64),
             )
+
+    def test_peak_memory_does_not_grow_with_dense_points(self):
+        # a run holds its samples and one (m, dense_per_step) blend, so 50 dense
+        # points per step cost what 1 does; a held (steps, m, 50) array is 16 MB here
+        sys, peaks = two_node(m=2), []
+        for d in (1, 50):
+            tracemalloc.start()
+            try:
+                simulate_deterministic(sys, 1, RunConfig(steps=20_000, dense_per_step=d))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20, f"peaks {peaks} B"
 
     def test_tau_grid_ends_exactly_at_h(self):
         # 10 * (0.103 / 10) rounds to 0.10300000000000001, one ulp past h
@@ -99,7 +124,7 @@ class TestSimulateDeterministic:
         t0 = simulate_deterministic(base, 1, cfg)
         t1 = simulate_deterministic(shifted, 1, cfg)
         np.testing.assert_allclose(t1.sample_states, t0.sample_states + 3.0, atol=1e-11)
-        np.testing.assert_allclose(t1.dense, t0.dense + 3.0, atol=1e-11, rtol=0)
+        np.testing.assert_allclose(dense_states(t1), dense_states(t0) + 3.0, atol=1e-11, rtol=0)
 
     def test_dense_matches_scalar_interpolant(self):
         rng = np.random.default_rng(107)
@@ -113,10 +138,10 @@ class TestSimulateDeterministic:
                               g.in_degrees.max(), 1.0)
                 sys = HybridSystem(g, m=min(m, n), h=h, x0=x0)
                 traj = simulate_deterministic(sys, case, RunConfig(steps=6, dense_per_step=3))
-                taus = dense_tau_grid(h, 3)
-                for k, i, j in np.ndindex(traj.dense.shape):
+                between, taus = dense_states(traj), dense_tau_grid(h, 3)
+                for k, i, j in np.ndindex(between.shape):
                     want = continuous_interpolant(case, sys, traj.sample_states[k], i, taus[j])
-                    assert abs(traj.dense[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
+                    assert abs(between[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
 
     def test_max_min_shrinking(self):
         rng = np.random.default_rng(101)
@@ -135,33 +160,33 @@ class TestSimulateGossip:
     def test_single_edge_deterministic(self):
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
-        traj, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
+        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
         phi = dense(gossip_pair_matrix(sys, 0, 1))
         x = np.array([0.0, 1.0])
         for k in range(5):
             x = phi @ x
-            np.testing.assert_allclose(traj.sample_states[k + 1], x, atol=1e-15)
+            np.testing.assert_allclose(states[k + 1], x, atol=1e-15)
 
     def test_seed_reproducibility(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
         sched = GossipSchedule.uniform(g)
         cfg = RunConfig(steps=50, dense_per_step=2, seed=42)
-        t0, drawn0 = simulate_gossip(sys, sched, cfg)
-        t1, drawn1 = simulate_gossip(sys, sched, cfg)
-        np.testing.assert_array_equal(t0.sample_states, t1.sample_states)
+        states0, between0, drawn0 = simulate_gossip(sys, sched, cfg)
+        states1, between1, drawn1 = simulate_gossip(sys, sched, cfg)
+        np.testing.assert_array_equal(states0, states1)
         assert drawn0 == drawn1
-        np.testing.assert_array_equal(t0.dense, t1.dense)
+        np.testing.assert_array_equal(between0, between1)
 
     def test_replay_of_logged_draws(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0]))
         sched = GossipSchedule.uniform(g)
-        traj, drawn = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
+        states, _, drawn = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
         x = np.array(sys.x0)
         for k, (i, j) in enumerate(drawn):
             x = dense(gossip_pair_matrix(sys, i, j)) @ x
-            np.testing.assert_allclose(traj.sample_states[k + 1], x, atol=1e-15)
+            np.testing.assert_allclose(states[k + 1], x, atol=1e-15)
 
     def test_drawn_edges_are_stable(self):
         # inverse-CDF draws from PCG64(seed) over the sorted edge list
@@ -181,20 +206,18 @@ class TestSimulateGossip:
             x0 = rng.uniform(-10, 10, n)
             sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / dense(g).max(), x0=x0)
             cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
-            traj, drawn = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
-            assert traj.dense.shape == (12, sys.m, 3)
+            states, between, drawn = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
+            assert between.shape == (12, sys.m, 3)
             taus = dense_tau_grid(sys.h, 3)
-            for k, i, j in np.ndindex(traj.dense.shape):
-                x_k, edge = traj.sample_states[k], drawn[k]
-                want = gossip_interpolant(sys, x_k, edge, i, taus[j])
-                assert abs(traj.dense[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
+            for k, i, j in np.ndindex(between.shape):
+                want = gossip_interpolant(sys, states[k], drawn[k], i, taus[j])
+                assert abs(between[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
 
     def test_max_min_shrinking_per_step(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
         sched = GossipSchedule.uniform(g)
-        traj, _ = simulate_gossip(sys, sched, RunConfig(steps=200, dense_per_step=0, seed=5))
-        states = traj.sample_states
+        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=200, dense_per_step=0, seed=5))
         assert np.all(np.diff(states.max(axis=1)) <= 1e-12)
         assert np.all(np.diff(states.min(axis=1)) >= -1e-12)
 
@@ -204,8 +227,8 @@ class TestMonteCarlo:
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
         mc = monte_carlo_mean(sys, sched, RunConfig(steps=10, trials=20))
-        det, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
-        np.testing.assert_allclose(mc.sample_states, det.sample_states, atol=1e-14)
+        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
+        np.testing.assert_allclose(mc.sample_states, states, atol=1e-14)
         np.testing.assert_allclose(mc.stderr, 0.0, atol=1e-14)
 
     def test_single_trial_rejected(self):
@@ -225,7 +248,7 @@ class TestMonteCarlo:
         # reference: one full pair matrix per drawn edge, trial r seeded seed + r
         all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
         for r in range(cfg.trials):
-            _, edges = simulate_gossip(
+            _, _, edges = simulate_gossip(
                 sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
             )
             x = np.array(x0)
@@ -275,7 +298,7 @@ class TestMonteCarlo:
         at_k = np.empty((cfg.trials, 5))
         for r in range(cfg.trials):
             run_cfg = RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-            _, edges = simulate_gossip(sys, sched, run_cfg)
+            _, _, edges = simulate_gossip(sys, sched, run_cfg)
             x = np.array(x0)
             for i, j in edges[:k]:
                 x = dense(gossip_pair_matrix(sys, i, j)) @ x

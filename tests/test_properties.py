@@ -23,6 +23,7 @@ from hybridconsensus import (
     HybridSystem,
     RunConfig,
     StochasticMatrix,
+    Trajectory,
     WeightedDigraph,
     decide,
     left_eigenvector,
@@ -409,8 +410,8 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
     st.booleans(),
 )
 def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
-    """Byte-identical rows for any run: deterministic, one gossip run or a
-    Monte-Carlo mean, with leading agents started at signed zeros."""
+    """Byte-identical rows for any run: deterministic, one gossip run's samples
+    or a Monte-Carlo mean, with leading agents started at signed zeros."""
     sys, case, sched = drawn
     x0 = sys.x0.copy()
     x0[: len(zeros)] = zeros  # n >= 4
@@ -421,8 +422,8 @@ def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
         traj = simulate_deterministic(sys, case, cfg)
     elif mean:
         traj = monte_carlo_mean(sys, sched, cfg)
-    else:
-        traj, _ = simulate_gossip(sys, sched, cfg)
+    else:  # one gossip run, as the mean's trials are: sample rows only
+        traj = Trajectory(simulate_gossip(sys, sched, cfg)[0], np.empty((sys.m, 0)), np.zeros(sys.n))
     want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
     assert "".join(trajectory_csv_blocks(sys, traj)) == want
 
