@@ -8,7 +8,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
-from .errors import DegenerateEigenspace
 from .protocols import GossipSchedule, HybridSystem, bound, case_matrix, protocol
 from .spectral import left_eigenvector
 
@@ -30,15 +29,12 @@ def decide(
     i hears j (in case 3: over a scheduled edge).  Consensus is solvable
     exactly when P has one closed class: a directed spanning tree in cases
     1-2, scheduled edges that connect the graph in case 3.  That is when the
-    left Perron vector nu of P is unique, and the predicted value is nu^T x0.
+    left Perron vector nu of P is unique, and the predicted value is nu^T x0;
+    otherwise `left_eigenvector` gives None and the verdict is not solvable.
     The class must also be aperiodic, or P's powers cycle: a positive
     diagonal makes it so, unless e^{-d_ii h} underflows to 0 (Remark 1).
     """
-    P = case_matrix(sys, case, sched)  # also enforces the h bound
-    try:
-        perron = left_eigenvector(P)
-    except DegenerateEigenspace:
-        perron = None
+    perron = left_eigenvector(case_matrix(sys, case, sched))  # also enforces the h bound
     solvable = perron is not None and perron.period == 1
     holds = protocol(case).condition[solvable]
     if perron is not None and not solvable:

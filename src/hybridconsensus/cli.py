@@ -29,8 +29,8 @@ _collecting = gc.isenabled()
 gc.disable()
 
 import argparse
-import json
 import os
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -48,7 +48,8 @@ from .analysis import decide, verify_run
 from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, bound, case_matrix
-from .reporting import matrix_rows, verdict_report, write_trajectory_csv, write_verdict_json
+from .reporting import matrix_rows, verdict_json, verdict_report
+from .reporting import write_trajectory_csv, write_verdict_json
 
 gc.freeze()
 if _collecting:
@@ -61,7 +62,7 @@ EXIT_CONDITION = 2
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
     verdict = decide(cfg.system, cfg.case, cfg.sched)
-    print(json.dumps(verdict_report(cfg, verdict), indent=2, sort_keys=True, allow_nan=False))
+    print(verdict_json(verdict_report(cfg, verdict)))
     return EXIT_OK
 
 
@@ -120,6 +121,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(_sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads "-13,14" as an option, not a value
+        if argv[i - 1] in ("--x0", "--probs") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})
@@ -127,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO
+    # numpy raises ValueError for an array too big to allocate, json for a NaN
     except (ConsensusError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONDITION

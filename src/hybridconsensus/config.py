@@ -130,7 +130,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     values["graph"], graph = str(edges), read_edge_list(edges)
     protocol(values["case"])  # rejects an unknown case
     if values["probs"] != "uniform" and values["case"] != 3:  # no schedule would check it
-        raise ValueError(f"probs is read only in case 3, got case {values['case']}")
+        raise ConsensusError(f"probs is read only in case 3, got case {values['case']}")
     if values["x0"] == "paper":
         if graph.n != len(PAPER_X0):
             raise ConsensusError(
@@ -142,7 +142,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     if values["h"] is None:
         raise ParseError("missing required key 'h'")
     if not (values["tol"] > 0 and math.isfinite(values["tol"])):
-        raise ValueError(f"tol must be positive and finite, got {values['tol']}")
+        raise ConsensusError(f"tol must be positive and finite, got {values['tol']}")
     gossip = values["case"] == 3
     # run's counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],

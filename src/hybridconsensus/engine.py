@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .errors import ConsensusError
 from .protocols import GossipSchedule, HybridSystem, case_matrix, gains, pair_gains
 from .spectral import _edge_product
 
@@ -31,7 +32,7 @@ class RunConfig:
         for name, value, floor in (("steps", steps, 0), ("dense_per_step", dense_per_step, 0),
                                    ("seed", seed, 0), ("trials", trials, min_trials)):
             if value < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {value}")
+                raise ConsensusError(f"{name} must be >= {floor}, got {value}")
         self.steps, self.dense_per_step = steps, dense_per_step
         self.seed, self.trials = seed, trials
 
@@ -86,7 +87,7 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
     of the (trials, n) state, and the mean over trials is kept per step.
     """
     if cfg.trials < 2:
-        raise ValueError("monte_carlo_mean needs trials >= 2")
+        raise ConsensusError("monte_carlo_mean needs trials >= 2")
     gains = pair_gains(sys, sched)  # also checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))

@@ -1,9 +1,8 @@
-"""Exception types of the hybridconsensus package.
+"""Exception types of the hybridconsensus package, one per CLI exit code.
 
-A checked condition that fails raises `ConsensusError` with a message that
-names it; the CLI prints the message and exits 2.  `ParseError` marks an
-input it could not read, and exits 1.  The other two are the ones the
-package catches itself.
+A checked condition of the paper or of the input that fails raises
+`ConsensusError` with a message that names it; the CLI prints the message
+and exits 2.  `ParseError` marks an input it could not read, and exits 1.
 """
 
 
@@ -13,13 +12,3 @@ class ConsensusError(Exception):
 
 class ParseError(ConsensusError):
     """A graph or config file could not be parsed."""
-
-
-class InvalidGraph(ConsensusError):
-    """Bad weights (negative, non-finite, on the diagonal, all zero) or indices
-    (not integers in 0..n-1, a pair twice); the edge-list reader makes it a ParseError."""
-
-
-class DegenerateEigenspace(ConsensusError):
-    """The eigenvalue 1 is not simple: P has no single closed class, and the
-    verdict says consensus is not solvable."""

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidGraph, ParseError
+from .errors import ConsensusError, ParseError
 
 # numbers in the dense buffer the in-degrees are summed from: 1 MB stays in
 # cache, where 8 MB made a fresh process read an n=1000 graph 4 ms slower
@@ -32,23 +32,23 @@ _BLOCK = 2**17
 
 def sorted_entries(n: int, rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries (rows, cols, vals) in edge form: sorted by row, then column,
-    with a row's diagonal entry last.  Raises InvalidGraph unless the three
+    with a row's diagonal entry last.  Raises ConsensusError unless the three
     have one length, every index is an integer in 0..n-1, each pair is given
     once and n * (n + 1) fits an index."""
     if not len(rows) == len(cols) == len(vals):
-        raise InvalidGraph("rows, cols and vals must be of equal length")
+        raise ConsensusError("rows, cols and vals must be of equal length")
     given = rows, cols
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     if not all(a is b or np.array_equal(a, b) for a, b in zip((rows, cols), given)):
-        raise InvalidGraph("vertex indices must be integers")  # the cast truncated one
+        raise ConsensusError("vertex indices must be integers")  # the cast truncated one
     if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
-        raise InvalidGraph(f"vertex indices must lie in 0..{n - 1}")
+        raise ConsensusError(f"vertex indices must lie in 0..{n - 1}")
     if n > np.iinfo(np.intp).max // (n + 1):
-        raise InvalidGraph(f"no room for {n} vertices: n * (n + 1) overflows an index")
+        raise ConsensusError(f"no room for {n} vertices: n * (n + 1) overflows an index")
     key = rows * (n + 1) + np.where(rows == cols, n, cols)
     order = np.argsort(key, kind="stable")
     if np.any(np.diff(key[order]) == 0):
-        raise InvalidGraph("entries must name each pair once")
+        raise ConsensusError("entries must name each pair once")
     return rows[order], cols[order], np.asarray(vals, dtype=float)[order]
 
 
@@ -57,20 +57,21 @@ class WeightedDigraph:
     integer indices (`rows`, `cols`), in any order, each pair once.  Zero
     weights are no edge and are dropped; the positive entries, sorted by row,
     then column, and the in-degrees d_ii = sum_j a_ij are held as read-only
-    arrays."""
+    arrays.  Raises ConsensusError unless the entries pass `sorted_entries`,
+    every weight is finite, nonnegative and off the diagonal, and one is positive."""
 
     def __init__(self, n: int, rows, cols, vals):
         rows, cols, vals = sorted_entries(n, rows, cols, vals)
         keep = vals != 0  # NaN included, -0.0 not
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if not np.all(np.isfinite(vals)):
-            raise InvalidGraph("weights must be finite")
+            raise ConsensusError("weights must be finite")
         if np.any(vals < 0):
-            raise InvalidGraph("weights must be nonnegative")
+            raise ConsensusError("weights must be nonnegative")
         if np.any(rows == cols):
-            raise InvalidGraph("self-loops (nonzero diagonal) are not allowed")
+            raise ConsensusError("self-loops (nonzero diagonal) are not allowed")
         if not len(vals):
-            raise InvalidGraph("graph must contain at least one edge")
+            raise ConsensusError("graph must contain at least one edge")
         # numpy's pairwise row sums, bit for bit the dense array's: `bounds` prints
         # 1/max d_ii, whose last bit a sum in entry order can change.  The rows with
         # entries fill one dense buffer of _BLOCK numbers a few at a time.
@@ -176,7 +177,8 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
 
     Each edge line is checked once, as it is read: token count, `int`, `int`,
     `float`, index range, and a pair not given on an earlier line, so the
-    error raised names the first bad line.
+    error raised names the first bad line.  Every failure is a ParseError
+    naming the file, the graph's own checks (a ConsensusError) included.
     """
     path = Path(path)
     lines = content_lines(path)
@@ -213,7 +215,7 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     rows, cols = np.divmod(np.fromiter(first, dtype=np.intp, count=len(first)) - n - 1, n)
     try:
         return WeightedDigraph(n, rows, cols, vals)
-    except InvalidGraph as exc:
+    except ConsensusError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except MemoryError as exc:
         raise ParseError(f"{path}:{header}: no room for {n} vertices: {exc}") from exc

@@ -45,17 +45,17 @@ class HybridSystem:
     def __init__(self, graph: WeightedDigraph, m: int, h: float, x0: np.ndarray):
         n, x0 = graph.n, np.array(x0, dtype=float)
         if x0.ndim != 1:
-            raise ValueError(f"x0 must be a vector, got shape {x0.shape}")
+            raise ConsensusError(f"x0 must be a vector, got shape {x0.shape}")
         if len(x0) != n:
             raise ConsensusError(f"x0 has length {len(x0)}, graph has n = {n}")
         if not 0 <= m <= n:
-            raise ValueError(f"m must lie in [0, {n}], got {m}")
+            raise ConsensusError(f"m must lie in [0, {n}], got {m}")
         if not (h > 0 and math.isfinite(h)):
-            raise ValueError(f"sampling period must be positive and finite, got {h}")
+            raise ConsensusError(f"sampling period must be positive and finite, got {h}")
         finite = np.isfinite(x0)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise ValueError(f"x0 must be finite, got x0[{bad}] = {float(x0[bad])}")
+            raise ConsensusError(f"x0 must be finite, got x0[{bad}] = {float(x0[bad])}")
         x0.setflags(write=False)
         self.graph, self.m, self.h, self.x0 = graph, m, h, x0
 
@@ -116,7 +116,7 @@ def _observers(sys: HybridSystem, case: int) -> int:
     samples in case 1 or 2: the m continuous agents in case 2, none under
     case 1's zero-order hold.  Every other agent holds its input until t_{k+1}."""
     if protocol(case) is PROTOCOLS[3]:  # protocol() rejects an unknown case
-        raise ValueError("case 3 has no sampled map; its pairs move by pair_gains")
+        raise ConsensusError("case 3 has no sampled map; its pairs move by pair_gains")
     return sys.m if case == 2 else 0
 
 
@@ -176,7 +176,7 @@ def case_matrix(
     """
     if case == 3:
         if sched is None:
-            raise ValueError("case 3 requires a gossip schedule")
+            raise ConsensusError("case 3 requires a gossip schedule")
         rows, cols = np.r_[sched.i, sched.j], np.r_[sched.j, sched.i]
         vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
         diag = np.ones(sys.n)

@@ -118,5 +118,10 @@ def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
     }
 
 
+def verdict_json(report: dict) -> str:
+    """The report as strict JSON, keys sorted: a NaN or infinity raises ValueError."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_verdict_json(report: dict, path: str | Path) -> None:
-    _write_replacing(path, [json.dumps(report, indent=2, sort_keys=True, allow_nan=False), "\n"])
+    _write_replacing(path, [verdict_json(report), "\n"])

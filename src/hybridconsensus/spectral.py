@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsensusError, DegenerateEigenspace
+from .errors import ConsensusError
 from .graphs import sorted_entries, strong_components
 
 STOCHASTIC_TOL = 1e-12
@@ -86,16 +86,16 @@ def _gth(W: np.ndarray) -> np.ndarray:
     return pi
 
 
-def left_eigenvector(P: StochasticMatrix) -> PerronVector:
+def left_eigenvector(P: StochasticMatrix) -> PerronVector | None:
     """nu with P^T nu = nu, 1^T nu = 1, by GTH on the root class of P.
 
-    Raises DegenerateEigenspace unless exactly one strong class of P's
-    pattern is closed (else eigenvalue 1 is not simple), and ConsensusError
+    None unless exactly one strong class of P's pattern is closed (else
+    eigenvalue 1 is not simple and nu is not unique).  Raises ConsensusError
     unless the residual max |P^T nu - nu| is below NU_RESIDUAL_TOL.
     """
     label, closed, depth = strong_components(P.n, P.rows, P.cols)
     if len(closed) != 1:
-        raise DegenerateEigenspace(f"{len(closed)} closed classes: eigenvalue 1 is not simple")
+        return None
     root = np.flatnonzero(label == closed[0])
     inside = label[P.rows] == closed[0]  # every entry in a row of the closed root class
     link = inside & (P.vals > 0)  # a diagonal kept at zero is no link

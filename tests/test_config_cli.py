@@ -93,7 +93,7 @@ class TestLoadConfig:
     def test_tol_must_be_positive_and_finite(self, tmp_path, tol):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
         text = f"graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\ntol = {tol}\n"
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ConsensusError, match="tol"):
             load_config(write_cfg(tmp_path, text))
 
     def test_undecodable_config_is_parse_error(self, tmp_path):
@@ -228,7 +228,7 @@ class TestCliExitCodes:
         args = ["check", str(presets_dir / preset), "--" + flag.replace("_", "-"), str(value)]
         assert main(args) == 2
         min_trials = 2 if load_config(presets_dir / preset).case == 3 else 1
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ConsensusError) as exc:
             RunConfig(**{"steps": 0, flag: value}, min_trials=min_trials)
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
@@ -263,6 +263,9 @@ class TestCliExitCodes:
              "probs is read only in case 3, got case 1\n"),
             ("example3.cfg", ["--probs", "0.5,0.5,0,0,0,0,0"],
              "error: each probability must lie in (0, 1]\n"),
+            # argparse took a list that starts with "-" for an option, and exited on it
+            ("example3.cfg", ["--probs", "-0.5,0.5,0.2,0.2,0.2,0.2,0.2"],
+             "error: each probability must lie in (0, 1]\n"),
             # a numpy scalar's repr printed "got np.float64(0.7)" under numpy 2
             ("example3.cfg", ["--probs", ",".join(["0.1"] * 7)],
              "error: probabilities must sum to 1, got 0.7\n"),
@@ -284,7 +287,7 @@ class TestCliExitCodes:
             ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
         ],
         ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
-             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "probs-sum", "not-stochastic",
+             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs", "probs-sum", "not-stochastic",
              "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
              "paper-x0-length", "unknown-case"],
     )
@@ -299,8 +302,8 @@ class TestCliExitCodes:
         [
             ("example1.cfg", {"case": "3"}, ConsensusError),
             ("example3.cfg", {"probs": "0.5,0.5"}, ConsensusError),
-            ("example1.cfg", {"m": "7"}, ValueError),
-            ("example1.cfg", {"x0": "1,nan,2,3,4,5", "h": "0.2"}, ValueError),
+            ("example1.cfg", {"m": "7"}, ConsensusError),
+            ("example1.cfg", {"x0": "1,nan,2,3,4,5", "h": "0.2"}, ConsensusError),
         ],
         ids=["asymmetric-graph-in-case3", "probs-length", "m-above-n", "nan-x0"],
     )
@@ -432,6 +435,19 @@ class TestCliSubcommands:
         assert json.loads((tmp_path / "verdict.json").read_text())["converged"] is converged
         mismatch = "converged = False does not match solvable = True\n"
         assert capsys.readouterr().err == ("" if converged else mismatch)
+
+    def test_negative_list_as_its_own_token(self, presets_dir, capsys):
+        # argparse's negative-number rule matches one number only, so it read
+        # "-13,14,..." as an option and stopped: "--x0: expected one argument"
+        config, x0 = str(presets_dir / "example1.cfg"), "-13,14,3,-9,-3,6"
+        assert main(["check", config, "--h", "0.2", "--x0", x0]) == 0
+        separate = capsys.readouterr()
+        assert main(["check", config, "--h", "0.2", f"--x0={x0}"]) == 0
+        assert separate == capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # a flag after --x0 is still no value
+            main(["check", config, "--x0", "--h", "0.2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --x0: expected one argument\n")
 
     def test_matrix_dump_is_row_stochastic(self, presets_dir):
         result = run_cli("matrix", str(presets_dir / "example1.cfg"))

@@ -53,7 +53,7 @@ class TestSimulateDeterministic:
     def test_unknown_case_raises(self):
         with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 7$"):
             simulate_deterministic(two_node(), 7, RunConfig(steps=1))
-        with pytest.raises(ValueError, match="gossip schedule"):
+        with pytest.raises(ConsensusError, match="gossip schedule"):
             simulate_deterministic(two_node(), 3, RunConfig(steps=1))
 
     def test_sample_grid_spacing(self):
@@ -234,7 +234,7 @@ class TestMonteCarlo:
     def test_single_trial_rejected(self):
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsensusError):
             monte_carlo_mean(sys, sched, RunConfig(steps=5, trials=1))
 
     def test_matches_per_trial_pair_matrix_loop(self):
@@ -309,9 +309,9 @@ class TestMonteCarlo:
 
 class TestRunConfig:
     def test_rejects_negative_steps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsensusError):
             RunConfig(steps=-1)
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsensusError):
             RunConfig(steps=1, trials=0)

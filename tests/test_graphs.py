@@ -11,7 +11,7 @@ from hybridconsensus import (
     read_edge_list,
 )
 from hybridconsensus import graphs
-from hybridconsensus.errors import ConsensusError, InvalidGraph, ParseError
+from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from oracles import dense, digraph, edge_form, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
@@ -19,25 +19,25 @@ from conftest import random_spanning_graph, ring_graph
 
 class TestConstruction:
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidGraph, match="^weights must be nonnegative$"):
+        with pytest.raises(ConsensusError, match="^weights must be nonnegative$"):
             WeightedDigraph(2, [0, 1], [1, 0], [-1.0, 1.0])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidGraph, match=r"^self-loops \(nonzero diagonal\) are not allowed$"):
+        with pytest.raises(ConsensusError, match=r"^self-loops \(nonzero diagonal\) are not allowed$"):
             WeightedDigraph(2, [0, 0, 1], [0, 1, 0], [0.5, 1.0, 1.0])
 
     def test_rejects_edgeless(self):
-        with pytest.raises(InvalidGraph, match="^graph must contain at least one edge$"):
+        with pytest.raises(ConsensusError, match="^graph must contain at least one edge$"):
             WeightedDigraph(3, [], [], [])
 
     def test_rejects_nan_and_inf(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidGraph, match="^weights must be finite$"):
+            with pytest.raises(ConsensusError, match="^weights must be finite$"):
                 WeightedDigraph(2, [0, 1], [1, 0], [bad, 1.0])
 
     @pytest.mark.parametrize("rows, cols", [([0, 2], [1, 0]), ([0, 1], [1, -1])], ids=["n", "-1"])
     def test_rejects_index_out_of_range(self, rows, cols):
-        with pytest.raises(InvalidGraph, match=r"^vertex indices must lie in 0\.\.1$"):
+        with pytest.raises(ConsensusError, match=r"^vertex indices must lie in 0\.\.1$"):
             WeightedDigraph(2, rows, cols, [1.0, 1.0])
 
     def test_shuffled_entries_give_the_same_graph(self):
@@ -56,7 +56,7 @@ class TestConstruction:
                              ids=["list", "array"])
     def test_rejects_fractional_index(self, rows, cols):
         # an index cast truncates them to the edges 0 -> 1 and 1 -> 0
-        with pytest.raises(InvalidGraph, match="^vertex indices must be integers$"):
+        with pytest.raises(ConsensusError, match="^vertex indices must be integers$"):
             WeightedDigraph(2, rows, cols, [1.0, 2.0])
 
     def test_integral_float_indices_accepted(self):
@@ -66,20 +66,20 @@ class TestConstruction:
     def test_rejects_repeated_pair(self):
         # a zero weight repeats its pair too: pairs are checked before zeros are dropped
         for vals in ([1.0, 2.0, 1.0], [0.0, 2.0, 1.0]):
-            with pytest.raises(InvalidGraph, match="each pair once$"):
+            with pytest.raises(ConsensusError, match="each pair once$"):
                 WeightedDigraph(2, [0, 0, 1], [1, 1, 0], vals)
 
     @pytest.mark.parametrize("rows, cols, vals", [([0, 1], [1, 0], [1.0, 2.0, 3.0]), ([0, 1], [1, 0], [1.0]),
                                                   ([0, 1], [1], [1.0, 2.0])], ids=["vals-longer", "vals-shorter", "cols-shorter"])
     def test_rejects_entry_arrays_of_unequal_length(self, rows, cols, vals):
         # a longer vals would otherwise be cut to the indices' length without a word
-        with pytest.raises(InvalidGraph, match="^rows, cols and vals must be of equal length$"):
+        with pytest.raises(ConsensusError, match="^rows, cols and vals must be of equal length$"):
             WeightedDigraph(2, rows, cols, vals)
 
     def test_rejects_count_whose_order_key_overflows(self):
         # the entries are ordered by the key row * (n + 1) + column, which
         # must fit an index; this is checked before anything n long is made
-        with pytest.raises(InvalidGraph, match=r"^no room for 10000000000000 vertices: n \* \(n \+ 1\)"):
+        with pytest.raises(ConsensusError, match=r"^no room for 10000000000000 vertices: n \* \(n \+ 1\)"):
             WeightedDigraph(10**13, [0, 1], [1, 0], [1.0, 1.0])
 
     def test_negative_zero_is_no_edge(self):

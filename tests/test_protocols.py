@@ -101,7 +101,7 @@ class TestCase2:
         assert gain[1] == 0.2
 
     def test_gains_reject_gossip(self):
-        with pytest.raises(ValueError, match="no sampled map"):
+        with pytest.raises(ConsensusError, match="no sampled map"):
             gains(two_node(), 3)
 
     def test_gain_zero_degree_limit(self):
@@ -254,7 +254,7 @@ class TestGossipSchedule:
 class TestHybridSystem:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_x0_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"x0\[1\]"):
+        with pytest.raises(ConsensusError, match=r"x0\[1\]"):
             HybridSystem(undirected_ring_with_chord(3), m=1, h=0.1, x0=[0.0, bad, 1.0])
 
 
