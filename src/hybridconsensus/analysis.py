@@ -45,17 +45,13 @@ def decide(
 
 
 def verify_run(
-    sys: HybridSystem,
-    case: int,
-    cfg: RunConfig,
-    tol: float = 1e-8,
-    sched: GossipSchedule | None = None,
+    sys: HybridSystem, case: int, cfg: RunConfig, sched: GossipSchedule | None = None
 ) -> tuple[ConsensusVerdict, Trajectory]:
     """Simulate and fill in the measured half of the verdict.
 
     The measured disagreement is max_i x_i - min_i x_i at the last sampled
     instant (of the mean states in case 3).  converged requires both it and
-    the per-agent gap to the predicted value to fall below tol, widened by
+    the per-agent gap to the predicted value to fall below cfg.tol, widened by
     the 4-standard-error band of the final Monte-Carlo mean (zero in cases 1-2).
     """
     verdict = decide(sys, case, sched)
@@ -68,6 +64,6 @@ def verify_run(
     if verdict.solvable:
         slack = 4.0 * traj.stderr
         gap = np.abs(traj.sample_states[-1] - verdict.predicted_value)
-        converged = bool(measured < tol + float(slack.max()) and np.all(gap < tol + slack))
+        converged = bool(measured < cfg.tol + float(slack.max()) and np.all(gap < cfg.tol + slack))
     verdict = verdict._replace(measured_final_disagreement=measured, converged=converged)
     return verdict, traj

@@ -79,7 +79,7 @@ def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
-    verdict, traj = verify_run(cfg.system, cfg.case, cfg.run, tol=cfg.tol, sched=cfg.sched)
+    verdict, traj = verify_run(cfg.system, cfg.case, cfg.run, sched=cfg.sched)
     outdir = Path(args.out or os.environ.get("HYBRIDCONSENSUS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")
@@ -123,8 +123,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse reads "-13,14" as an option, not a value
-        if argv[i - 1] in ("--x0", "--probs") and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        flag = argv[i - 1]  # --x0 or --probs, or a prefix that argparse expands to one of them
+        listed = len(flag) > 2 and ("--x0".startswith(flag) or "--probs".startswith(flag))
+        if listed and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})

@@ -22,12 +22,11 @@ required::
 
 `load_config` returns the checked experiment: the keys' values, and the
 objects every subcommand runs on, built once from them: the hybrid system,
-the gossip schedule (case 3 only) and the run counts.
+the gossip schedule (case 3 only) and the run's counts and tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -78,7 +77,7 @@ class ExperimentConfig:
     probs: str | tuple[float, ...] = _key(
         _probs, "uniform", help="'uniform' or comma-separated edge probabilities"
     )
-    tol: float = _key(float, 1e-8, help="convergence tolerance")
+    tol: float = _key(float, RunConfig.tol, help="convergence tolerance")
 
 
 KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
@@ -141,12 +140,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             values["h"] = PAPER_H
     if values["h"] is None:
         raise ParseError("missing required key 'h'")
-    if not (values["tol"] > 0 and math.isfinite(values["tol"])):
-        raise ConsensusError(f"tol must be positive and finite, got {values['tol']}")
     gossip = values["case"] == 3
-    # run's counts, checked here so that every subcommand rejects the same configs
+    # run's tolerance and counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
-                    seed=values["seed"], trials=values["trials"], min_trials=2 if gossip else 1)
+                    seed=values["seed"], trials=values["trials"], tol=values["tol"],
+                    min_trials=2 if gossip else 1)
     system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"])
     sched = None
     if gossip:

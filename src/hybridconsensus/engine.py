@@ -4,9 +4,9 @@ the Monte-Carlo mean of seeded gossip runs, with its standard error at the
 last step (case 3).
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
-pair reproduces a trajectory bit-for-bit on any platform.  Gossip edges
-are drawn by inverse CDF over the schedule's cumulative probabilities in
-sorted edge order.
+pair reproduces a trajectory bit-for-bit on any platform.  `monte_carlo_mean`
+is the one place gossip edges are drawn: by inverse CDF over the schedule's
+cumulative probabilities in sorted edge order.
 """
 
 from __future__ import annotations
@@ -21,20 +21,23 @@ from .spectral import _edge_product
 
 
 class RunConfig:
-    """A run's counts.  Each has a floor, checked here for every caller;
+    """A run's counts and its convergence tolerance, checked here for every
+    caller: `tol` must be positive and finite, and each count has a floor;
     `min_trials` raises the trials floor (case 3's standard error needs two).
     The class attributes are the defaults."""
 
-    dense_per_step, seed, trials = 10, 0, 1000
+    dense_per_step, seed, trials, tol = 10, 0, 1000, 1e-8
 
     def __init__(self, steps: int, dense_per_step: int = dense_per_step, seed: int = seed,
-                 trials: int = trials, min_trials: int = 1):
+                 trials: int = trials, tol: float = tol, min_trials: int = 1):
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ConsensusError(f"tol must be positive and finite, got {tol}")
         for name, value, floor in (("steps", steps, 0), ("dense_per_step", dense_per_step, 0),
                                    ("seed", seed, 0), ("trials", trials, min_trials)):
             if value < floor:
                 raise ConsensusError(f"{name} must be >= {floor}, got {value}")
         self.steps, self.dense_per_step = steps, dense_per_step
-        self.seed, self.trials = seed, trials
+        self.seed, self.trials, self.tol = seed, trials, tol
 
 
 class Trajectory:
@@ -73,28 +76,27 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
     return Trajectory(sample_states=states, blend=s, stderr=np.zeros(sys.n))
 
 
-def _draw_edges(sched: GossipSchedule, steps: int, seed: int) -> np.ndarray:
-    u = np.random.Generator(np.random.PCG64(seed)).random(steps)
-    return np.searchsorted(sched.cumulative, u, side="right")
-
-
 def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -> Trajectory:
     """Empirical mean of the sampled states over independent gossip trials,
-    and its standard error at the last step; trial r draws its edges with
-    seed cfg.seed + r.
+    and its standard error at the last step.  Trial r draws its edges from
+    PCG64(cfg.seed + r): each uniform u picks the first edge whose cumulative
+    probability exceeds u, the last cumulative value taken as 1.
 
     The trials run side by side: each draw is applied as a two-row update
     of the (trials, n) state, and the mean over trials is kept per step.
     """
     if cfg.trials < 2:
-        raise ConsensusError("monte_carlo_mean needs trials >= 2")
+        raise ConsensusError(f"trials must be >= 2, got {cfg.trials}")
     gains = pair_gains(sys, sched)  # also checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
     mean = np.empty((cfg.steps + 1, sys.n))
     choice = np.empty((cfg.steps, cfg.trials), np.intp)
+    cumulative = np.cumsum(sched.probs)
+    cumulative[-1] = 1.0  # guard against round-off in the last bin
     for r in range(cfg.trials):
-        choice[:, r] = _draw_edges(sched, cfg.steps, cfg.seed + r)
+        u = np.random.Generator(np.random.PCG64(cfg.seed + r)).random(cfg.steps)
+        choice[:, r] = np.searchsorted(cumulative, u, side="right")
     rows = np.arange(cfg.trials)
     for k in range(cfg.steps + 1):
         if k:

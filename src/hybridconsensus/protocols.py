@@ -28,7 +28,6 @@ a case up and is the one place an unknown case is rejected.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +69,7 @@ class GossipSchedule:
     Edge e joins `i[e]` < `j[e]` with weight `vals[e]`: the graph's entries
     with i < j in stored order, so sorted by i, then j.  `probs` gives one
     probability per edge in that order, each in (0, 1], summing to 1.  The
-    arrays are read-only.
+    arrays are read-only; `engine.monte_carlo_mean` draws the edges from them.
     """
 
     def __init__(self, graph: WeightedDigraph, probs: np.ndarray):
@@ -93,14 +92,6 @@ class GossipSchedule:
         self.i, self.j, self.vals = graph.rows[upper], graph.cols[upper], graph.vals[upper]
         for a in (self.i, self.j, self.vals, probs):
             a.setflags(write=False)
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """The cumulative probabilities, for drawing edges by inverse CDF."""
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0  # guard against round-off in the last bin
-        cum.setflags(write=False)
-        return cum
 
     @classmethod
     def uniform(cls, graph: WeightedDigraph) -> "GossipSchedule":

@@ -105,12 +105,10 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
+    """The verdict's fields under their own names, beside the three bounds
+    (None for an infinite one) and the config's keys."""
     return {
-        "solvable": verdict.solvable,
-        "condition": verdict.condition,
-        "predicted_value": verdict.predicted_value,
-        "measured_final_disagreement": verdict.measured_final_disagreement,
-        "converged": verdict.converged,
+        **verdict._asdict(),
         "bounds": {
             f"case{c}": _finite_or_none(bound(cfg.system, c)) for c in PROTOCOLS
         },

@@ -6,6 +6,8 @@ powers), so that the shipped kernels, which take shortcuts, have something
 plain to agree with.
 """
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,7 @@ from hybridconsensus import (
     Trajectory,
     WeightedDigraph,
 )
-from hybridconsensus.engine import _draw_edges, dense_tau_grid
+from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import pair_gains
@@ -368,19 +370,30 @@ def dense_states(traj: Trajectory) -> np.ndarray:
 # --- single gossip runs -------------------------------------------------------
 
 
+def draw_edges(sched: GossipSchedule, steps: int, seed: int) -> list[int]:
+    """The edges, by index into the schedule, that a gossip trial seeded `seed`
+    draws: each of PCG64(seed)'s uniforms u picks the first edge whose running
+    sum of probabilities, in Python floats with the last taken as 1, exceeds u."""
+    cumulative = list(itertools.accumulate(sched.probs.tolist()))
+    cumulative[-1] = 1.0
+    u = np.random.Generator(np.random.PCG64(seed)).random(steps)
+    return [bisect.bisect_right(cumulative, v) for v in u.tolist()]
+
+
 def simulate_gossip(
     sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """One seeded gossip run: its (K+1, n) sampled states, the (K, m, d) states
     of its continuous agents at t_k + dense_tau_grid[j], and the edges it drew.
 
-    The edges are the ones `monte_carlo_mean` draws for the trial seeded
-    cfg.seed.  Each sample applies the drawn edge's full pair matrix; between
-    samples only the drawn endpoints move, by the pair gains at each tau.
+    The edges are the ones `draw_edges` gives for the seed cfg.seed, as
+    `monte_carlo_mean` must draw them too.  Each sample applies the drawn
+    edge's full pair matrix; between samples only the drawn endpoints move,
+    by the pair gains at each tau.
     """
     pair_gains(sys, sched)  # checks the schedule against the system and h
-    c = _draw_edges(sched, cfg.steps, cfg.seed)
-    drawn = tuple(zip(sched.i[c].tolist(), sched.j[c].tolist()))
+    edges = list(zip(sched.i.tolist(), sched.j.tolist()))
+    drawn = tuple(edges[e] for e in draw_edges(sched, cfg.steps, cfg.seed))
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, (i, j) in enumerate(drawn):

@@ -237,7 +237,7 @@ class TestVerifyRun:
         g = random_spanning_graph(rng, 6, extra=8, w_lo=0.3)
         h = 0.9 / g.in_degrees.max()
         sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
-        verdict, traj = verify_run(sys, 1, RunConfig(steps=4000, dense_per_step=0), tol=1e-8)
+        verdict, traj = verify_run(sys, 1, RunConfig(steps=4000, dense_per_step=0, tol=1e-8))
         assert verdict.solvable and verdict.converged
         assert verdict.measured_final_disagreement < 1e-8
         assert abs(traj.sample_states[-1][0] - verdict.predicted_value) < 1e-8
@@ -255,7 +255,7 @@ class TestVerifyRun:
         sys = HybridSystem(g, m=3, h=0.2, x0=x0)
         sched = GossipSchedule.uniform(g)
         verdict, mc = verify_run(
-            sys, 3, RunConfig(steps=400, trials=400, seed=3), tol=1e-3, sched=sched
+            sys, 3, RunConfig(steps=400, trials=400, seed=3, tol=1e-3), sched=sched
         )
         assert verdict.solvable and verdict.converged
         assert abs(mc.sample_states[-1].mean() - verdict.predicted_value) < 4 * mc.stderr.max() + 1e-3

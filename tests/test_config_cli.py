@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -213,6 +214,29 @@ class TestCliExitCodes:
         assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize(
+        "config, graph, message",
+        [
+            ("graph = g.edges\ncase = 1\ncase = 2\n", SMALL_GRAPH, "{cfg}:3: duplicate key 'case'"),
+            ("graph = g.edges\nm = 1\nh = 0.1\nx0 = 0, 1\n", SMALL_GRAPH,
+             "missing required key 'case'"),
+            (SMALL_CFG.replace("case = 1", "case = one"), SMALL_GRAPH,
+             "bad value for 'case': invalid literal for int() with base 10: 'one'"),
+            (SMALL_CFG.replace("h = 0.1\n", ""), SMALL_GRAPH, "missing required key 'h'"),
+            (SMALL_CFG, "", "{graph}: missing 'n <count>' header"),
+            (SMALL_CFG, "n two\n", "{graph}:1: bad vertex count"),
+            (SMALL_CFG, "n 0\n", "{graph}:1: vertex count must be positive"),
+        ],
+        ids=["duplicate-key", "missing-key", "bad-int", "missing-h", "empty-graph",
+             "bad-vertex-count", "zero-vertices"],
+    )
+    def test_input_error_is_parse_error(self, tmp_path, capsys, config, graph, message):
+        (tmp_path / "g.edges").write_text(graph)
+        cfg = write_cfg(tmp_path, config)
+        assert main(["check", str(cfg)]) == 1
+        message = message.format(cfg=cfg, graph=(tmp_path / "g.edges").resolve())
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "preset, flag, value",
         [
             ("example1.cfg", "steps", -1),
@@ -221,10 +245,14 @@ class TestCliExitCodes:
             ("example1.cfg", "trials", 0),
             ("example3.cfg", "trials", 0),
             ("example3.cfg", "trials", 1),
+            ("example1.cfg", "tol", 0.0),
+            ("example1.cfg", "tol", -1.0),
+            ("example1.cfg", "tol", math.nan),
+            ("example1.cfg", "tol", math.inf),
         ],
     )
     def test_run_config_raises_the_cli_message(self, presets_dir, capsys, preset, flag, value):
-        # the floors are written once, in RunConfig; load_config reaches them through it
+        # the floors and the tol check are written once, in RunConfig; load_config calls it
         args = ["check", str(presets_dir / preset), "--" + flag.replace("_", "-"), str(value)]
         assert main(args) == 2
         min_trials = 2 if load_config(presets_dir / preset).case == 3 else 1
@@ -266,6 +294,9 @@ class TestCliExitCodes:
             # argparse took a list that starts with "-" for an option, and exited on it
             ("example3.cfg", ["--probs", "-0.5,0.5,0.2,0.2,0.2,0.2,0.2"],
              "error: each probability must lie in (0, 1]\n"),
+            # the same after a prefix of --probs, which argparse expands
+            ("example3.cfg", ["--pro", "-0.5,1"],
+             "error: probs must give one value for each of the graph's 7 edges, got 2\n"),
             # a numpy scalar's repr printed "got np.float64(0.7)" under numpy 2
             ("example3.cfg", ["--probs", ",".join(["0.1"] * 7)],
              "error: probabilities must sum to 1, got 0.7\n"),
@@ -287,7 +318,8 @@ class TestCliExitCodes:
             ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
         ],
         ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
-             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs", "probs-sum", "not-stochastic",
+             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs",
+             "negative-probs-after-prefix", "probs-sum", "not-stochastic",
              "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
              "paper-x0-length", "unknown-case"],
     )
@@ -440,10 +472,11 @@ class TestCliSubcommands:
         # argparse's negative-number rule matches one number only, so it read
         # "-13,14,..." as an option and stopped: "--x0: expected one argument"
         config, x0 = str(presets_dir / "example1.cfg"), "-13,14,3,-9,-3,6"
-        assert main(["check", config, "--h", "0.2", "--x0", x0]) == 0
-        separate = capsys.readouterr()
         assert main(["check", config, "--h", "0.2", f"--x0={x0}"]) == 0
-        assert separate == capsys.readouterr()
+        joined = capsys.readouterr()
+        for flag in ("--x0", "--x"):  # --x is a prefix that argparse expands to --x0
+            assert main(["check", config, "--h", "0.2", flag, x0]) == 0
+            assert capsys.readouterr() == joined
         with pytest.raises(SystemExit) as exc:  # a flag after --x0 is still no value
             main(["check", config, "--x0", "--h", "0.2"])
         assert exc.value.code == 2

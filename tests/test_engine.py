@@ -13,7 +13,7 @@ from hybridconsensus import (
     simulate_deterministic,
 )
 from hybridconsensus.config import load_config
-from hybridconsensus.engine import _draw_edges, dense_tau_grid
+from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.errors import ConsensusError
 from hybridconsensus.reporting import trajectory_csv_blocks
 from oracles import (
@@ -21,6 +21,7 @@ from oracles import (
     dense,
     dense_states,
     digraph,
+    draw_edges,
     gossip_interpolant,
     gossip_pair_matrix,
     simulate_gossip,
@@ -191,7 +192,7 @@ class TestSimulateGossip:
     def test_drawn_edges_are_stable(self):
         # inverse-CDF draws from PCG64(seed) over the sorted edge list
         sched = GossipSchedule.uniform(undirected_ring_with_chord())
-        e = _draw_edges(sched, 16, 2015)
+        e = draw_edges(sched, 16, 2015)
         drawn = tuple(zip(sched.i[e].tolist(), sched.j[e].tolist()))
         assert drawn == (
             (1, 2), (0, 3), (3, 4), (4, 5), (0, 3), (0, 1), (2, 3), (4, 5),
@@ -234,7 +235,7 @@ class TestMonteCarlo:
     def test_single_trial_rejected(self):
         sys = two_node(m=1)
         sched = GossipSchedule(sys.graph, np.array([1.0]))
-        with pytest.raises(ConsensusError):
+        with pytest.raises(ConsensusError, match=r"^trials must be >= 2, got 1$"):
             monte_carlo_mean(sys, sched, RunConfig(steps=5, trials=1))
 
     def test_matches_per_trial_pair_matrix_loop(self):
@@ -242,24 +243,27 @@ class TestMonteCarlo:
         g = random_symmetric_connected(rng, 5)
         x0 = rng.uniform(-8, 8, 5)
         sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0)
-        sched = GossipSchedule.uniform(g)
-        cfg = RunConfig(steps=30, trials=40, seed=21)
-        mc = monte_carlo_mean(sys, sched, cfg)
-        # reference: one full pair matrix per drawn edge, trial r seeded seed + r
-        all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
-        for r in range(cfg.trials):
-            _, _, edges = simulate_gossip(
-                sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-            )
-            x = np.array(x0)
-            all_states[r, 0] = x
-            for k, (i, j) in enumerate(edges):
-                x = dense(gossip_pair_matrix(sys, i, j)) @ x
-                all_states[r, k + 1] = x
-        tol = 1e-12 * np.abs(x0).max()
-        np.testing.assert_allclose(mc.sample_states, all_states.mean(axis=0), rtol=0, atol=tol)
-        stderr = all_states[:, -1].std(axis=0, ddof=1) / np.sqrt(cfg.trials)
-        np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=tol)
+        uniform = GossipSchedule.uniform(g)
+        # p_e proportional to e^2: unlike uniform, a draw over the edges in another order differs
+        weights = np.arange(1.0, len(uniform.probs) + 1) ** 2
+        for sched in (uniform, GossipSchedule(g, weights / weights.sum())):
+            cfg = RunConfig(steps=30, trials=40, seed=21)
+            mc = monte_carlo_mean(sys, sched, cfg)
+            # reference: one full pair matrix per drawn edge, trial r seeded seed + r
+            all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
+            for r in range(cfg.trials):
+                _, _, edges = simulate_gossip(
+                    sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
+                )
+                x = np.array(x0)
+                all_states[r, 0] = x
+                for k, (i, j) in enumerate(edges):
+                    x = dense(gossip_pair_matrix(sys, i, j)) @ x
+                    all_states[r, k + 1] = x
+            tol = 1e-12 * np.abs(x0).max()
+            np.testing.assert_allclose(mc.sample_states, all_states.mean(axis=0), rtol=0, atol=tol)
+            stderr = all_states[:, -1].std(axis=0, ddof=1) / np.sqrt(cfg.trials)
+            np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=tol)
 
     def test_mean_tracks_expected_matrix_power(self):
         rng = np.random.default_rng(103)

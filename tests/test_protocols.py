@@ -257,6 +257,10 @@ class TestHybridSystem:
         with pytest.raises(ConsensusError, match=r"x0\[1\]"):
             HybridSystem(undirected_ring_with_chord(3), m=1, h=0.1, x0=[0.0, bad, 1.0])
 
+    def test_x0_must_be_a_vector(self):
+        with pytest.raises(ConsensusError, match=r"^x0 must be a vector, got shape \(2, 1\)$"):
+            HybridSystem(two_node().graph, m=1, h=0.1, x0=[[0.0], [1.0]])
+
 
 @pytest.mark.parametrize(
     "make",
@@ -289,7 +293,7 @@ def test_record_arrays_are_read_only(tmp_path):
     P = StochasticMatrix(np.array([0.5, 1.0]), np.array([0]), np.array([1]), np.array([0.5]))
     g = sys.graph  # read from a file; test_weights_immutable builds one from weights
     held = (g.rows, g.cols, g.vals, g.in_degrees, sys.x0, sched.i, sched.j, sched.vals,
-            sched.probs, sched.cumulative, P.rows, P.cols, P.vals)
+            sched.probs, P.rows, P.cols, P.vals)
     for a in held:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 2.0

@@ -74,7 +74,7 @@ class TestCsvMatchesReference:
         # as shipped, and from the zero state carrying x0's signs (-0.0 != 0.0 in repr)
         for x0 in (sys.x0, -0.0 * sys.x0):
             start = HybridSystem(sys.graph, sys.m, sys.h, x0)
-            _, traj = verify_run(start, cfg.case, cfg.run, tol=cfg.tol, sched=cfg.sched)
+            _, traj = verify_run(start, cfg.case, cfg.run, sched=cfg.sched)
             assert_matches_reference(start, traj)
 
     def test_signed_zeros_nan_inf_subnormal(self):
