@@ -8,9 +8,9 @@ Subcommands::
     hybridconsensus matrix CONFIG   # dump the iteration / expected matrix
 
 Exit codes: 0 success (for `run`: converged matches solvable), 1 I/O or
-parse failure, 2 condition violation (h over bound, bad dimensions, a
-non-finite or out-of-range value, a count too large to allocate, or a
-converged/solvable mismatch).
+parse failure, a flag's value included, 2 condition violation (h over
+bound, bad dimensions, a non-finite or out-of-range value, a count too
+large to allocate, or a converged/solvable mismatch).
 HYBRIDCONSENSUS_OUTDIR sets the default output directory for `run`.
 """
 
@@ -105,7 +105,7 @@ def make_parser() -> argparse.ArgumentParser:
     for key in KEYS:
         if key.name != "graph":  # the config file names its graph
             common.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
-                                type=key.metadata["parse"], help=key.metadata["help"])
+                                help=key.metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (
         ("check", _cmd_check),

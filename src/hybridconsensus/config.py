@@ -11,14 +11,14 @@ required::
     steps = 200                   # sampling steps to simulate
     dense_per_step = 10           # intra-sample points per interval
     seed = 0                      # gossip seed; trial r uses seed + r
-    trials = 1000                 # Monte-Carlo trials, case 3 only
+    trials = 1000                 # Monte-Carlo trials, read in case 3 only; at least 2
     probs = uniform               # or a comma list, one per edge i < j, by i, then j (case 3)
     tol = 1e-8                    # convergence tolerance, positive and finite
 
 `x0 = paper` expands to the benchmark initial state
 [-13, 14, 3, -9, -3, 6], with h = 0.2 unless h is given, and requires a
 6-vertex graph.  Every key but `graph` is also a command-line flag
-(`--dense-per-step` for dense_per_step) that overrides the file.
+(`--dense-per-step` for dense_per_step) whose text overrides the file's line.
 
 `load_config` returns the checked experiment: the keys' values, and the
 objects every subcommand runs on, built once from them: the hybrid system,
@@ -43,12 +43,9 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _x0(text: str) -> str | tuple[float, ...]:
-    return "paper" if text.strip().lower() == "paper" else _floats(text)
-
-
-def _probs(text: str) -> str | tuple[float, ...]:
-    return "uniform" if text.strip().lower() == "uniform" else _floats(text)
+def _floats_or(word: str):
+    """A parser of a comma list of floats, or of the literal `word`."""
+    return lambda text: word if text.strip().lower() == word else _floats(text)
 
 
 def _key(parse, default=MISSING, *, help: str):
@@ -69,13 +66,15 @@ class ExperimentConfig:
     case: int = _key(int, help="1, 2 or 3")
     m: int = _key(int, help="number of continuous-time agents (the first m)")
     h: float = _key(float, None, help=f"sampling period ({PAPER_H} with x0 = paper)")
-    x0: str | tuple[float, ...] = _key(_x0, "paper", help="comma-separated initial state or 'paper'")
+    x0: str | tuple[float, ...] = _key(
+        _floats_or("paper"), "paper", help="comma-separated initial state or 'paper'"
+    )
     steps: int = _key(int, 200, help="sampling steps to simulate")
     dense_per_step: int = _key(int, RunConfig.dense_per_step, help="intra-sample points per interval")
     seed: int = _key(int, RunConfig.seed, help="gossip seed; trial r uses seed + r")
     trials: int = _key(int, RunConfig.trials, help="Monte-Carlo trials (case 3)")
     probs: str | tuple[float, ...] = _key(
-        _probs, "uniform", help="'uniform' or comma-separated edge probabilities"
+        _floats_or("uniform"), "uniform", help="'uniform' or comma-separated edge probabilities"
     )
     tol: float = _key(float, RunConfig.tol, help="convergence tolerance")
 
@@ -101,22 +100,17 @@ def _value(key, pairs: dict):
         if key.default is MISSING:
             raise ParseError(f"missing required key {key.name!r}")
         return key.default
-    value = pairs[key.name]
-    if not isinstance(value, str):  # an override its flag has parsed already
-        return value
     try:
-        return key.metadata["parse"](value)
+        return key.metadata["parse"](pairs[key.name])
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad value for {key.name!r}: {exc}") from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; `overrides` (same keys, text or
-    parsed values, None for none) take precedence over file entries."""
+    """Parse and validate a config file; `overrides` (same keys, as text, None
+    for none) replace file entries.  An unreadable file raises the OS error."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(path)
-    pairs: dict = _parse_pairs(path)
+    pairs = _parse_pairs(path)
     pairs.update({k: v for k, v in (overrides or {}).items() if v is not None})
     unknown = sorted(set(pairs) - {key.name for key in KEYS})
     if unknown:
@@ -124,8 +118,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     values = {key.name: _value(key, pairs) for key in KEYS}
 
     edges = (path.parent / values["graph"]).resolve()
-    if not edges.is_file():
-        raise FileNotFoundError(edges)
     values["graph"], graph = str(edges), read_edge_list(edges)
     protocol(values["case"])  # rejects an unknown case
     if values["probs"] != "uniform" and values["case"] != 3:  # no schedule would check it
@@ -140,14 +132,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             values["h"] = PAPER_H
     if values["h"] is None:
         raise ParseError("missing required key 'h'")
-    gossip = values["case"] == 3
     # run's tolerance and counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
-                    seed=values["seed"], trials=values["trials"], tol=values["tol"],
-                    min_trials=2 if gossip else 1)
+                    seed=values["seed"], trials=values["trials"], tol=values["tol"])
     system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"])
     sched = None
-    if gossip:
+    if values["case"] == 3:
         probs = values["probs"]
         sched = GossipSchedule.uniform(graph) if probs == "uniform" else GossipSchedule(graph, probs)
     return ExperimentConfig(system=system, sched=sched, run=run, **values)

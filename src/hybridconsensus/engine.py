@@ -23,17 +23,17 @@ from .spectral import _edge_product
 class RunConfig:
     """A run's counts and its convergence tolerance, checked here for every
     caller: `tol` must be positive and finite, and each count has a floor;
-    `min_trials` raises the trials floor (case 3's standard error needs two).
+    `trials` needs two in every case, for case 3's standard error.
     The class attributes are the defaults."""
 
     dense_per_step, seed, trials, tol = 10, 0, 1000, 1e-8
 
     def __init__(self, steps: int, dense_per_step: int = dense_per_step, seed: int = seed,
-                 trials: int = trials, tol: float = tol, min_trials: int = 1):
+                 trials: int = trials, tol: float = tol):
         if not (tol > 0 and math.isfinite(tol)):
             raise ConsensusError(f"tol must be positive and finite, got {tol}")
         for name, value, floor in (("steps", steps, 0), ("dense_per_step", dense_per_step, 0),
-                                   ("seed", seed, 0), ("trials", trials, min_trials)):
+                                   ("seed", seed, 0), ("trials", trials, 2)):
             if value < floor:
                 raise ConsensusError(f"{name} must be >= {floor}, got {value}")
         self.steps, self.dense_per_step = steps, dense_per_step
@@ -85,8 +85,6 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
     The trials run side by side: each draw is applied as a two-row update
     of the (trials, n) state, and the mean over trials is kept per step.
     """
-    if cfg.trials < 2:
-        raise ConsensusError(f"trials must be >= 2, got {cfg.trials}")
     gains = pair_gains(sys, sched)  # also checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
@@ -98,13 +96,12 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
         u = np.random.Generator(np.random.PCG64(cfg.seed + r)).random(cfg.steps)
         choice[:, r] = np.searchsorted(cumulative, u, side="right")
     rows = np.arange(cfg.trials)
-    for k in range(cfg.steps + 1):
-        if k:
-            e = choice[k - 1]
-            i, j = sched.i[e], sched.j[e]
-            xi, xj = x[rows, i], x[rows, j]
-            x[rows, i] = xi + gains[e, 0] * (xj - xi)
-            x[rows, j] = xj + gains[e, 1] * (xi - xj)
+    mean[0] = x.mean(axis=0)
+    for k, e in enumerate(choice, start=1):
+        i, j = sched.i[e], sched.j[e]
+        xi, xj = x[rows, i], x[rows, j]
+        x[rows, i] = xi + gains[e, 0] * (xj - xi)
+        x[rows, j] = xj + gains[e, 1] * (xi - xj)
         mean[k] = x.mean(axis=0)
     return Trajectory(
         sample_states=mean,

@@ -140,7 +140,14 @@ class TestLoadConfig:
 
 class TestCliExitCodes:
     def test_missing_config_is_io_error(self):
-        assert run_cli("run", "/nonexistent/exp.cfg").returncode == 1
+        # the OS's own message: the error used to name the path alone, with no reason
+        result = run_cli("run", "/nonexistent/exp.cfg")
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'\n"
+
+    def test_config_directory_is_io_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     @pytest.mark.parametrize("bad, where", [("graph", "g.edges:4"), ("config", "exp.cfg:6")])
     def test_undecodable_file_is_io_error(self, tmp_path, capsys, bad, where):
@@ -152,7 +159,10 @@ class TestCliExitCodes:
 
     def test_missing_graph_is_io_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "graph = missing.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n")
-        assert run_cli("run", str(cfg)).returncode == 1
+        result = run_cli("run", str(cfg))
+        assert result.returncode == 1
+        missing = (tmp_path / "missing.edges").resolve()
+        assert result.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path):
         # 10^18 vertices: their in-degrees alone need 7 EiB, and n * n overflows the reader's
@@ -175,8 +185,13 @@ class TestCliExitCodes:
              "sampling period must be positive and finite, got inf"),
             (("check", "example1.cfg", "--h", "nan"),
              "sampling period must be positive and finite, got nan"),
+            (("check", "example1.cfg", "--h", "0"),
+             "sampling period must be positive and finite, got 0.0"),
+            (("check", "example1.cfg", "--h", "-0.2"),
+             "sampling period must be positive and finite, got -0.2"),
         ],
-        ids=["nan-probs", "nan-x0", "inf-x0", "negative-tol", "inf-h", "nan-h"],
+        ids=["nan-probs", "nan-x0", "inf-x0", "negative-tol", "inf-h", "nan-h", "zero-h",
+             "negative-h"],
     )
     def test_nonfinite_or_nonpositive_input_is_condition_error(
         self, tmp_path, presets_dir, args, message
@@ -196,7 +211,7 @@ class TestCliExitCodes:
         [
             ("example1.cfg", "steps", "-3", 0),
             ("example1.cfg", "dense_per_step", "-1", 0),
-            ("example1.cfg", "trials", "0", 1),
+            ("example1.cfg", "trials", "0", 2),  # one floor in every case
             ("example3.cfg", "trials", "1", 2),  # the Monte-Carlo stderr needs two
             ("example1.cfg", "seed", "-1", 0),
             ("example3.cfg", "seed", "-1", 0),  # numpy's PCG64 refused it, naming no key
@@ -236,6 +251,22 @@ class TestCliExitCodes:
         message = message.format(cfg=cfg, graph=(tmp_path / "g.edges").resolve())
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", sorted(OVERRIDES))
+    def test_bad_flag_value_is_the_file_lines_parse_error(self, tmp_path, capsys, key):
+        # argparse parsed a flag with the key's parser: it printed its usage block and
+        # "invalid _x0 value: 'x'", naming a private function, and exited 2
+        (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
+
+        def cfg(name, entries):
+            return str(write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()), name))
+
+        assert main(["check", cfg("file.cfg", {**BASE, key: "x"})]) == 1
+        by_file = capsys.readouterr().err
+        assert main(["check", cfg("flag.cfg", BASE), "--" + key.replace("_", "-"), "x"]) == 1
+        by_flag = capsys.readouterr().err
+        assert by_flag == by_file
+        assert by_flag.startswith(f"error: bad value for {key!r}: ") and by_flag.count("\n") == 1
+
     @pytest.mark.parametrize(
         "preset, flag, value",
         [
@@ -243,6 +274,7 @@ class TestCliExitCodes:
             ("example1.cfg", "dense_per_step", -1),
             ("example1.cfg", "seed", -1),
             ("example1.cfg", "trials", 0),
+            ("example1.cfg", "trials", 1),
             ("example3.cfg", "trials", 0),
             ("example3.cfg", "trials", 1),
             ("example1.cfg", "tol", 0.0),
@@ -255,9 +287,8 @@ class TestCliExitCodes:
         # the floors and the tol check are written once, in RunConfig; load_config calls it
         args = ["check", str(presets_dir / preset), "--" + flag.replace("_", "-"), str(value)]
         assert main(args) == 2
-        min_trials = 2 if load_config(presets_dir / preset).case == 3 else 1
         with pytest.raises(ConsensusError) as exc:
-            RunConfig(**{"steps": 0, flag: value}, min_trials=min_trials)
+            RunConfig(**{"steps": 0, flag: value})
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize(
