@@ -1,0 +1,47 @@
+# The CLI checks of both CI jobs: the paper's three examples, its Remark-1
+# regime and the error lines, run through the installed `hybridconsensus`.
+# Usage: bash ci/cli_checks.sh OUTDIR   (PYTHONDEVMODE=1 runs them in dev mode)
+set -euo pipefail
+out=$1
+mkdir -p "$out"
+
+# expect CODE TEXT CMD...: CMD exits CODE and writes exactly TEXT to stderr;
+# else its stderr is shown, and expect fails
+expect() {
+  local want=$1 text=$2 code=0
+  shift 2
+  "$@" 2> "$out/stderr" || code=$?
+  if [ "$code" -ne "$want" ] || ! printf '%s' "$text" | cmp -s - "$out/stderr"; then
+    cat "$out/stderr" >&2
+    printf 'got exit %s and the stderr above, want exit %s and %q, from: %s\n' "$code" "$want" "$text" "$*" >&2
+    return 1
+  fi
+}
+# ok CMD...: CMD exits 0 and writes nothing to stderr (in dev mode, an
+# unclosed file would print a ResourceWarning there)
+ok() { expect 0 '' "$@"; }
+# fails CODE LINE CMD...: CMD exits CODE, and its stderr is the one line LINE
+fails() { expect "$1" "$2"$'\n' "${@:3}"; }
+
+ok hybridconsensus check presets/example1.cfg
+ok hybridconsensus run presets/example1.cfg --out "$out/example1"
+ok hybridconsensus run presets/example2.cfg --out "$out/example2"
+ok hybridconsensus run presets/example3.cfg --out "$out/example3"
+# Remark 1: every e^{-d_ii h} underflows to 0, and the root class is periodic
+ok hybridconsensus run presets/example1.cfg --case 2 --m 6 --h 1e3 --out "$out/remark1"
+ok hybridconsensus matrix presets/example3.cfg
+ok hybridconsensus bounds presets/example3.cfg
+# the probability sum is printed as a plain float under numpy 1.x and 2.x alike
+fails 2 'error: probabilities must sum to 1, got 0.7' \
+  hybridconsensus check presets/example3.cfg --probs 0.1,0.1,0.1,0.1,0.1,0.1,0.1
+# a list that starts with "-" may follow its flag as its own token
+ok hybridconsensus check presets/example1.cfg --h 0.2 --x0 -13,14,3,-9,-3,6 > "$out/x0.out"
+ok hybridconsensus check presets/example1.cfg --h 0.2 --x0=-13,14,3,-9,-3,6 | cmp - "$out/x0.out"
+# and after a prefix of its flag, which argparse expands
+ok hybridconsensus check presets/example1.cfg --h 0.2 --x -13,14,3,-9,-3,6 | cmp - "$out/x0.out"
+# a flag's bad value is the file line's parse error (exit 1), not an argparse usage error
+fails 1 "error: bad value for 'h': could not convert string to float: 'abc'" \
+  hybridconsensus check presets/example1.cfg --h abc
+# a missing config file is I/O (exit 1), reported with the OS's message
+fails 1 "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'" \
+  hybridconsensus check /nonexistent/exp.cfg

@@ -481,6 +481,41 @@ class TestCliSubcommands:
         assert main(["run", *args, "--out", str(tmp_path)]) == (2 if solvable else 0)
 
     @pytest.mark.parametrize(
+        "case, spread, predicted", [(1, 26.9, -1 / 3), (3, 1.9, 0.0)], ids=["case1", "case3"]
+    )
+    def test_bound_edge_verdicts(self, tmp_path, presets_dir, capsys, case, spread, predicted):
+        # today's behaviour at the last float below the h bound (ROADMAP item 15):
+        # case 1's diagonal 1 - h and case 3's pair-matrix diagonal 1 - h*a are about
+        # 1e-16, so each step permutes the states to rounding.  `check` calls each
+        # solvable, yet 400 steps keep nearly all of the initial disagreement (27 and
+        # 2) and `run` exits 2.  A fix of item 15 changes these asserts knowingly.
+        if case == 1:
+            args = [str(presets_dir / "example1.cfg"), "--h", "0.9999999999999999"]
+        else:
+            (tmp_path / "g.edges").write_text("n 2\n1 2 3\n2 1 3\n")
+            text = "graph = g.edges\ncase = 3\nm = 0\nh = 0.33333333333333326\nx0 = 1, -1\n"
+            args = [str(write_cfg(tmp_path, text))]
+        assert main(["check", *args]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["solvable"] is True and verdict["predicted_value"] == predicted
+        assert main(["run", *args, "--steps", "400", "--out", str(tmp_path)]) == 2
+        assert json.loads((tmp_path / "verdict.json").read_text())["measured_final_disagreement"] > spread
+
+    def test_swap_path_converges_in_the_mean_only(self, tmp_path, capsys):
+        # today's behaviour (ROADMAP item 6): at h just below 1/3 every pair update on
+        # this weight-3 path is a swap to within 2.2e-16, so no single run nears
+        # consensus.  The mean over the default 1,000 trials still ends within the
+        # 4-stderr band (about 0.31) of nu^T x0 = 5/3, so `run` says converged with
+        # a disagreement over 0.1.  A fix of item 6 changes these asserts knowingly.
+        (tmp_path / "g.edges").write_text("n 3\n1 2 3\n2 1 3\n2 3 3\n3 2 3\n")
+        cfg = write_cfg(tmp_path, "graph = g.edges\ncase = 3\nm = 0\nh = 0.33333333333333326\n"
+                                  "x0 = 1, -1, 5\nprobs = uniform\n")
+        assert main(["run", str(cfg), "--steps", "4000", "--out", str(tmp_path)]) == 0
+        ran = json.loads((tmp_path / "verdict.json").read_text())
+        assert ran["converged"] is True
+        assert ran["measured_final_disagreement"] > 0.1
+
+    @pytest.mark.parametrize(
         "scale, flags, converged",
         [(1e7, [], False), (1e-10, ["--steps", "0"], True)],
         ids=["1e7-paper", "1e-10-paper-no-step"],
