@@ -42,6 +42,8 @@ ok hybridconsensus check presets/example1.cfg --h 0.2 --x -13,14,3,-9,-3,6 | cmp
 # a flag's bad value is the file line's parse error (exit 1), not an argparse usage error
 fails 1 "error: bad value for 'h': could not convert string to float: 'abc'" \
   hybridconsensus check presets/example1.cfg --h abc
+# `paper` is no x0: each preset writes out the paper's state
+fails 1 "error: bad value for 'x0': could not convert string to float: 'paper'" hybridconsensus check presets/example1.cfg --x0 paper
 # a missing config file is I/O (exit 1), reported with the OS's message
 fails 1 "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'" \
   hybridconsensus check /nonexistent/exp.cfg

@@ -11,7 +11,6 @@ Exit codes: 0 success (for `run`: converged matches solvable), 1 I/O or
 parse failure, a flag's value included, 2 condition violation (h over
 bound, bad dimensions, a non-finite or out-of-range value, a count too
 large to allocate, or a converged/solvable mismatch).
-HYBRIDCONSENSUS_OUTDIR sets the default output directory for `run`.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     verdict, traj = verify_run(cfg.system, cfg.case, cfg.run, sched=cfg.sched)
-    outdir = Path(args.out or os.environ.get("HYBRIDCONSENSUS_OUTDIR", "."))
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")
     write_verdict_json(verdict_report(cfg, verdict), outdir / "verdict.json")
@@ -115,7 +114,7 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[common])
         if name == "run":
-            p.add_argument("--out", help="output directory (default: $HYBRIDCONSENSUS_OUTDIR or .)")
+            p.add_argument("--out", default=".", help="output directory (default: .)")
         p.set_defaults(handler=handler)
     return parser
 

@@ -6,8 +6,8 @@ required::
     graph = path/to/graph.edges   # edge-list file, resolved relative to the config
     case = 1                      # 1, 2 or 3
     m = 3                         # number of continuous-time agents (the first m)
-    h = 0.2                       # sampling period; may be omitted with x0 = paper
-    x0 = paper                    # initial state as a comma list, or the literal `paper`
+    h = 0.2                       # sampling period
+    x0 = -13, 14, 3, -9, -3, 6    # initial state, one value per vertex
     steps = 200                   # sampling steps to simulate
     dense_per_step = 10           # intra-sample points per interval
     seed = 0                      # gossip seed; trial r uses seed + r
@@ -15,10 +15,8 @@ required::
     probs = uniform               # or a comma list, one per edge i < j, by i, then j (case 3)
     tol = 1e-8                    # convergence tolerance, positive and finite
 
-`x0 = paper` expands to the benchmark initial state
-[-13, 14, 3, -9, -3, 6], with h = 0.2 unless h is given, and requires a
-6-vertex graph.  Every key but `graph` is also a command-line flag
-(`--dense-per-step` for dense_per_step) whose text overrides the file's line.
+Every key but `graph` is also a command-line flag (`--dense-per-step` for
+dense_per_step) whose text overrides the file's line.
 
 `load_config` returns the checked experiment: the keys' values, and the
 objects every subcommand runs on, built once from them: the hybrid system,
@@ -34,9 +32,6 @@ from .engine import RunConfig
 from .errors import ConsensusError, ParseError
 from .graphs import content_lines, read_edge_list
 from .protocols import GossipSchedule, HybridSystem, protocol
-
-PAPER_X0 = (-13.0, 14.0, 3.0, -9.0, -3.0, 6.0)
-PAPER_H = 0.2
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -56,8 +51,8 @@ def _key(parse, default=MISSING, *, help: str):
 @dataclass
 class ExperimentConfig:
     """A loaded experiment.  Every field from `graph` on is a config key,
-    with the key's default (none: required), its parser and its help.  The
-    graph read from the file `graph` names is `system.graph`."""
+    with its parser, its help and its default; `graph` to `x0` have none and
+    are required.  The graph read from the file `graph` names is `system.graph`."""
 
     system: HybridSystem
     sched: GossipSchedule | None  # case 3 only
@@ -65,10 +60,8 @@ class ExperimentConfig:
     graph: str = _key(str, help="edge-list file, relative to the config")  # then resolved
     case: int = _key(int, help="1, 2 or 3")
     m: int = _key(int, help="number of continuous-time agents (the first m)")
-    h: float = _key(float, None, help=f"sampling period ({PAPER_H} with x0 = paper)")
-    x0: str | tuple[float, ...] = _key(
-        _floats_or("paper"), "paper", help="comma-separated initial state or 'paper'"
-    )
+    h: float = _key(float, help="sampling period")
+    x0: tuple[float, ...] = _key(_floats, help="comma-separated initial state")
     steps: int = _key(int, 200, help="sampling steps to simulate")
     dense_per_step: int = _key(int, RunConfig.dense_per_step, help="intra-sample points per interval")
     seed: int = _key(int, RunConfig.seed, help="gossip seed; trial r uses seed + r")
@@ -122,16 +115,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     protocol(values["case"])  # rejects an unknown case
     if values["probs"] != "uniform" and values["case"] != 3:  # no schedule would check it
         raise ConsensusError(f"probs is read only in case 3, got case {values['case']}")
-    if values["x0"] == "paper":
-        if graph.n != len(PAPER_X0):
-            raise ConsensusError(
-                f"the paper preset needs a {len(PAPER_X0)}-vertex graph, got n = {graph.n}"
-            )
-        values["x0"] = PAPER_X0
-        if values["h"] is None:
-            values["h"] = PAPER_H
-    if values["h"] is None:
-        raise ParseError("missing required key 'h'")
     # run's tolerance and counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
                     seed=values["seed"], trials=values["trials"], tol=values["tol"])

@@ -28,6 +28,9 @@ from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import pair_gains
 
+# x(0) of the paper's simulation examples, which presets/example{1,2,3}.cfg state
+PAPER_X0 = (-13.0, 14.0, 3.0, -9.0, -3.0, 6.0)
+
 
 class NotRankOne(Exception):
     """Matrix powers did not converge to a rank-one limit; the graph

@@ -22,13 +22,13 @@ from hybridconsensus import (
     monte_carlo_mean,
     simulate_deterministic,
 )
-from hybridconsensus.config import PAPER_X0
 from hybridconsensus.protocols import pair_gains
 from oracles import (
     dense,
     dense_states,
     digraph,
     NotRankOne,
+    PAPER_X0,
     gossip_interpolant,
     has_spanning_tree,
     iteration_matrix,
@@ -253,7 +253,7 @@ def _run_cli(*args):
 
 
 def test_criterion_7_benchmark_examples_via_cli(tmp_path):
-    """All three benchmark configs (stand-in graphs, x0 = paper preset,
+    """All three benchmark configs (stand-in graphs, the paper's x0,
     h = 0.2, m = 3) converge and the CLI exits 0."""
     for idx in (1, 2, 3):
         out = tmp_path / f"ex{idx}"

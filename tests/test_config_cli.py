@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from hybridconsensus.cli import main
-from hybridconsensus.config import KEYS, PAPER_H, PAPER_X0, load_config
+from hybridconsensus.config import KEYS, load_config
 from hybridconsensus.engine import RunConfig
 from hybridconsensus.errors import ConsensusError, ParseError
+from oracles import PAPER_X0
 
 
 def run_cli(*args, env=None):
@@ -37,6 +38,7 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 SMALL_GRAPH = "n 2\n1 2 1.0\n2 1 1.0\n"
+RING6 = "n 6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n6 1 1.0\n"
 SMALL_CFG = "graph = g.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n"
 NOT_UTF8 = b"# caf\xe9 \xff\xfe\n"  # Latin-1, then two bytes no UTF-8 text holds
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
@@ -59,17 +61,13 @@ class TestLoadConfig:
         assert cfg.probs == "uniform"
         np.testing.assert_array_equal(cfg.x0, [0.0, 1.0])
 
-    def test_paper_preset(self, tmp_path, presets_dir):
-        cfg = load_config(presets_dir / "example1.cfg")
-        np.testing.assert_array_equal(cfg.x0, PAPER_X0)
-        assert cfg.h == PAPER_H
-        assert cfg.system.graph.n == 6
-        assert cfg.graph == str((presets_dir / "g1.edges").resolve())  # the key, resolved
-
-    def test_paper_preset_requires_six_vertices(self, tmp_path):
-        (tmp_path / "g.edges").write_text(SMALL_GRAPH)
-        with pytest.raises(ConsensusError, match="^the paper preset needs a 6-vertex graph, got n = 2$"):
-            load_config(write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 1\nx0 = paper\n"))
+    def test_paper_preset(self, presets_dir):
+        # each preset states the paper's x(0) and h itself
+        for idx in (1, 2, 3):
+            cfg = load_config(presets_dir / f"example{idx}.cfg")
+            assert cfg.x0 == PAPER_X0 and cfg.h == 0.2
+            assert cfg.system.graph.n == 6
+            assert cfg.graph == str((presets_dir / f"g{idx}.edges").resolve())  # the key, resolved
 
     def test_x0_length_mismatch(self, tmp_path):
         (tmp_path / "g.edges").write_text(SMALL_GRAPH)
@@ -237,11 +235,13 @@ class TestCliExitCodes:
             (SMALL_CFG.replace("case = 1", "case = one"), SMALL_GRAPH,
              "bad value for 'case': invalid literal for int() with base 10: 'one'"),
             (SMALL_CFG.replace("h = 0.1\n", ""), SMALL_GRAPH, "missing required key 'h'"),
+            # a 6-vertex graph got the paper's x(0) when the config named no x0
+            (SMALL_CFG.replace("x0 = 0, 1\n", ""), RING6, "missing required key 'x0'"),
             (SMALL_CFG, "", "{graph}: missing 'n <count>' header"),
             (SMALL_CFG, "n two\n", "{graph}:1: bad vertex count"),
             (SMALL_CFG, "n 0\n", "{graph}:1: vertex count must be positive"),
         ],
-        ids=["duplicate-key", "missing-key", "bad-int", "missing-h", "empty-graph",
+        ids=["duplicate-key", "missing-key", "bad-int", "missing-h", "missing-x0", "empty-graph",
              "bad-vertex-count", "zero-vertices"],
     )
     def test_input_error_is_parse_error(self, tmp_path, capsys, config, graph, message):
@@ -344,20 +344,24 @@ class TestCliExitCodes:
              "error: h = 2.0 must be strictly below bound_case3 (1/max a_ij) = 1.0\n"),
             ("example1.cfg", ["--x0", "1,2,3", "--h", "0.2"],
              "error: x0 has length 3, graph has n = 6\n"),
-            ("../tests/data/weighted.cfg", ["--x0", "paper"],
-             "error: the paper preset needs a 6-vertex graph, got n = 40\n"),
             ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
         ],
         ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
              "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs",
              "negative-probs-after-prefix", "probs-sum", "not-stochastic",
              "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
-             "paper-x0-length", "unknown-case"],
+             "unknown-case"],
     )
     def test_case3_input_is_condition_error(self, presets_dir, capsys, preset, flags, message):
         assert main(["check", str(presets_dir / preset), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
+
+    def test_paper_is_not_an_x0(self, presets_dir, capsys):
+        # `paper` stood for the paper's x(0), and exited 2 on a graph without 6 vertices
+        assert main(["check", str(presets_dir / "../tests/data/weighted.cfg"), "--x0", "paper"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad value for 'x0': could not convert string to float: 'paper'\n")
 
     @pytest.mark.parametrize("command", ["check", "run", "bounds", "matrix"])
     @pytest.mark.parametrize(
@@ -422,13 +426,13 @@ class TestCliExitCodes:
         assert len(last_dense) == 600
         assert all(t == t_k + 0.103 for t_k, t in last_dense.items())
 
-    def test_outdir_env_var(self, tmp_path, presets_dir):
-        import os
-
-        env = dict(os.environ, HYBRIDCONSENSUS_OUTDIR=str(tmp_path / "envout"))
-        result = run_cli("run", str(presets_dir / "example1.cfg"), "--steps", "5", env=env)
-        assert result.returncode == 2  # too few steps to converge -> mismatch
-        assert (tmp_path / "envout" / "trajectory.csv").is_file()
+    def test_run_writes_where_out_says(self, tmp_path, presets_dir, monkeypatch, capsys):
+        # without --out, run wrote into $HYBRIDCONSENSUS_OUTDIR when that was set
+        monkeypatch.setenv("HYBRIDCONSENSUS_OUTDIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(presets_dir / "example1.cfg"), "--steps", "5"]) == 2  # too few
+        assert (tmp_path / "trajectory.csv").is_file() and (tmp_path / "verdict.json").is_file()
+        assert not (tmp_path / "envout").exists()
 
 
 class TestCliSubcommands:

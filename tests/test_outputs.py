@@ -56,10 +56,10 @@ DIGESTS = {
 # `-h` of the program and of each subcommand, at COLUMNS=80
 HELP_DIGESTS = {
     "": "f57bce8a69196b5a14b90dbc8fecfe4399c2c7a89257b2b64fbdab7aa6b5454f",
-    "check": "de6d9e6fdbd68c7d5927638693438749df52b1043fdbba9faac9307c5962f796",
-    "run": "961c2aadb61082fafd2d559c44595d0c341c13a9cfa2f46138cb890799288002",
-    "bounds": "1f41672bc0a2779a9e19432f98a2cf0859527fddceaf6f1c3685cc4e9fc285b5",
-    "matrix": "6b543d6479c7bd56d08fb36eda3cb2799aaca2b352690fb766976c9e97f63a7a",
+    "check": "0a04a8913cef0677c81c2f9dd588bce9541802677445e3f3e58862f7f80a7b4d",
+    "run": "fb48790a8c7d72441a08de914aad00bf99eb0261517e37736e7d90f3cabfddac",
+    "bounds": "f2780a18bea8a40e17ef1c8bdcf21a387c6fea4106c24db26370af9dc7046fb7",
+    "matrix": "cd62a59a134462362267a4e70503821460b136dd0be24d95c0bb945dce4efba1",
 }
 
 

@@ -32,13 +32,13 @@ from hybridconsensus import (
     simulate_deterministic,
 )
 from hybridconsensus import graphs
-from hybridconsensus.config import PAPER_X0
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import strong_components
 from hybridconsensus.protocols import case_matrix
 from hybridconsensus.spectral import _gth
 from hybridconsensus.reporting import trajectory_csv_blocks
 from oracles import (
+    PAPER_X0,
     NotRankOne,
     case_matrix_dense,
     dense,
