@@ -44,6 +44,8 @@ fails 1 "error: bad value for 'h': could not convert string to float: 'abc'" \
   hybridconsensus check presets/example1.cfg --h abc
 # `paper` is no x0: each preset writes out the paper's state
 fails 1 "error: bad value for 'x0': could not convert string to float: 'paper'" hybridconsensus check presets/example1.cfg --x0 paper
+# every comma field is a value: an empty one is no value to drop
+fails 1 "error: bad value for 'x0': could not convert string to float: ''" hybridconsensus check presets/example1.cfg --x0=1,,2,3,4,5,6
 # a missing config file is I/O (exit 1), reported with the OS's message
 fails 1 "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'" \
   hybridconsensus check /nonexistent/exp.cfg

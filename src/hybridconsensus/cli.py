@@ -137,7 +137,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ConsensusError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONDITION
-
-
-if __name__ == "__main__":
-    _sys.exit(main())

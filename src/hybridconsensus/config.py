@@ -35,7 +35,7 @@ from .protocols import GossipSchedule, HybridSystem, protocol
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(map(float, text.split(",")))
 
 
 def _floats_or(word: str):

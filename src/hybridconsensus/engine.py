@@ -89,7 +89,8 @@ def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
     mean = np.empty((cfg.steps + 1, sys.n))
-    choice = np.empty((cfg.steps, cfg.trials), np.intp)
+    # the draws are the run's largest array: one byte each up to 256 edges, not np.intp's eight
+    choice = np.empty((cfg.steps, cfg.trials), np.min_scalar_type(len(sched.probs) - 1))
     cumulative = np.cumsum(sched.probs)
     cumulative[-1] = 1.0  # guard against round-off in the last bin
     for r in range(cfg.trials):

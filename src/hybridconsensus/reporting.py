@@ -26,15 +26,13 @@ CSV_HEADER = "t,agent,value,kind,record"
 BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
 
 
-def _strs(x: np.ndarray) -> np.ndarray:
-    return np.array(list(map(repr, x.ravel().tolist())), dtype=object).reshape(x.shape)
-
-
-def _reprs(x: np.ndarray) -> list[str]:
-    """repr of every float in x, computed once per distinct bit pattern.
-    Keyed on bits, not values: -0.0 == 0.0, but their reprs differ."""
+def _reprs(x: np.ndarray) -> np.ndarray:
+    """repr of every float in x, as an object array of x's shape, computed once
+    per distinct bit pattern.  Keyed on bits, not values: -0.0 == 0.0, but
+    their reprs differ."""
     bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    return _strs(bits.view(np.float64))[inverse].tolist()
+    strs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return strs[inverse].reshape(x.shape)
 
 
 def matrix_rows(P: StochasticMatrix) -> Iterator[str]:
@@ -44,7 +42,7 @@ def matrix_rows(P: StochasticMatrix) -> Iterator[str]:
     for a, b in zip(starts, starts[1:]):
         row = np.zeros(P.n)
         row[P.cols[a:b]] = P.vals[a:b]
-        yield ",".join(_reprs(row))
+        yield ",".join(_reprs(row).tolist())
 
 
 def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
@@ -65,18 +63,18 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     per_block = max(1, BLOCK_ROWS // len(agent))
     for k0 in range(0, K, per_block):
         k = np.arange(k0, min(k0 + per_block, K))
-        t = np.repeat(_strs(k * sys.h)[:, None], len(agent), 1)  # t_k = k*h
-        t[:, n:] = np.tile(_strs(k[:, None] * sys.h + taus), m)  # k*h + tau
+        t = np.repeat(_reprs(k * sys.h)[:, None], len(agent), 1)  # t_k = k*h
+        t[:, n:] = np.tile(_reprs(k[:, None] * sys.h + taus), m)  # k*h + tau
         dense = (1 - s) * states[k, :m, None] + s * states[k + 1, :m, None]
         yield _rows(t, agent, np.hstack([states[k], dense.reshape(len(k), m * d)]), end_nl)
-    yield _rows(np.repeat(_strs(np.array([K * sys.h])), n), agents, states[K:], ends)
+    yield _rows(np.repeat(_reprs(np.array([K * sys.h])), n), agents, states[K:], ends)
 
 
 def _rows(t: np.ndarray, agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
     """Whole steps of rows as one string: every field in one flat list, joined once."""
     out: list = [None] * (4 * values.size)
     out[0::4], out[1::4] = t.ravel().tolist(), agent * len(values)
-    out[2::4], out[3::4] = _reprs(values.ravel()), end_nl * len(values)
+    out[2::4], out[3::4] = _reprs(values).ravel().tolist(), end_nl * len(values)
     return "".join(out)
 
 

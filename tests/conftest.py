@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridconsensus import WeightedDigraph
 from hybridconsensus.engine import dense_tau_grid
+from hybridconsensus.graphs import WeightedDigraph
 from hybridconsensus.reporting import CSV_HEADER
 from oracles import dense_states, digraph
 

@@ -14,19 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from hybridconsensus import (
-    GossipSchedule,
-    HybridSystem,
-    PerronVector,
-    RunConfig,
-    StochasticMatrix,
-    Trajectory,
-    WeightedDigraph,
-)
-from hybridconsensus.engine import dense_tau_grid
+from hybridconsensus.engine import RunConfig, Trajectory, dense_tau_grid
 from hybridconsensus.errors import ConsensusError, ParseError
-from hybridconsensus.graphs import strong_components
-from hybridconsensus.protocols import pair_gains
+from hybridconsensus.graphs import WeightedDigraph, strong_components
+from hybridconsensus.protocols import GossipSchedule, HybridSystem, pair_gains
+from hybridconsensus.spectral import PerronVector, StochasticMatrix
 
 # x(0) of the paper's simulation examples, which presets/example{1,2,3}.cfg state
 PAPER_X0 = (-13.0, 14.0, 3.0, -9.0, -3.0, 6.0)

@@ -12,17 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridconsensus import (
-    GossipSchedule,
-    HybridSystem,
-    RunConfig,
-    case_matrix,
-    gains,
-    left_eigenvector,
-    monte_carlo_mean,
-    simulate_deterministic,
-)
-from hybridconsensus.protocols import pair_gains
+from hybridconsensus.engine import RunConfig, monte_carlo_mean, simulate_deterministic
+from hybridconsensus.protocols import GossipSchedule, HybridSystem, case_matrix, gains, pair_gains
+from hybridconsensus.spectral import left_eigenvector
 from oracles import (
     dense,
     dense_states,

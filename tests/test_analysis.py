@@ -3,19 +3,13 @@ from sys import modules as loaded_modules
 import numpy as np
 import pytest
 
-from hybridconsensus import (
-    GossipSchedule,
-    HybridSystem,
-    RunConfig,
-    WeightedDigraph,
-    decide,
-    monte_carlo_mean,
-    simulate_deterministic,
-    verify_run,
-)
 from hybridconsensus import graphs, spectral
+from hybridconsensus.analysis import decide, verify_run
 from hybridconsensus.cli import main
+from hybridconsensus.engine import RunConfig, monte_carlo_mean, simulate_deterministic
 from hybridconsensus.errors import ConsensusError
+from hybridconsensus.graphs import WeightedDigraph
+from hybridconsensus.protocols import GossipSchedule, HybridSystem
 from oracles import digraph, nonconsensus_witness
 from conftest import (
     random_spanning_graph,

@@ -251,8 +251,15 @@ class TestCliExitCodes:
         message = message.format(cfg=cfg, graph=(tmp_path / "g.edges").resolve())
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key", sorted(OVERRIDES))
-    def test_bad_flag_value_is_the_file_lines_parse_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key, value, base",
+        [(key, "x", BASE) for key in sorted(OVERRIDES)]
+        # an empty comma field was dropped: x0 ran on the other three values, and
+        # probs on the graph's two edges
+        + [("x0", "0,,1,2", BASE), ("probs", "0.5,0.5,", {**BASE, "case": "3"})],
+        ids=[*sorted(OVERRIDES), "x0-empty-field", "probs-trailing-comma"],
+    )
+    def test_bad_flag_value_is_the_file_lines_parse_error(self, tmp_path, capsys, key, value, base):
         # argparse parsed a flag with the key's parser: it printed its usage block and
         # "invalid _x0 value: 'x'", naming a private function, and exited 2
         (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
@@ -260,12 +267,14 @@ class TestCliExitCodes:
         def cfg(name, entries):
             return str(write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()), name))
 
-        assert main(["check", cfg("file.cfg", {**BASE, key: "x"})]) == 1
+        assert main(["check", cfg("file.cfg", {**base, key: value})]) == 1
         by_file = capsys.readouterr().err
-        assert main(["check", cfg("flag.cfg", BASE), "--" + key.replace("_", "-"), "x"]) == 1
+        assert main(["check", cfg("flag.cfg", base), "--" + key.replace("_", "-"), value]) == 1
         by_flag = capsys.readouterr().err
         assert by_flag == by_file
         assert by_flag.startswith(f"error: bad value for {key!r}: ") and by_flag.count("\n") == 1
+        if value != "x":
+            assert by_flag.endswith(": could not convert string to float: ''\n")
 
     @pytest.mark.parametrize(
         "preset, flag, value",

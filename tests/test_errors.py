@@ -8,8 +8,7 @@ from pathlib import Path
 import hybridconsensus.errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hybridconsensus"
-# besides the two, the lazy namespace's module __getattr__ must raise
-# AttributeError (PEP 562); a file that cannot be read raises the OS's own error
+# besides the two, a file that cannot be read raises the OS's own error
 ALLOWED = {"ConsensusError", "ParseError"}
 
 
@@ -24,10 +23,9 @@ def raised(path: Path):
 def test_every_raise_names_one_of_the_two_types():
     seen, other = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        allowed = ALLOWED | ({"AttributeError"} if path.name == "__init__.py" else set())
         for lineno, name in raised(path):
             seen += 1
-            if name not in allowed:
+            if name not in ALLOWED:
                 other.append(f"{path.name}:{lineno}: raise {name}")
     assert seen > 0
     assert other == []

@@ -5,14 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridconsensus import (
-    GossipSchedule,
-    WeightedDigraph,
-    read_edge_list,
-)
 from hybridconsensus import graphs
 from hybridconsensus.errors import ConsensusError, ParseError
-from hybridconsensus.graphs import strong_components
+from hybridconsensus.graphs import WeightedDigraph, read_edge_list, strong_components
+from hybridconsensus.protocols import GossipSchedule
 from oracles import dense, digraph, edge_form, has_spanning_tree, laplacian, write_edge_list
 from conftest import random_spanning_graph, ring_graph
 

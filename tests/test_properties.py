@@ -18,25 +18,14 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from hybridconsensus import (
-    GossipSchedule,
-    HybridSystem,
-    RunConfig,
-    StochasticMatrix,
-    Trajectory,
-    WeightedDigraph,
-    decide,
-    left_eigenvector,
-    monte_carlo_mean,
-    read_edge_list,
-    simulate_deterministic,
-)
 from hybridconsensus import graphs
+from hybridconsensus.analysis import decide
+from hybridconsensus.engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
 from hybridconsensus.errors import ConsensusError, ParseError
-from hybridconsensus.graphs import strong_components
-from hybridconsensus.protocols import case_matrix
-from hybridconsensus.spectral import _gth
+from hybridconsensus.graphs import WeightedDigraph, read_edge_list, strong_components
+from hybridconsensus.protocols import GossipSchedule, HybridSystem, case_matrix
 from hybridconsensus.reporting import trajectory_csv_blocks
+from hybridconsensus.spectral import StochasticMatrix, _gth, left_eigenvector
 from oracles import (
     PAPER_X0,
     NotRankOne,

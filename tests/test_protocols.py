@@ -3,22 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from hybridconsensus import (
-    ConsensusVerdict,
+from hybridconsensus.analysis import ConsensusVerdict
+from hybridconsensus.engine import RunConfig, simulate_deterministic
+from hybridconsensus.errors import ConsensusError
+from hybridconsensus.graphs import WeightedDigraph, read_edge_list
+from hybridconsensus.protocols import (
     GossipSchedule,
     HybridSystem,
-    RunConfig,
-    StochasticMatrix,
-    WeightedDigraph,
+    PROTOCOLS,
+    Protocol,
     bound,
     case_matrix,
     gains,
-    left_eigenvector,
-    read_edge_list,
-    simulate_deterministic,
 )
-from hybridconsensus.errors import ConsensusError
-from hybridconsensus.protocols import PROTOCOLS, Protocol
+from hybridconsensus.spectral import StochasticMatrix, left_eigenvector
 from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, gossip_pair_matrix, iteration_matrix
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 

@@ -5,18 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridconsensus import (
-    HybridSystem,
-    RunConfig,
-    StochasticMatrix,
-    Trajectory,
-    simulate_deterministic,
-    verify_run,
-)
 from hybridconsensus import cli, reporting
+from hybridconsensus.analysis import verify_run
 from hybridconsensus.config import load_config
-from hybridconsensus.protocols import case_matrix
+from hybridconsensus.engine import RunConfig, Trajectory, simulate_deterministic
+from hybridconsensus.protocols import HybridSystem, case_matrix
 from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
+from hybridconsensus.spectral import StochasticMatrix
 from oracles import dense, digraph
 from conftest import PRESETS, reference_csv_lines
 

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from hybridconsensus import StochasticMatrix, left_eigenvector
 from hybridconsensus.errors import ConsensusError
 from hybridconsensus.graphs import strong_components
+from hybridconsensus.spectral import StochasticMatrix, left_eigenvector
 from oracles import NotRankOne, edge_form, period_by_powers, sia_limit
 
 
