@@ -39,6 +39,8 @@ ok hybridconsensus check presets/example1.cfg --h 0.2 --x0 -13,14,3,-9,-3,6 > "$
 ok hybridconsensus check presets/example1.cfg --h 0.2 --x0=-13,14,3,-9,-3,6 | cmp - "$out/x0.out"
 # and after a prefix of its flag, which argparse expands
 ok hybridconsensus check presets/example1.cfg --h 0.2 --x -13,14,3,-9,-3,6 | cmp - "$out/x0.out"
+# a key flag's value that starts with "-" is the value, read as its file line is
+fails 2 "error: sampling period must be positive and finite, got -1000.0" hybridconsensus check presets/example1.cfg --h -1e3
 # a flag's bad value is the file line's parse error (exit 1), not an argparse usage error
 fails 1 "error: bad value for 'h': could not convert string to float: 'abc'" \
   hybridconsensus check presets/example1.cfg --h abc

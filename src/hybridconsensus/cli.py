@@ -57,6 +57,8 @@ if _collecting:
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONDITION = 2
+# every key but graph, which the config file names, is also a flag
+FLAGS = {"--" + key.name.replace("_", "-"): key for key in KEYS if key.name != "graph"}
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
@@ -101,10 +103,8 @@ def make_parser() -> argparse.ArgumentParser:
     # the config argument and its overrides, built once and shared by every subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="experiment config file (key = value)")
-    for key in KEYS:
-        if key.name != "graph":  # the config file names its graph
-            common.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
-                                help=key.metadata["help"])
+    for flag, key in FLAGS.items():
+        common.add_argument(flag, dest=key.name, help=key.metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (
         ("check", _cmd_check),
@@ -121,10 +121,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse reads "-13,14" as an option, not a value
-        flag = argv[i - 1]  # --x0 or --probs, or a prefix that argparse expands to one of them
-        listed = len(flag) > 2 and ("--x0".startswith(flag) or "--probs".startswith(flag))
-        if listed and re.match(r"-[\d.]", argv[i]):
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads "-1e3" or "-13,14" as an option
+        flag = argv[i - 1]  # a key's flag, or a prefix that argparse expands to one
+        keyed = len(flag) > 2 and any(name.startswith(flag) for name in FLAGS)
+        if keyed and re.match(r"-([\d.]|inf|nan)", argv[i], re.IGNORECASE):
             argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = make_parser().parse_args(argv)
     try:

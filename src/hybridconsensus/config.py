@@ -38,9 +38,8 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(map(float, text.split(",")))
 
 
-def _floats_or(word: str):
-    """A parser of a comma list of floats, or of the literal `word`."""
-    return lambda text: word if text.strip().lower() == word else _floats(text)
+def _probs(text: str) -> str | tuple[float, ...]:
+    return "uniform" if text.strip().lower() == "uniform" else _floats(text)
 
 
 def _key(parse, default=MISSING, *, help: str):
@@ -67,7 +66,7 @@ class ExperimentConfig:
     seed: int = _key(int, RunConfig.seed, help="gossip seed; trial r uses seed + r")
     trials: int = _key(int, RunConfig.trials, help="Monte-Carlo trials (case 3)")
     probs: str | tuple[float, ...] = _key(
-        _floats_or("uniform"), "uniform", help="'uniform' or comma-separated edge probabilities"
+        _probs, "uniform", help="'uniform' or comma-separated edge probabilities"
     )
     tol: float = _key(float, RunConfig.tol, help="convergence tolerance")
 

@@ -195,7 +195,7 @@ def read_edge_list(path: str | Path) -> WeightedDigraph:
     if n < 1:
         raise ParseError(f"{path}:{header}: vertex count must be positive")
     if n > np.iinfo(np.intp).max // (n + 1):  # the sort key of sorted_entries would overflow
-        raise ParseError(f"{path}:{header}: no room for {n} vertices: n * n overflows an index")
+        raise ParseError(f"{path}:{header}: no room for {n} vertices: n * (n + 1) overflows an index")
 
     vals, first = [], {}
     for lineno, text in lines:

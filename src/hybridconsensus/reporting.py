@@ -26,13 +26,12 @@ CSV_HEADER = "t,agent,value,kind,record"
 BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
 
 
-def _reprs(x: np.ndarray) -> np.ndarray:
-    """repr of every float in x, as an object array of x's shape, computed once
-    per distinct bit pattern.  Keyed on bits, not values: -0.0 == 0.0, but
-    their reprs differ."""
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+def _reprs(x: np.ndarray) -> list[str]:
+    """repr of every float in x, in x's flat order, computed once per distinct
+    bit pattern.  Keyed on bits, not values: -0.0 == 0.0, but their reprs differ."""
+    bits, inverse = np.unique(x.ravel().view(np.int64), return_inverse=True)
     strs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return strs[inverse].reshape(x.shape)
+    return strs[inverse].tolist()
 
 
 def matrix_rows(P: StochasticMatrix) -> Iterator[str]:
@@ -42,7 +41,7 @@ def matrix_rows(P: StochasticMatrix) -> Iterator[str]:
     for a, b in zip(starts, starts[1:]):
         row = np.zeros(P.n)
         row[P.cols[a:b]] = P.vals[a:b]
-        yield ",".join(_reprs(row).tolist())
+        yield ",".join(_reprs(row))
 
 
 def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
@@ -63,18 +62,19 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     per_block = max(1, BLOCK_ROWS // len(agent))
     for k0 in range(0, K, per_block):
         k = np.arange(k0, min(k0 + per_block, K))
-        t = np.repeat(_reprs(k * sys.h)[:, None], len(agent), 1)  # t_k = k*h
-        t[:, n:] = np.tile(_reprs(k[:, None] * sys.h + taus), m)  # k*h + tau
+        t, dense_t = [], _reprs(k[:, None] * sys.h + taus)  # step k's times: k*h, then k*h + tau
+        for j, t_k in enumerate(_reprs(k * sys.h)):
+            t += [t_k] * n + dense_t[j * d : (j + 1) * d] * m
         dense = (1 - s) * states[k, :m, None] + s * states[k + 1, :m, None]
         yield _rows(t, agent, np.hstack([states[k], dense.reshape(len(k), m * d)]), end_nl)
-    yield _rows(np.repeat(_reprs(np.array([K * sys.h])), n), agents, states[K:], ends)
+    yield _rows([repr(float(K * sys.h))] * n, agents, states[K:], ends)
 
 
-def _rows(t: np.ndarray, agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
+def _rows(t: list[str], agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
     """Whole steps of rows as one string: every field in one flat list, joined once."""
     out: list = [None] * (4 * values.size)
-    out[0::4], out[1::4] = t.ravel().tolist(), agent * len(values)
-    out[2::4], out[3::4] = _reprs(values).ravel().tolist(), end_nl * len(values)
+    out[0::4], out[1::4] = t, agent * len(values)
+    out[2::4], out[3::4] = _reprs(values), end_nl * len(values)
     return "".join(out)
 
 

@@ -163,14 +163,14 @@ class TestCliExitCodes:
         assert result.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path):
-        # 10^18 vertices: their in-degrees alone need 7 EiB, and n * n overflows the reader's
-        # sort key, so the header is rejected on every host; a count the reader cannot allocate
-        # used to escape as a MemoryError traceback
+        # 10^18 vertices: their in-degrees alone need 7 EiB, and the reader's sort key i * n + j
+        # reaches n * (n + 1), which overflows, so the header is rejected on every host; a count
+        # the reader cannot allocate used to escape as a MemoryError traceback
         (tmp_path / "g.edges").write_text("n 1000000000000000000\n1 2 1.0\n2 1 1.0\n")
         result = run_cli("check", str(write_cfg(tmp_path, SMALL_CFG)))
         assert result.returncode == 1
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        assert "g.edges:1: no room for 1000000000000000000 vertices" in result.stderr
+        message = f"no room for {10**18} vertices: n * (n + 1) overflows an index"
+        assert result.stderr == f"error: {(tmp_path / 'g.edges').resolve()}:1: {message}\n"
 
     @pytest.mark.parametrize(
         "args, message",
@@ -275,6 +275,38 @@ class TestCliExitCodes:
         assert by_flag.startswith(f"error: bad value for {key!r}: ") and by_flag.count("\n") == 1
         if value != "x":
             assert by_flag.endswith(": could not convert string to float: ''\n")
+
+    @pytest.mark.parametrize(
+        "preset, key, value, code",
+        [
+            ("example1.cfg", "h", "-1e3", 2),
+            ("example1.cfg", "tol", "-1e-8", 2),
+            ("example1.cfg", "steps", "-1e3", 1),
+            ("example1.cfg", "m", "-1e3", 1),
+            ("example1.cfg", "seed", "-1e3", 1),
+            ("example1.cfg", "trials", "-1e3", 1),
+            ("example1.cfg", "dense_per_step", "-1e3", 1),
+            ("example1.cfg", "case", "-1e3", 1),
+            ("example1.cfg", "h", "-inf", 2),
+            ("example1.cfg", "x0", "-inf,1,2,3,4,5", 2),
+            ("example3.cfg", "probs", "-inf,0.5,0.5,0,0,0,0", 2),
+        ],
+        ids=["h", "tol", "steps", "m", "seed", "trials", "dense_per_step", "case", "h-inf", "x0",
+             "probs"],
+    )
+    def test_leading_minus_flag_value_is_the_file_line(
+        self, tmp_path, presets_dir, capsys, preset, key, value, code
+    ):
+        # argparse read a value such as "-1e3" as an option, not as the value of the flag
+        # before it: it printed its usage block and "expected one argument", and exited 2
+        text = (presets_dir / preset).read_text().replace("graph = ", f"graph = {presets_dir}/")
+        text = "".join(line for line in text.splitlines(True) if not line.startswith(f"{key} = "))
+        assert main(["check", str(write_cfg(tmp_path, f"{text}{key} = {value}\n"))]) == code
+        by_file = capsys.readouterr().err
+        assert main(["check", str(presets_dir / preset), "--" + key.replace("_", "-"), value]) == code
+        by_flag = capsys.readouterr().err
+        assert by_flag == by_file
+        assert by_flag.startswith("error: ") and by_flag.count("\n") == 1
 
     @pytest.mark.parametrize(
         "preset, flag, value",
