@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
-from .protocols import GossipSchedule, HybridSystem, bound, case_matrix, protocol
+from .protocols import HybridSystem, bound, case_matrix, protocol
 from .spectral import left_eigenvector
 
 
@@ -20,9 +20,7 @@ class ConsensusVerdict(NamedTuple):
     converged: bool
 
 
-def decide(
-    sys: HybridSystem, case: int, sched: GossipSchedule | None = None
-) -> ConsensusVerdict:
+def decide(sys: HybridSystem, case: int) -> ConsensusVerdict:
     """Solvability and spectrally predicted consensus value (no simulation).
 
     The case's iteration (or expected) matrix P links i to j exactly where
@@ -34,7 +32,7 @@ def decide(
     The class must also be aperiodic, or P's powers cycle: a positive
     diagonal makes it so, unless e^{-d_ii h} underflows to 0 (Remark 1).
     """
-    perron = left_eigenvector(case_matrix(sys, case, sched))  # also enforces the h bound
+    perron = left_eigenvector(case_matrix(sys, case))  # also enforces the h bound
     solvable = perron is not None and perron.period == 1
     holds = protocol(case).condition[solvable]
     if perron is not None and not solvable:
@@ -44,9 +42,7 @@ def decide(
     return ConsensusVerdict(solvable, condition, value, None, False)
 
 
-def verify_run(
-    sys: HybridSystem, case: int, cfg: RunConfig, sched: GossipSchedule | None = None
-) -> tuple[ConsensusVerdict, Trajectory]:
+def verify_run(sys: HybridSystem, case: int, cfg: RunConfig) -> tuple[ConsensusVerdict, Trajectory]:
     """Simulate and fill in the measured half of the verdict.
 
     The measured disagreement is max_i x_i - min_i x_i at the last sampled
@@ -54,9 +50,9 @@ def verify_run(
     the per-agent gap to the predicted value to fall below cfg.tol, widened by
     the 4-standard-error band of the final Monte-Carlo mean (zero in cases 1-2).
     """
-    verdict = decide(sys, case, sched)
+    verdict = decide(sys, case)
     if case == 3:
-        traj = monte_carlo_mean(sys, sched, cfg)
+        traj = monte_carlo_mean(sys, cfg)
     else:
         traj = simulate_deterministic(sys, case, cfg)
     measured = float(np.ptp(traj.sample_states[-1]))

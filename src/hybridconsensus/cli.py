@@ -62,7 +62,7 @@ FLAGS = {"--" + key.name.replace("_", "-"): key for key in KEYS if key.name != "
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
-    verdict = decide(cfg.system, cfg.case, cfg.sched)
+    verdict = decide(cfg.system, cfg.case)
     print(verdict_json(verdict_report(cfg, verdict)))
     return EXIT_OK
 
@@ -74,13 +74,13 @@ def _cmd_bounds(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
-    for row in matrix_rows(case_matrix(cfg.system, cfg.case, cfg.sched)):
+    for row in matrix_rows(case_matrix(cfg.system, cfg.case)):
         print(row)
     return EXIT_OK
 
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
-    verdict, traj = verify_run(cfg.system, cfg.case, cfg.run, sched=cfg.sched)
+    verdict, traj = verify_run(cfg.system, cfg.case, cfg.run)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")

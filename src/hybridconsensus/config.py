@@ -20,7 +20,7 @@ dense_per_step) whose text overrides the file's line.
 
 `load_config` returns the checked experiment: the keys' values, and the
 objects every subcommand runs on, built once from them: the hybrid system,
-the gossip schedule (case 3 only) and the run's counts and tolerance.
+which in case 3 holds its gossip schedule, and the run's counts and tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 from .engine import RunConfig
 from .errors import ConsensusError, ParseError
 from .graphs import content_lines, read_edge_list
-from .protocols import GossipSchedule, HybridSystem, protocol
+from .protocols import HybridSystem, protocol
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -54,7 +54,6 @@ class ExperimentConfig:
     are required.  The graph read from the file `graph` names is `system.graph`."""
 
     system: HybridSystem
-    sched: GossipSchedule | None  # case 3 only
     run: RunConfig
     graph: str = _key(str, help="edge-list file, relative to the config")  # then resolved
     case: int = _key(int, help="1, 2 or 3")
@@ -117,9 +116,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     # run's tolerance and counts, checked here so that every subcommand rejects the same configs
     run = RunConfig(steps=values["steps"], dense_per_step=values["dense_per_step"],
                     seed=values["seed"], trials=values["trials"], tol=values["tol"])
-    system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"])
-    sched = None
-    if values["case"] == 3:
-        probs = values["probs"]
-        sched = GossipSchedule.uniform(graph) if probs == "uniform" else GossipSchedule(graph, probs)
-    return ExperimentConfig(system=system, sched=sched, run=run, **values)
+    probs = values["probs"] if values["case"] == 3 else None  # the schedule is case 3's
+    system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"], probs=probs)
+    return ExperimentConfig(system=system, run=run, **values)

@@ -5,8 +5,8 @@ last step (case 3).
 
 Randomness comes from numpy's PCG64 generator so that a (seed, trial)
 pair reproduces a trajectory bit-for-bit on any platform.  `monte_carlo_mean`
-is the one place gossip edges are drawn: by inverse CDF over the schedule's
-cumulative probabilities in sorted edge order.
+is the one place gossip edges are drawn: by inverse CDF over the cumulative
+probabilities of the system's schedule, in sorted edge order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConsensusError
-from .protocols import GossipSchedule, HybridSystem, case_matrix, gains, pair_gains
+from .protocols import HybridSystem, case_matrix, gains, pair_gains
 from .spectral import _edge_product
 
 
@@ -66,26 +66,27 @@ def simulate_deterministic(sys: HybridSystem, case: int, cfg: RunConfig) -> Traj
     when self-observing.  So at t_k + tau it is the blend (1 - s) x_k[i] + s x_{k+1}[i]
     of two samples, s = f(d_ii, tau) / f(d_ii, h), and exactly x_{k+1}[i] at h.
     """
+    # the blend gains first: they reject case 3, which has no sampled map, before any step
+    f = gains(sys, case, dense_tau_grid(sys.h, cfg.dense_per_step))[: sys.m]
     P = case_matrix(sys, case)
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, x in enumerate(states[:-1]):
         states[k + 1] = _edge_product(P.rows, P.cols, P.vals, x)
-    f = gains(sys, case, dense_tau_grid(sys.h, cfg.dense_per_step))[: sys.m]
     s = f / f[:, -1:]  # the last column is f(d_ii, h), divided by itself: s = 1 there
     return Trajectory(sample_states=states, blend=s, stderr=np.zeros(sys.n))
 
 
-def monte_carlo_mean(sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig) -> Trajectory:
-    """Empirical mean of the sampled states over independent gossip trials,
-    and its standard error at the last step.  Trial r draws its edges from
-    PCG64(cfg.seed + r): each uniform u picks the first edge whose cumulative
-    probability exceeds u, the last cumulative value taken as 1.
+def monte_carlo_mean(sys: HybridSystem, cfg: RunConfig) -> Trajectory:
+    """Empirical mean of the sampled states over independent gossip trials
+    on the system's schedule, and its standard error at the last step.  Trial
+    r draws its edges from PCG64(cfg.seed + r): each uniform u picks the first
+    edge whose cumulative probability exceeds u, the last cumulative value taken as 1.
 
     The trials run side by side: each draw is applied as a two-row update
     of the (trials, n) state, and the mean over trials is kept per step.
     """
-    gains = pair_gains(sys, sched)  # also checks the schedule and h
+    gains, sched = pair_gains(sys), sys.schedule  # pair_gains checks the schedule and h
     # a trial or step count too large to allocate fails here, before any draw
     x = np.tile(sys.x0, (cfg.trials, 1))
     mean = np.empty((cfg.steps + 1, sys.n))

@@ -39,9 +39,10 @@ from .spectral import StochasticMatrix
 
 class HybridSystem:
     """Graph, agent-kind split (agents 0..m-1 continuous, m..n-1 discrete),
-    sampling period and initial state, held as a read-only copy."""
+    sampling period and initial state, held as a read-only copy, and case 3's
+    gossip `schedule` on the graph, built from `probs` (None without them)."""
 
-    def __init__(self, graph: WeightedDigraph, m: int, h: float, x0: np.ndarray):
+    def __init__(self, graph: WeightedDigraph, m: int, h: float, x0: np.ndarray, probs=None):
         n, x0 = graph.n, np.array(x0, dtype=float)
         if x0.ndim != 1:
             raise ConsensusError(f"x0 must be a vector, got shape {x0.shape}")
@@ -57,6 +58,7 @@ class HybridSystem:
             raise ConsensusError(f"x0 must be finite, got x0[{bad}] = {float(x0[bad])}")
         x0.setflags(write=False)
         self.graph, self.m, self.h, self.x0 = graph, m, h, x0
+        self.schedule = None if probs is None else GossipSchedule(graph, probs)
 
     @property
     def n(self) -> int:
@@ -64,18 +66,21 @@ class HybridSystem:
 
 
 class GossipSchedule:
-    """The edges of a symmetric graph with their selection probabilities.
+    """The edges of a symmetric graph with their selection probabilities: a system's `schedule`.
 
     Edge e joins `i[e]` < `j[e]` with weight `vals[e]`: the graph's entries
     with i < j in stored order, so sorted by i, then j.  `probs` gives one
-    probability per edge in that order, each in (0, 1], summing to 1.  The
-    arrays are read-only; `engine.monte_carlo_mean` draws the edges from them.
+    probability per edge in that order, each in (0, 1], summing to 1;
+    'uniform' gives each edge 1 / |E|.  The arrays are read-only;
+    `engine.monte_carlo_mean` draws the edges from them.
     """
 
-    def __init__(self, graph: WeightedDigraph, probs: np.ndarray):
-        probs = np.array(probs, dtype=float)  # a copy, made read-only
+    def __init__(self, graph: WeightedDigraph, probs):
         if not graph.is_symmetric:
             raise ConsensusError("gossip requires a symmetric graph")
+        e = len(graph.vals)  # each edge twice, so 2 / e is 1 / |E| to the bit
+        uniform = isinstance(probs, str) and probs == "uniform"
+        probs = np.full(e // 2, 2.0 / e) if uniform else np.array(probs, dtype=float)  # a copy
         upper = graph.rows < graph.cols
         if len(probs) != upper.sum():
             raise ConsensusError(
@@ -88,15 +93,10 @@ class GossipSchedule:
             raise ConsensusError("each probability must lie in (0, 1]")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ConsensusError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
-        self.graph, self.probs = graph, probs
+        self.probs = probs
         self.i, self.j, self.vals = graph.rows[upper], graph.cols[upper], graph.vals[upper]
         for a in (self.i, self.j, self.vals, probs):
             a.setflags(write=False)
-
-    @classmethod
-    def uniform(cls, graph: WeightedDigraph) -> "GossipSchedule":
-        e = len(graph.vals)  # each edge twice if symmetric, so 2 / e is 1 / |E| to the bit
-        return cls(graph, np.full(e // 2, 2.0 / e))
 
 
 # --- sampling-period bounds and gains ----------------------------------------
@@ -149,11 +149,9 @@ def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
 # --- iteration matrices ------------------------------------------------------
 
 
-def case_matrix(
-    sys: HybridSystem, case: int, sched: GossipSchedule | None = None
-) -> StochasticMatrix:
+def case_matrix(sys: HybridSystem, case: int) -> StochasticMatrix:
     """The case's one-step matrix: the sampled map I - H*L in cases 1-2, the
-    expected matrix E(Phi) of `sched` in case 3.
+    expected matrix E(Phi) of the system's schedule in case 3.
 
     E(Phi) = I + sum_ij p_ij (Phi_ij - I) is written from the pair gains:
     p_ij g_i at (i, j), p_ij g_j at (j, i).  Its diagonal accumulates from 1
@@ -166,10 +164,9 @@ def case_matrix(
     row with d_ii = 0 comes out as an identity row.
     """
     if case == 3:
-        if sched is None:
-            raise ConsensusError("case 3 requires a gossip schedule")
+        pair, sched = pair_gains(sys), sys.schedule  # pair_gains checks the schedule
         rows, cols = np.r_[sched.i, sched.j], np.r_[sched.j, sched.i]
-        vals = (pair_gains(sys, sched) * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
+        vals = (pair * sched.probs[:, None]).T.ravel()  # the g_i, then the g_j
         diag = np.ones(sys.n)
         np.add.at(diag, rows, -vals)
         return StochasticMatrix(diag, rows, cols, vals)
@@ -179,7 +176,7 @@ def case_matrix(
     return StochasticMatrix(diag, g.rows, g.cols, H[g.rows] * g.vals)
 
 
-def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
+def pair_gains(sys: HybridSystem) -> np.ndarray:
     """Gains (g_i, g_j) of Phi_ij, one row per scheduled edge (i, j): the pair
     update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over (t_k, t_k + h].
 
@@ -187,13 +184,13 @@ def pair_gains(sys: HybridSystem, sched: GossipSchedule) -> np.ndarray:
     continuous-continuous averages symmetrically with factor
     (1 - e^{-2a h})/2, continuous-discrete mixes factors 1 - e^{-a h} and
     h*a, discrete-discrete uses h*a on both rows.  A discrete endpoint moves
-    only at t_{k+1}.  Rejects a schedule built on a graph other than
-    `sys.graph`, and enforces the case-3 h bound.
+    only at t_{k+1}.  Every case-3 path calls this: it rejects a system
+    without a schedule, and enforces the case-3 h bound.
     """
-    if sched.graph is not sys.graph:
-        raise ConsensusError("the schedule was built on another graph than the system's")
+    if sys.schedule is None:
+        raise ConsensusError("case 3 requires a gossip schedule")
     _require_h(sys, 3)
-    i, j, a, h = sched.i, sched.j, sched.vals, sys.h
+    i, j, a, h = sys.schedule.i, sys.schedule.j, sys.schedule.vals, sys.h
     both, mixed, held = -np.expm1(-2.0 * a * h) / 2.0, -np.expm1(-a * h), h * a
     # agents 0..m-1 are continuous, so a continuous j makes i continuous too
     gi = np.where(j < sys.m, both, np.where(i < sys.m, mixed, held))

@@ -17,7 +17,7 @@ import numpy as np
 from hybridconsensus.engine import RunConfig, Trajectory, dense_tau_grid
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import WeightedDigraph, strong_components
-from hybridconsensus.protocols import GossipSchedule, HybridSystem, pair_gains
+from hybridconsensus.protocols import HybridSystem, pair_gains
 from hybridconsensus.spectral import PerronVector, StochasticMatrix
 
 # x(0) of the paper's simulation examples, which presets/example{1,2,3}.cfg state
@@ -154,18 +154,17 @@ def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMat
     return edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph))
 
 
-def case_matrix_dense(
-    sys: HybridSystem, case: int, sched: GossipSchedule | None = None
-) -> np.ndarray:
+def case_matrix_dense(sys: HybridSystem, case: int) -> np.ndarray:
     """The case matrix as an n x n array built from the dense weights.  Cases
     1-2: g_i a_ij off the diagonal, and on it the closed form 1 - g_i d_ii
     (e^{-d_ii h} on case 2's continuous rows), with the gains g_i computed
-    here, not taken from the package.  Case 3: I plus every pair gain,
-    scattered by np.add.at in the order (i, i), (i, j), (j, j), (j, i).
-    The package builds the same matrix from the edges, bit for bit."""
+    here, not taken from the package.  Case 3: I plus every pair gain of the
+    system's schedule, scattered by np.add.at in the order (i, i), (i, j),
+    (j, j), (j, i).  The package builds the same matrix from the edges, bit
+    for bit."""
     if case == 3:
-        i, j = sched.i, sched.j
-        g = (pair_gains_at(sys, i, j, sys.h) * sched.probs[:, None]).T
+        i, j = sys.schedule.i, sys.schedule.j
+        g = (pair_gains_at(sys, i, j, sys.h) * sys.schedule.probs[:, None]).T
         expected = np.eye(sys.n)
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
@@ -365,18 +364,19 @@ def dense_states(traj: Trajectory) -> np.ndarray:
 # --- single gossip runs -------------------------------------------------------
 
 
-def draw_edges(sched: GossipSchedule, steps: int, seed: int) -> list[int]:
-    """The edges, by index into the schedule, that a gossip trial seeded `seed`
-    draws: each of PCG64(seed)'s uniforms u picks the first edge whose running
-    sum of probabilities, in Python floats with the last taken as 1, exceeds u."""
-    cumulative = list(itertools.accumulate(sched.probs.tolist()))
+def draw_edges(sys: HybridSystem, steps: int, seed: int) -> list[int]:
+    """The edges, by index into the system's schedule, that a gossip trial
+    seeded `seed` draws: each of PCG64(seed)'s uniforms u picks the first edge
+    whose running sum of probabilities, in Python floats with the last taken
+    as 1, exceeds u."""
+    cumulative = list(itertools.accumulate(sys.schedule.probs.tolist()))
     cumulative[-1] = 1.0
     u = np.random.Generator(np.random.PCG64(seed)).random(steps)
     return [bisect.bisect_right(cumulative, v) for v in u.tolist()]
 
 
 def simulate_gossip(
-    sys: HybridSystem, sched: GossipSchedule, cfg: RunConfig
+    sys: HybridSystem, cfg: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """One seeded gossip run: its (K+1, n) sampled states, the (K, m, d) states
     of its continuous agents at t_k + dense_tau_grid[j], and the edges it drew.
@@ -386,9 +386,9 @@ def simulate_gossip(
     edge's full pair matrix; between samples only the drawn endpoints move,
     by the pair gains at each tau.
     """
-    pair_gains(sys, sched)  # checks the schedule against the system and h
-    edges = list(zip(sched.i.tolist(), sched.j.tolist()))
-    drawn = tuple(edges[e] for e in draw_edges(sched, cfg.steps, cfg.seed))
+    pair_gains(sys)  # checks that the system has a schedule, and h
+    edges = list(zip(sys.schedule.i.tolist(), sys.schedule.j.tolist()))
+    drawn = tuple(edges[e] for e in draw_edges(sys, cfg.steps, cfg.seed))
     states = np.empty((cfg.steps + 1, sys.n))
     states[0] = sys.x0
     for k, (i, j) in enumerate(drawn):

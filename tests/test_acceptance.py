@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hybridconsensus.engine import RunConfig, monte_carlo_mean, simulate_deterministic
-from hybridconsensus.protocols import GossipSchedule, HybridSystem, case_matrix, gains, pair_gains
+from hybridconsensus.protocols import HybridSystem, case_matrix, gains, pair_gains
 from hybridconsensus.spectral import left_eigenvector
 from oracles import (
     dense,
@@ -167,12 +167,12 @@ def test_criterion_5_gossip_mean_consensus():
     the predicted consensus value."""
     g = undirected_ring_with_chord(6)
     x0 = np.array(PAPER_X0)
-    sys_ = HybridSystem(g, m=3, h=0.2, x0=x0)
-    sched = GossipSchedule.uniform(g)
+    sys_ = HybridSystem(g, m=3, h=0.2, x0=x0, probs="uniform")
+    sched = sys_.schedule
     assert len(sched.i) == 7 and sched.probs[0] == pytest.approx(1 / 7)
     steps = 600
-    mc = monte_carlo_mean(sys_, sched, RunConfig(steps=steps, trials=2000, seed=11))
-    E = case_matrix(sys_, 3, sched)
+    mc = monte_carlo_mean(sys_, RunConfig(steps=steps, trials=2000, seed=11))
+    E = case_matrix(sys_, 3)
     power = np.array(x0)
     for _ in range(steps):
         power = dense(E) @ power
@@ -220,8 +220,8 @@ def test_criterion_6_endpoint_consistency():
             g = random_symmetric_connected(rng, n if n >= 2 else 2)
             m = int(rng.integers(1, n + 1))
             h = rng.uniform(0.1, 0.9) / dense(g).max()
-            sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n))
-            sched = GossipSchedule.uniform(g)
+            sys_ = HybridSystem(g, m=m, h=h, x0=np.zeros(n), probs="uniform")
+            sched = sys_.schedule
             e = int(rng.integers(0, len(sched.i)))
             i, j = int(sched.i[e]), int(sched.j[e])
             x = rng.uniform(-1, 1, n)
@@ -229,7 +229,7 @@ def test_criterion_6_endpoint_consistency():
             if not participants:
                 continue
             agent = participants[int(rng.integers(0, len(participants)))]
-            g_agent = pair_gains(sys_, sched)[e, int(agent == j)]
+            g_agent = pair_gains(sys_)[e, int(agent == j)]
             update = x[agent] + g_agent * (x[i + j - agent] - x[agent])
             gap = abs(gossip_interpolant(sys_, x, (i, j), agent, h) - update)
         worst = max(worst, float(gap))

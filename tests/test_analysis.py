@@ -3,18 +3,17 @@ from sys import modules as loaded_modules
 import numpy as np
 import pytest
 
-from hybridconsensus import graphs, spectral
+from hybridconsensus import engine, graphs, spectral
 from hybridconsensus.analysis import decide, verify_run
 from hybridconsensus.cli import main
 from hybridconsensus.engine import RunConfig, monte_carlo_mean, simulate_deterministic
 from hybridconsensus.errors import ConsensusError
 from hybridconsensus.graphs import WeightedDigraph
-from hybridconsensus.protocols import GossipSchedule, HybridSystem
+from hybridconsensus.protocols import HybridSystem, case_matrix, pair_gains
 from oracles import digraph, nonconsensus_witness
 from conftest import (
     random_spanning_graph,
     random_split_graph,
-    random_symmetric_connected,
     undirected_ring_with_chord,
 )
 
@@ -72,13 +71,12 @@ class TestDecide:
             pi[-1] += 1e-6
             return pi
 
-        g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
-        sched = GossipSchedule.uniform(g) if case == 3 else None
-        assert decide(sys, case, sched).solvable
+        probs = "uniform" if case == 3 else None
+        sys = HybridSystem(undirected_ring_with_chord(), m=3, h=0.2, x0=np.arange(6.0), probs=probs)
+        assert decide(sys, case).solvable
         monkeypatch.setattr(spectral, "_gth", off)
         with pytest.raises(ConsensusError, match="residual"):
-            decide(sys, case, sched)
+            decide(sys, case)
 
     def test_unknown_case(self):
         g = undirected_ring_with_chord()
@@ -91,21 +89,36 @@ class TestDecide:
         # schedule on the subgraph of those two edges: two closed classes
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
-        sys = HybridSystem(digraph(w), m=2, h=0.1, x0=np.arange(4.0))
-        sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
-        verdict = decide(sys, 3, sched)
+        sys = HybridSystem(digraph(w), m=2, h=0.1, x0=np.arange(4.0), probs=[0.5, 0.5])
+        verdict = decide(sys, 3)
         assert not verdict.solvable and verdict.predicted_value is None
-        verdict, _ = verify_run(sys, 3, RunConfig(steps=20, trials=4), sched=sched)
+        verdict, _ = verify_run(sys, 3, RunConfig(steps=20, trials=4))
         assert not verdict.solvable and not verdict.converged
 
-    def test_schedule_on_another_graph_rejected(self):
+    @pytest.mark.parametrize("call", [
+        lambda sys, cfg: case_matrix(sys, 3),
+        lambda sys, cfg: pair_gains(sys),
+        lambda sys, cfg: monte_carlo_mean(sys, cfg),
+        lambda sys, cfg: decide(sys, 3),
+        lambda sys, cfg: verify_run(sys, 3, cfg),
+    ], ids=["case_matrix", "pair_gains", "monte_carlo_mean", "decide", "verify_run"])
+    def test_case3_without_schedule_rejected(self, call):
+        # pair_gains and monte_carlo_mean raised AttributeError on a missing schedule
+        sys = HybridSystem(undirected_ring_with_chord(), m=3, h=0.2, x0=np.zeros(6))
+        with pytest.raises(ConsensusError, match="^case 3 requires a gossip schedule$"):
+            call(sys, RunConfig(steps=5, trials=2))
+
+    def test_case3_sampled_run_rejected_before_stepping(self, monkeypatch):
+        # with a schedule, E(Phi) was stepped to the end before case 3 was rejected
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(engine, "_edge_product", no_step)
         g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
-        other = GossipSchedule.uniform(random_symmetric_connected(np.random.default_rng(5), 6))
-        with pytest.raises(ConsensusError, match="another graph"):
-            decide(sys, 3, other)
-        with pytest.raises(ConsensusError, match="another graph"):
-            monte_carlo_mean(sys, other, RunConfig(steps=5, trials=2))
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6), probs="uniform")
+        no_map = "^case 3 has no sampled map; its pairs move by pair_gains$"
+        with pytest.raises(ConsensusError, match=no_map):
+            simulate_deterministic(sys, 3, RunConfig(steps=200_000))
 
     def test_one_strong_components_pass(self, monkeypatch):
         calls, real = [], graphs.strong_components
@@ -120,10 +133,10 @@ class TestDecide:
         for mod in binders:  # every loaded module that binds the name
             monkeypatch.setattr(mod, "strong_components", counting)
         g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6))
-        for case, sched in ((1, None), (2, None), (3, GossipSchedule.uniform(g))):
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6), probs="uniform")
+        for case in (1, 2, 3):
             calls.clear()
-            decide(sys, case, sched)
+            decide(sys, case)
             assert calls == [6]
 
     def test_one_symmetry_check_per_command(self, monkeypatch, tmp_path, presets_dir):
@@ -167,8 +180,8 @@ class TestWeakBridge:
         # E(Phi) is symmetric up to O(eps h) on the bridge: nu is uniform to
         # far below the tolerance, and the bridge keeps it one class
         g = two_cliques_with_bridge(eps)
-        sys = HybridSystem(g, m=m, h=0.1, x0=np.arange(8.0))
-        verdict = decide(sys, 3, GossipSchedule.uniform(g))
+        sys = HybridSystem(g, m=m, h=0.1, x0=np.arange(8.0), probs="uniform")
+        verdict = decide(sys, 3)
         assert verdict.solvable
         assert abs(verdict.predicted_value - 3.5) <= 1e-12
 
@@ -246,11 +259,8 @@ class TestVerifyRun:
     def test_gossip_mean_within_band(self):
         g = undirected_ring_with_chord()
         x0 = np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0])
-        sys = HybridSystem(g, m=3, h=0.2, x0=x0)
-        sched = GossipSchedule.uniform(g)
-        verdict, mc = verify_run(
-            sys, 3, RunConfig(steps=400, trials=400, seed=3, tol=1e-3), sched=sched
-        )
+        sys = HybridSystem(g, m=3, h=0.2, x0=x0, probs="uniform")
+        verdict, mc = verify_run(sys, 3, RunConfig(steps=400, trials=400, seed=3, tol=1e-3))
         assert verdict.solvable and verdict.converged
         assert abs(mc.sample_states[-1].mean() - verdict.predicted_value) < 4 * mc.stderr.max() + 1e-3
 

@@ -132,8 +132,21 @@ class TestLoadConfig:
                 "graph = g.edges\ncase = 3\nm = 1\nh = 0.2\nx0 = 0, 1, 2\nprobs = 0.25, 0.75\n",
             )
         )
-        np.testing.assert_allclose(cfg.sched.probs, [0.25, 0.75])
+        np.testing.assert_allclose(cfg.system.schedule.probs, [0.25, 0.75])
         assert cfg.system.n == 3
+
+
+# raised by the matrix or its h bound, not while the config loads: `bounds` accepts these inputs
+CHECK_ONLY = {"not-stochastic", "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3"}
+
+
+def under_every_subcommand(cases, ids):
+    """Each case under `check`, with its own id, and, unless it is in CHECK_ONLY,
+    under `bounds`, `matrix` and `run` too, with the subcommand appended."""
+    return [pytest.param(command, *case, id=name if command == "check" else f"{name}-{command}")
+            for case, name in zip(cases, ids, strict=True)
+            for command in ("check", "bounds", "matrix", "run")
+            if command == "check" or name not in CHECK_ONLY]
 
 
 class TestCliExitCodes:
@@ -351,8 +364,8 @@ class TestCliExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "preset, flags, message",
-        [
+        "command, preset, flags, message",
+        under_every_subcommand([
             ("example1.cfg", ["--case", "3"], "error: gossip requires a symmetric graph\n"),
             ("example3.cfg", ["--probs", "0.5,0.5"],
              "error: probs must give one value for each of the graph's 7 edges, got 2\n"),
@@ -386,15 +399,18 @@ class TestCliExitCodes:
             ("example1.cfg", ["--x0", "1,2,3", "--h", "0.2"],
              "error: x0 has length 3, graph has n = 6\n"),
             ("example1.cfg", ["--case", "9"], "error: case must be 1, 2 or 3, got 9\n"),
-        ],
-        ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
-             "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs",
-             "negative-probs-after-prefix", "probs-sum", "not-stochastic",
-             "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
-             "unknown-case"],
+        ], ids=["asymmetric-graph", "probs-per-edge", "probs-in-case1", "negative-probs-in-case1",
+                "probs-in-case3-file-run-as-case1", "probs-out-of-range", "negative-probs",
+                "negative-probs-after-prefix", "probs-sum", "not-stochastic",
+                "h-over-bound-case1", "h-over-bound-case2", "h-over-bound-case3", "x0-length",
+                "unknown-case"]),
     )
-    def test_case3_input_is_condition_error(self, presets_dir, capsys, preset, flags, message):
-        assert main(["check", str(presets_dir / preset), *flags]) == 2
+    def test_case3_input_is_condition_error(
+        self, tmp_path, presets_dir, capsys, command, preset, flags, message
+    ):
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(presets_dir / preset), *flags, *out]) == 2
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
 

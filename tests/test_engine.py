@@ -12,7 +12,7 @@ from hybridconsensus.engine import (
     simulate_deterministic,
 )
 from hybridconsensus.errors import ConsensusError
-from hybridconsensus.protocols import GossipSchedule, HybridSystem, case_matrix
+from hybridconsensus.protocols import HybridSystem, case_matrix
 from hybridconsensus.reporting import trajectory_csv_blocks
 from oracles import (
     continuous_interpolant,
@@ -29,9 +29,9 @@ from conftest import PRESETS, random_spanning_graph, random_symmetric_connected,
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def two_node(m=0, h=0.2, x0=(0.0, 1.0)):
+def two_node(m=0, h=0.2, x0=(0.0, 1.0), probs=None):
     g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0))
+    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0), probs=probs)
 
 
 class TestSimulateDeterministic:
@@ -52,7 +52,7 @@ class TestSimulateDeterministic:
     def test_unknown_case_raises(self):
         with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 7$"):
             simulate_deterministic(two_node(), 7, RunConfig(steps=1))
-        with pytest.raises(ConsensusError, match="gossip schedule"):
+        with pytest.raises(ConsensusError, match="^case 3 has no sampled map"):
             simulate_deterministic(two_node(), 3, RunConfig(steps=1))
 
     def test_sample_grid_spacing(self):
@@ -157,9 +157,8 @@ class TestSimulateDeterministic:
 
 class TestSimulateGossip:
     def test_single_edge_deterministic(self):
-        sys = two_node(m=1)
-        sched = GossipSchedule(sys.graph, np.array([1.0]))
-        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=5, dense_per_step=0, seed=1))
+        sys = two_node(m=1, probs=[1.0])
+        states, _, _ = simulate_gossip(sys, RunConfig(steps=5, dense_per_step=0, seed=1))
         phi = dense(gossip_pair_matrix(sys, 0, 1))
         x = np.array([0.0, 1.0])
         for k in range(5):
@@ -168,20 +167,19 @@ class TestSimulateGossip:
 
     def test_seed_reproducibility(self):
         g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
-        sched = GossipSchedule.uniform(g)
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0), probs="uniform")
         cfg = RunConfig(steps=50, dense_per_step=2, seed=42)
-        states0, between0, drawn0 = simulate_gossip(sys, sched, cfg)
-        states1, between1, drawn1 = simulate_gossip(sys, sched, cfg)
+        states0, between0, drawn0 = simulate_gossip(sys, cfg)
+        states1, between1, drawn1 = simulate_gossip(sys, cfg)
         np.testing.assert_array_equal(states0, states1)
         assert drawn0 == drawn1
         np.testing.assert_array_equal(between0, between1)
 
     def test_replay_of_logged_draws(self):
         g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0]))
-        sched = GossipSchedule.uniform(g)
-        states, _, drawn = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0, seed=9))
+        x0 = np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0])
+        sys = HybridSystem(g, m=3, h=0.2, x0=x0, probs="uniform")
+        states, _, drawn = simulate_gossip(sys, RunConfig(steps=10, dense_per_step=0, seed=9))
         x = np.array(sys.x0)
         for k, (i, j) in enumerate(drawn):
             x = dense(gossip_pair_matrix(sys, i, j)) @ x
@@ -189,8 +187,10 @@ class TestSimulateGossip:
 
     def test_drawn_edges_are_stable(self):
         # inverse-CDF draws from PCG64(seed) over the sorted edge list
-        sched = GossipSchedule.uniform(undirected_ring_with_chord())
-        e = draw_edges(sched, 16, 2015)
+        g = undirected_ring_with_chord()
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6), probs="uniform")
+        sched = sys.schedule
+        e = draw_edges(sys, 16, 2015)
         drawn = tuple(zip(sched.i[e].tolist(), sched.j[e].tolist()))
         assert drawn == (
             (1, 2), (0, 3), (3, 4), (4, 5), (0, 3), (0, 1), (2, 3), (4, 5),
@@ -203,9 +203,10 @@ class TestSimulateGossip:
             n = int(rng.integers(2, 7))
             g = random_symmetric_connected(rng, n)
             x0 = rng.uniform(-10, 10, n)
-            sys = HybridSystem(g, m=int(rng.integers(0, n + 1)), h=0.8 / dense(g).max(), x0=x0)
+            m, h = int(rng.integers(0, n + 1)), 0.8 / dense(g).max()
+            sys = HybridSystem(g, m=m, h=h, x0=x0, probs="uniform")
             cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
-            states, between, drawn = simulate_gossip(sys, GossipSchedule.uniform(g), cfg)
+            states, between, drawn = simulate_gossip(sys, cfg)
             assert between.shape == (12, sys.m, 3)
             taus = dense_tau_grid(sys.h, 3)
             for k, i, j in np.ndindex(between.shape):
@@ -214,44 +215,40 @@ class TestSimulateGossip:
 
     def test_max_min_shrinking_per_step(self):
         g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0))
-        sched = GossipSchedule.uniform(g)
-        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=200, dense_per_step=0, seed=5))
+        sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0), probs="uniform")
+        states, _, _ = simulate_gossip(sys, RunConfig(steps=200, dense_per_step=0, seed=5))
         assert np.all(np.diff(states.max(axis=1)) <= 1e-12)
         assert np.all(np.diff(states.min(axis=1)) >= -1e-12)
 
 
 class TestMonteCarlo:
     def test_single_edge_zero_variance(self):
-        sys = two_node(m=1)
-        sched = GossipSchedule(sys.graph, np.array([1.0]))
-        mc = monte_carlo_mean(sys, sched, RunConfig(steps=10, trials=20))
-        states, _, _ = simulate_gossip(sys, sched, RunConfig(steps=10, dense_per_step=0))
+        sys = two_node(m=1, probs=[1.0])
+        mc = monte_carlo_mean(sys, RunConfig(steps=10, trials=20))
+        states, _, _ = simulate_gossip(sys, RunConfig(steps=10, dense_per_step=0))
         np.testing.assert_allclose(mc.sample_states, states, atol=1e-14)
         np.testing.assert_allclose(mc.stderr, 0.0, atol=1e-14)
 
     def test_single_trial_rejected(self):
-        sys = two_node(m=1)
-        sched = GossipSchedule(sys.graph, np.array([1.0]))
+        sys = two_node(m=1, probs=[1.0])
         with pytest.raises(ConsensusError, match=r"^trials must be >= 2, got 1$"):
-            monte_carlo_mean(sys, sched, RunConfig(steps=5, trials=1))
+            monte_carlo_mean(sys, RunConfig(steps=5, trials=1))
 
     def test_matches_per_trial_pair_matrix_loop(self):
         rng = np.random.default_rng(113)
         g = random_symmetric_connected(rng, 5)
         x0 = rng.uniform(-8, 8, 5)
-        sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0)
-        uniform = GossipSchedule.uniform(g)
         # p_e proportional to e^2: unlike uniform, a draw over the edges in another order differs
-        weights = np.arange(1.0, len(uniform.probs) + 1) ** 2
-        for sched in (uniform, GossipSchedule(g, weights / weights.sum())):
+        weights = np.arange(1.0, len(g.vals) // 2 + 1) ** 2
+        for probs in ("uniform", weights / weights.sum()):
+            sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0, probs=probs)
             cfg = RunConfig(steps=30, trials=40, seed=21)
-            mc = monte_carlo_mean(sys, sched, cfg)
+            mc = monte_carlo_mean(sys, cfg)
             # reference: one full pair matrix per drawn edge, trial r seeded seed + r
             all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
             for r in range(cfg.trials):
                 _, _, edges = simulate_gossip(
-                    sys, sched, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
+                    sys, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
                 )
                 x = np.array(x0)
                 all_states[r, 0] = x
@@ -267,15 +264,14 @@ class TestMonteCarlo:
         rng = np.random.default_rng(103)
         g = random_symmetric_connected(rng, 5)
         hmax = 1.0 / dense(g).max()
-        sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5))
-        sched = GossipSchedule.uniform(g)
-        E = dense(case_matrix(sys, 3, sched))
+        sys = HybridSystem(g, m=2, h=0.5 * hmax, x0=rng.uniform(-3, 3, 5), probs="uniform")
+        E = dense(case_matrix(sys, 3))
         predicted = np.array(sys.x0)
         hits = total = 0
         for k in range(1, 41):
             predicted = E @ predicted
             # a run's standard error is its last step's: step k's band is a k-step run's
-            mc = monte_carlo_mean(sys, sched, RunConfig(steps=k, trials=800, seed=13))
+            mc = monte_carlo_mean(sys, RunConfig(steps=k, trials=800, seed=13))
             band = np.maximum(4.0 * mc.stderr, 1e-12)
             hits += int(np.sum(np.abs(mc.sample_states[k] - predicted) <= band))
             total += 5
@@ -287,7 +283,7 @@ class TestMonteCarlo:
         cfg = load_config(PRESETS / "example3.cfg")
         tracemalloc.start()
         try:
-            monte_carlo_mean(cfg.system, cfg.sched, RunConfig(steps=2_000, trials=2_000))
+            monte_carlo_mean(cfg.system, RunConfig(steps=2_000, trials=2_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,11 +295,10 @@ class TestMonteCarlo:
         rng = np.random.default_rng(107)
         g = random_symmetric_connected(rng, 5)
         x0 = rng.uniform(-8, 8, 5)
-        sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0)
-        sched = GossipSchedule.uniform(g)
+        sys = HybridSystem(g, m=2, h=0.6 / dense(g).max(), x0=x0, probs="uniform")
         cfg = RunConfig(steps=40, trials=30, seed=17)
-        long = monte_carlo_mean(sys, sched, cfg)
-        short = monte_carlo_mean(sys, sched, RunConfig(steps=k, trials=cfg.trials, seed=cfg.seed))
+        long = monte_carlo_mean(sys, cfg)
+        short = monte_carlo_mean(sys, RunConfig(steps=k, trials=cfg.trials, seed=cfg.seed))
         assert short.sample_states.tobytes() == long.sample_states[: k + 1].tobytes()
         assert short.stderr.shape == long.stderr.shape == (5,)
         if k == cfg.steps:
@@ -312,7 +307,7 @@ class TestMonteCarlo:
         at_k = np.empty((cfg.trials, 5))
         for r in range(cfg.trials):
             run_cfg = RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-            _, _, edges = simulate_gossip(sys, sched, run_cfg)
+            _, _, edges = simulate_gossip(sys, run_cfg)
             x = np.array(x0)
             for i, j in edges[:k]:
                 x = dense(gossip_pair_matrix(sys, i, j)) @ x

@@ -189,7 +189,7 @@ class TestConnectivity:
         with pytest.raises(ConsensusError, match="^gossip requires a symmetric graph$"):
             GossipSchedule(g, np.full(4, 0.25))
         with pytest.raises(ConsensusError, match="^gossip requires a symmetric graph$"):
-            GossipSchedule.uniform(g)
+            GossipSchedule(g, "uniform")
 
     def test_matches_spanning_tree_on_symmetric_graphs(self):
         rng = np.random.default_rng(17)

@@ -23,7 +23,7 @@ from hybridconsensus.analysis import decide
 from hybridconsensus.engine import RunConfig, Trajectory, monte_carlo_mean, simulate_deterministic
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import WeightedDigraph, read_edge_list, strong_components
-from hybridconsensus.protocols import GossipSchedule, HybridSystem, case_matrix
+from hybridconsensus.protocols import HybridSystem, case_matrix
 from hybridconsensus.reporting import trajectory_csv_blocks
 from hybridconsensus.spectral import StochasticMatrix, _gth, left_eigenvector
 from oracles import (
@@ -65,8 +65,8 @@ def closed_classes(w: np.ndarray) -> list[np.ndarray]:
 
 @st.composite
 def systems(draw):
-    """(system, case, schedule): a spanning or split graph under case 1 or 2,
-    or a connected symmetric graph under gossip, with h inside its bound."""
+    """(system, case): a spanning or split graph under case 1 or 2, or a
+    connected symmetric graph under gossip, with h inside its bound."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(4, 10))
     kind = draw(st.sampled_from(["spanning", "split", "symmetric"]))
@@ -75,8 +75,7 @@ def systems(draw):
     x0 = rng.uniform(-10.0, 10.0, n)
     if kind == "symmetric":
         g = random_symmetric_connected(rng, n)
-        sys = HybridSystem(g, m=m, h=frac / dense(g).max(), x0=x0)
-        return sys, 3, GossipSchedule.uniform(g)
+        return HybridSystem(g, m=m, h=frac / dense(g).max(), x0=x0, probs="uniform"), 3
     if kind == "spanning":
         g = random_spanning_graph(rng, n, extra=int(rng.integers(0, 2 * n)))
     else:
@@ -84,7 +83,7 @@ def systems(draw):
     case = draw(st.sampled_from([1, 2]))
     d = g.in_degrees
     dmax = d.max() if case == 1 else max(d[m:].max(initial=0.0), 1e-9)
-    return HybridSystem(g, m=m, h=frac / dmax, x0=x0), case, None
+    return HybridSystem(g, m=m, h=frac / dmax, x0=x0), case
 
 
 def loops_in_every_closed_class(P) -> bool:
@@ -109,15 +108,15 @@ def assert_nu_within_c_n_eps_of_exact(P, nu: np.ndarray) -> None:
 # e^{-d_ii h} underflows, so P is the 6-cycle permutation, one closed class
 # that is periodic, and P's powers have no limit: consensus is not solvable.
 REMARK1_RING = (
-    HybridSystem(read_edge_list(PRESETS / "g1.edges"), m=6, h=1e3, x0=PAPER_X0), 2, None)
+    HybridSystem(read_edge_list(PRESETS / "g1.edges"), m=6, h=1e3, x0=PAPER_X0), 2)
 
 
 @example(REMARK1_RING)
 @given(systems())
 def test_solvable_iff_one_closed_class_iff_sia(drawn):
-    sys, case, sched = drawn
-    solvable = decide(sys, case, sched).solvable
-    P = case_matrix(sys, case, sched)
+    sys, case = drawn
+    solvable = decide(sys, case).solvable
+    P = case_matrix(sys, case)
     roots = closed_classes(dense(sys.graph))
     # the one closed class must be aperiodic too: in the Remark-1 regime
     # e^{-d_ii h} can underflow to 0 on every row of it
@@ -148,11 +147,11 @@ def test_classes_match_csgraph(drawn):
 @example(REMARK1_RING)
 @given(systems())
 def test_root_class_nu(drawn):
-    sys, case, sched = drawn
+    sys, case = drawn
     roots = closed_classes(dense(sys.graph))
     if len(roots) != 1:
         return
-    P = case_matrix(sys, case, sched)
+    P = case_matrix(sys, case)
     nu = left_eigenvector(P).nu
     off = np.ones(sys.n, dtype=bool)
     off[roots[0]] = False
@@ -162,7 +161,7 @@ def test_root_class_nu(drawn):
         assert np.max(np.abs(nu - sia.nu)) < 1e-10
     else:
         assert_nu_within_c_n_eps_of_exact(P, nu)
-    value = decide(sys, case, sched).predicted_value
+    value = decide(sys, case).predicted_value
     if value is None:  # the root class is periodic (Remark 1): there is no consensus value
         return
     slack = 1e-12 * np.max(np.abs(sys.x0))
@@ -171,7 +170,7 @@ def test_root_class_nu(drawn):
 
 @st.composite
 def bridged_systems(draw):
-    """(system, case, schedule): two clusters, each a ring plus random chords
+    """(system, case): two clusters, each a ring plus random chords
     with weights in [0.1, 1], joined by one bridge each way of weight 1 down
     to 1e-300 (symmetric under gossip).  Under case 1-2 the way back may be
     missing, which leaves one cluster transient.  Half the case-2 systems are
@@ -196,10 +195,10 @@ def bridged_systems(draw):
     g = digraph(w)
     m, d, frac = draw(st.integers(0, n)), g.in_degrees, draw(st.floats(0.05, 0.95))
     if case == 2 and draw(st.booleans()):
-        return HybridSystem(g, m=n, h=10.0 ** draw(st.floats(1.0, 3.0)), x0=np.zeros(n)), 2, None
+        return HybridSystem(g, m=n, h=10.0 ** draw(st.floats(1.0, 3.0)), x0=np.zeros(n)), 2
     limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: g.vals.max()}[case]
-    sched = GossipSchedule.uniform(g) if case == 3 else None
-    return HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n)), case, sched
+    probs = "uniform" if case == 3 else None
+    return HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n), probs=probs), case
 
 
 @given(bridged_systems())
@@ -207,8 +206,8 @@ def test_nu_within_c_n_eps_of_exact(drawn):
     """GTH's entrywise relative accuracy (O'Cinneide, Numer. Math. 1993): every
     entry of nu, however small, is within NU_ERR_C * n * eps of the exact nu
     of the float matrix, and nu is exactly zero off the root class."""
-    sys, case, sched = drawn
-    P = case_matrix(sys, case, sched)
+    sys, case = drawn
+    P = case_matrix(sys, case)
     assert_nu_within_c_n_eps_of_exact(P, left_eigenvector(P).nu)
 
 
@@ -375,10 +374,10 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
     m = int(rng.integers(0, n + 1))
     d = g.in_degrees
     limit = {1: d.max(), 2: max(d[m:].max(initial=0.0), 1e-9), 3: w.max()}[case]
-    sys = HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n))
-    sched = GossipSchedule.uniform(g) if case == 3 else None
-    P = case_matrix(sys, case, sched)
-    assert np.array_equal(bits(dense(P)), bits(case_matrix_dense(sys, case, sched)))
+    probs = "uniform" if case == 3 else None
+    sys = HybridSystem(g, m=m, h=frac / limit, x0=np.zeros(n), probs=probs)
+    P = case_matrix(sys, case)
+    assert np.array_equal(bits(dense(P)), bits(case_matrix_dense(sys, case)))
 
     label, closed, _ = strong_components(P.n, P.rows, P.cols)
     roots = closed_classes(dense(P))
@@ -401,18 +400,19 @@ def test_edge_form_matches_dense_formula(seed, n, case, frac):
 def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
     """Byte-identical rows for any run: deterministic, one gossip run's samples
     or a Monte-Carlo mean, with leading agents started at signed zeros."""
-    sys, case, sched = drawn
+    sys, case = drawn
     x0 = sys.x0.copy()
     x0[: len(zeros)] = zeros  # n >= 4
     # a Python float h: the reference writes a numpy scalar's times as "np.float64(...)"
-    sys = HybridSystem(sys.graph, sys.m, float(sys.h), x0)
+    probs = None if sys.schedule is None else sys.schedule.probs
+    sys = HybridSystem(sys.graph, sys.m, float(sys.h), x0, probs)
     cfg = RunConfig(steps=steps, dense_per_step=dense, trials=2)
     if case != 3:
         traj = simulate_deterministic(sys, case, cfg)
     elif mean:
-        traj = monte_carlo_mean(sys, sched, cfg)
+        traj = monte_carlo_mean(sys, cfg)
     else:  # one gossip run, as the mean's trials are: sample rows only
-        traj = Trajectory(simulate_gossip(sys, sched, cfg)[0], np.empty((sys.m, 0)), np.zeros(sys.n))
+        traj = Trajectory(simulate_gossip(sys, cfg)[0], np.empty((sys.m, 0)), np.zeros(sys.n))
     want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
     assert "".join(trajectory_csv_blocks(sys, traj)) == want
 

@@ -21,9 +21,9 @@ from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, 
 from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
 
 
-def two_node(m=1, h=0.2, x0=(0.0, 1.0)):
+def two_node(m=1, h=0.2, x0=(0.0, 1.0), probs=None):
     g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0))
+    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0), probs=probs)
 
 
 def path3() -> WeightedDigraph:
@@ -198,9 +198,8 @@ class TestGossipPairMatrix:
 
     def test_bystander_row_frozen(self):
         g = random_symmetric_connected(np.random.default_rng(59), 3)
-        sys = HybridSystem(g, m=1, h=0.1, x0=np.zeros(3))
-        sched = GossipSchedule.uniform(g)
-        i, j = int(sched.i[0]), int(sched.j[0])
+        sys = HybridSystem(g, m=1, h=0.1, x0=np.zeros(3), probs="uniform")
+        i, j = int(sys.schedule.i[0]), int(sys.schedule.j[0])
         M = dense(gossip_pair_matrix(sys, i, j))
         for r in range(3):
             if r not in (i, j):
@@ -210,8 +209,8 @@ class TestGossipPairMatrix:
         rng = np.random.default_rng(61)
         for _ in range(20):
             g = random_symmetric_connected(rng, 6)
-            sys = HybridSystem(g, m=int(rng.integers(0, 7)), h=0.2, x0=np.zeros(6))
-            sched = GossipSchedule.uniform(g)
+            sys = HybridSystem(g, m=int(rng.integers(0, 7)), h=0.2, x0=np.zeros(6), probs="uniform")
+            sched = sys.schedule
             for i, j in zip(sched.i.tolist(), sched.j.tolist()):
                 M = dense(gossip_pair_matrix(sys, i, j))
                 diff = np.nonzero(np.any(M != np.eye(6), axis=1))[0]
@@ -231,7 +230,7 @@ class TestGossipSchedule:
     def test_uniform_on_ring_with_chord(self):
         from conftest import undirected_ring_with_chord
 
-        sched = GossipSchedule.uniform(undirected_ring_with_chord())
+        sched = GossipSchedule(undirected_ring_with_chord(), "uniform")
         assert len(sched.i) == 7
         np.testing.assert_allclose(sched.probs, np.full(7, 1 / 7))
 
@@ -265,7 +264,7 @@ class TestHybridSystem:
     [
         lambda: two_node().graph,
         two_node,
-        lambda: GossipSchedule(two_node().graph, np.array([1.0])),
+        lambda: two_node(probs=[1.0]).schedule,
         lambda: case_matrix(two_node(), 1),
         lambda: left_eigenvector(case_matrix(two_node(), 1)),
         lambda: simulate_deterministic(two_node(), 1, RunConfig(steps=2)),
@@ -286,8 +285,8 @@ def test_record_arrays_are_read_only(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("n 2\n1 2 1.0\n2 1 1.0\n")
     x0 = np.array([0.0, 1.0])
-    sys = HybridSystem(read_edge_list(path), m=1, h=0.2, x0=x0)
-    sched = GossipSchedule(sys.graph, np.array([1.0]))
+    sys = HybridSystem(read_edge_list(path), m=1, h=0.2, x0=x0, probs=np.array([1.0]))
+    sched = sys.schedule
     P = StochasticMatrix(np.array([0.5, 1.0]), np.array([0]), np.array([1]), np.array([0.5]))
     g = sys.graph  # read from a file; test_weights_immutable builds one from weights
     held = (g.rows, g.cols, g.vals, g.in_degrees, sys.x0, sched.i, sched.j, sched.vals,
@@ -308,10 +307,9 @@ def test_value_records_compare_and_hash_by_value():
 
 class TestGossipExpectedMatrix:
     def test_single_edge_equals_pair_matrix(self):
-        sys = two_node(m=1)
-        sched = GossipSchedule(sys.graph, np.array([1.0]))
+        sys = two_node(m=1, probs=[1.0])
         np.testing.assert_array_equal(
-            dense(case_matrix(sys, 3, sched)),
+            dense(case_matrix(sys, 3)),
             dense(gossip_pair_matrix(sys, 0, 1)),
         )
 
@@ -319,21 +317,19 @@ class TestGossipExpectedMatrix:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         w[1, 2] = w[2, 1] = 1.0
-        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3))
-        sched = GossipSchedule(sys.graph, np.array([0.5, 0.5]))
+        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3), probs=[0.5, 0.5])
         expected = 0.5 * dense(gossip_pair_matrix(sys, 0, 1)) + 0.5 * dense(gossip_pair_matrix(
             sys, 1, 2
         ))
-        np.testing.assert_allclose(dense(case_matrix(sys, 3, sched)), expected)
+        np.testing.assert_allclose(dense(case_matrix(sys, 3)), expected)
 
     def test_triangle_uniform_brute_force(self):
         w = np.ones((3, 3)) - np.eye(3)
-        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3))
-        sched = GossipSchedule.uniform(sys.graph)
+        sys = HybridSystem(digraph(w), m=1, h=0.2, x0=np.zeros(3), probs="uniform")
         brute = sum(
             dense(gossip_pair_matrix(sys, i, j)) for i, j in [(0, 1), (0, 2), (1, 2)]
         ) / 3.0
-        E = dense(case_matrix(sys, 3, sched))
+        E = dense(case_matrix(sys, 3))
         np.testing.assert_allclose(E, brute, atol=1e-15)
         np.testing.assert_allclose(E.sum(axis=1), np.ones(3), atol=1e-12)
         # off-diagonal support matches the edge set
@@ -344,12 +340,13 @@ class TestGossipExpectedMatrix:
         rng = np.random.default_rng(41)
         g = undirected_ring_with_chord() if graph == "ring_with_chord" else (
             random_symmetric_connected(rng, 12))
-        sys = HybridSystem(g, m=g.n // 2, h=0.9 / dense(g).max(), x0=np.zeros(g.n))
         probs = rng.uniform(0.5, 1.5, len(g.vals) // 2)
-        sched = GossipSchedule(g, probs / probs.sum())
+        sys = HybridSystem(g, m=g.n // 2, h=0.9 / dense(g).max(), x0=np.zeros(g.n),
+                           probs=probs / probs.sum())
+        sched = sys.schedule
         loop = sum(p * dense(gossip_pair_matrix(sys, i, j))
                    for i, j, p in zip(sched.i, sched.j, sched.probs))
-        E = dense(case_matrix(sys, 3, sched))
+        E = dense(case_matrix(sys, 3))
         assert np.max(np.abs(E - loop)) <= 1e-14
 
 
@@ -394,8 +391,8 @@ class TestGossipInterpolant:
         x = np.array([0.3, 0.9])
         assert gossip_interpolant(sys, x, None, 0, 0.1) == 0.3
         g = random_symmetric_connected(np.random.default_rng(71), 3)
-        sys3 = HybridSystem(g, m=3, h=0.2, x0=np.zeros(3))
-        sched = GossipSchedule.uniform(g)
+        sys3 = HybridSystem(g, m=3, h=0.2, x0=np.zeros(3), probs="uniform")
+        sched = sys3.schedule
         edges = [e for e in zip(sched.i.tolist(), sched.j.tolist()) if 0 not in e]
         if edges:
             assert gossip_interpolant(sys3, np.array([0.5, 1.0, 2.0]), edges[0], 0, 0.1) == 0.5
@@ -417,8 +414,8 @@ class TestGossipInterpolant:
         for _ in range(20):
             g = random_symmetric_connected(rng, 5)
             m = int(rng.integers(1, 6))
-            sys = HybridSystem(g, m=m, h=0.2 / dense(g).max(), x0=np.zeros(5))
-            sched = GossipSchedule.uniform(g)
+            sys = HybridSystem(g, m=m, h=0.2 / dense(g).max(), x0=np.zeros(5), probs="uniform")
+            sched = sys.schedule
             e = int(rng.integers(0, len(sched.i)))
             i, j = int(sched.i[e]), int(sched.j[e])
             M = dense(gossip_pair_matrix(sys, i, j))

@@ -68,8 +68,9 @@ class TestCsvMatchesReference:
         sys = cfg.system
         # as shipped, and from the zero state carrying x0's signs (-0.0 != 0.0 in repr)
         for x0 in (sys.x0, -0.0 * sys.x0):
-            start = HybridSystem(sys.graph, sys.m, sys.h, x0)
-            _, traj = verify_run(start, cfg.case, cfg.run, sched=cfg.sched)
+            probs = cfg.probs if cfg.case == 3 else None
+            start = HybridSystem(sys.graph, sys.m, sys.h, x0, probs)
+            _, traj = verify_run(start, cfg.case, cfg.run)
             assert_matches_reference(start, traj)
 
     def test_signed_zeros_nan_inf_subnormal(self):
@@ -171,7 +172,7 @@ class TestMatrixOutput:
     def test_matches_per_entry_repr(self, tmp_path, capsys, name):
         path = self.case3_config(tmp_path) if name == "case3" else PRESETS / f"{name}.cfg"
         cfg = load_config(path)
-        entries = dense(case_matrix(cfg.system, cfg.case, cfg.sched))
+        entries = dense(case_matrix(cfg.system, cfg.case))
         want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
         assert cli.main(["matrix", str(path)]) == 0
         assert capsys.readouterr().out == want
