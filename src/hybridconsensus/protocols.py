@@ -134,8 +134,8 @@ def gains(sys: HybridSystem, case: int, tau=None) -> np.ndarray:
     (1 - e^{-d_ii tau}) / d_ii if it observes its own state.  The default tau = h
     gives the diagonal of H; an array of offsets gives each agent a row.  Enforces
     the h bound."""
-    _require_h(sys, case)
     k, tau = _observers(sys, case), np.asarray(sys.h if tau is None else tau, dtype=float)
+    _require_h(sys, case)  # after _observers, which refuses case 3 at any h
     d = sys.graph.in_degrees[:k].reshape(-1, *[1] * tau.ndim)
     g = np.broadcast_to(tau, (sys.n, *tau.shape)).copy()
     # (1 - e^{-d tau}) / d, continued by its limit tau at d = 0.  -expm1 keeps full

@@ -48,34 +48,33 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     """The header line, then blocks of about BLOCK_ROWS rows `t,agent,value,kind,record`.
     A block holds whole steps: step k is the n sample rows at t_k, then the
     dense rows of interval k at t_k + tau, agent by agent; the last step has
-    sample rows only.  Each block blends its own dense values from the samples
-    at both ends of the interval.  Agent ids are 1-based; case 3 gives mean
-    states, no dense rows."""
+    sample rows only.  One step's fields are laid out once; a block repeats them
+    and fills in only its times and values, blending its own dense values from
+    the samples at both ends of each interval.  Agent ids are 1-based; case 3
+    gives mean states, no dense rows."""
     states, s = traj.sample_states, traj.blend
     (m, d), n, K = s.shape, sys.n, len(states) - 1
     taus = dense_tau_grid(sys.h, d)
     agents = [f",{i + 1}," for i in range(n)]
-    agent = agents + [a for a in agents[:m] for _ in range(d)]  # one step's rows
-    ends = [",continuous,sample\n"] * m + [",discrete,sample\n"] * (n - m)  # agents < m continuous
-    end_nl = ends + [",continuous,dense\n"] * (m * d)
+    # four fields per row: t, ",i,", value, ",kind,record\n"; agents < m are continuous
+    layout: list = [None] * (4 * (n + m * d))
+    layout[1::4] = agents + [a for a in agents[:m] for _ in range(d)]
+    layout[3::4] = ([",continuous,sample\n"] * m + [",discrete,sample\n"] * (n - m)
+                    + [",continuous,dense\n"] * (m * d))
     yield CSV_HEADER + "\n"
-    per_block = max(1, BLOCK_ROWS // len(agent))
+    per_block = max(1, BLOCK_ROWS // (n + m * d))
     for k0 in range(0, K, per_block):
         k = np.arange(k0, min(k0 + per_block, K))
         t, dense_t = [], _reprs(k[:, None] * sys.h + taus)  # step k's times: k*h, then k*h + tau
         for j, t_k in enumerate(_reprs(k * sys.h)):
             t += [t_k] * n + dense_t[j * d : (j + 1) * d] * m
         dense = (1 - s) * states[k, :m, None] + s * states[k + 1, :m, None]
-        yield _rows(t, agent, np.hstack([states[k], dense.reshape(len(k), m * d)]), end_nl)
-    yield _rows([repr(float(K * sys.h))] * n, agents, states[K:], ends)
-
-
-def _rows(t: list[str], agent: list[str], values: np.ndarray, end_nl: list[str]) -> str:
-    """Whole steps of rows as one string: every field in one flat list, joined once."""
-    out: list = [None] * (4 * values.size)
-    out[0::4], out[1::4] = t, agent * len(values)
-    out[2::4], out[3::4] = _reprs(values), end_nl * len(values)
-    return "".join(out)
+        out = layout * len(k)
+        out[0::4], out[2::4] = t, _reprs(np.hstack([states[k], dense.reshape(len(k), m * d)]))
+        yield "".join(out)
+    out = layout[: 4 * n]  # the last step: its sample rows only
+    out[0::4], out[2::4] = [repr(float(K * sys.h))] * n, _reprs(states[K])
+    yield "".join(out)
 
 
 def _write_replacing(path: str | Path, chunks: Iterable[str]) -> None:

@@ -114,11 +114,15 @@ class TestDecide:
             raise AssertionError("stepped")
 
         monkeypatch.setattr(engine, "_edge_product", no_step)
-        g = undirected_ring_with_chord()
-        sys = HybridSystem(g, m=3, h=0.2, x0=np.zeros(6), probs="uniform")
+        ring = HybridSystem(undirected_ring_with_chord(), m=3, h=0.2, x0=np.zeros(6), probs="uniform")
+        # at h = 2.0, past the two-node graph's case-3 bound 1.0, `gains` raised that
+        # bound's message, not the refusal of case 3
+        pair = HybridSystem(digraph(np.array([[0.0, 1.0], [1.0, 0.0]])), m=0, h=2.0,
+                            x0=np.zeros(2), probs="uniform")
         no_map = "^case 3 has no sampled map; its pairs move by pair_gains$"
-        with pytest.raises(ConsensusError, match=no_map):
-            simulate_deterministic(sys, 3, RunConfig(steps=200_000))
+        for sys in (ring, pair):
+            with pytest.raises(ConsensusError, match=no_map):
+                simulate_deterministic(sys, 3, RunConfig(steps=200_000))
 
     def test_one_strong_components_pass(self, monkeypatch):
         calls, real = [], graphs.strong_components

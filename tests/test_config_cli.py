@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hybridconsensus.cli import main
 from hybridconsensus.config import KEYS, load_config
 from hybridconsensus.engine import RunConfig
 from hybridconsensus.errors import ConsensusError, ParseError
-from oracles import PAPER_X0
+from hybridconsensus.protocols import case_matrix
+from oracles import PAPER_X0, exact_nu
 
 
 def run_cli(*args, env=None):
@@ -540,6 +542,49 @@ class TestCliSubcommands:
         if not solvable:
             assert verdict["condition"].startswith("the root class is periodic, with period 6;")
         assert main(["run", *args, "--out", str(tmp_path)]) == (2 if solvable else 0)
+
+    def test_weak_bridge_verdict(self, tmp_path, capsys):
+        # today's behaviour on a nearly decomposable graph (ROADMAP item 21): two
+        # triangles joined by a 1e-12 bridge each way.  `check` is right, with nu^T x0
+        # exact to rounding, but 1 - |lambda_2| is about 1.2e-13, so 5,000 steps keep
+        # nearly all of the disagreement and `run` exits 2 as if the theorem failed.
+        # A fix of item 21 changes these asserts knowingly.
+        triangles = "".join(f"{a} {b} 1\n{b} {a} 1\n" for a, b in [(1, 2), (2, 3), (1, 3),
+                                                                  (4, 5), (5, 6), (4, 6)])
+        (tmp_path / "g.edges").write_text(f"n 6\n{triangles}1 4 1e-12\n4 1 1e-12\n")
+        x0 = ", ".join(map(repr, PAPER_X0))
+        cfg = write_cfg(tmp_path, f"graph = g.edges\ncase = 2\nm = 3\nh = 0.2\nx0 = {x0}\n")
+        assert main(["check", str(cfg)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        nu = exact_nu(case_matrix(load_config(cfg).system, 2))
+        exact = float(sum(v * Fraction(x) for v, x in zip(nu, PAPER_X0)))
+        assert verdict["solvable"] is True
+        assert verdict["predicted_value"] == pytest.approx(exact, rel=1e-12, abs=0)
+        assert main(["run", str(cfg), "--steps", "5000", "--out", str(tmp_path)]) == 2
+        ran = json.loads((tmp_path / "verdict.json").read_text())
+        assert ran["converged"] is False and ran["measured_final_disagreement"] > 3.3
+
+    @pytest.mark.parametrize(
+        "h, solvable, code", [(0.4, False, 0), (0.6, True, 2)], ids=["h0.4", "h0.6"]
+    )
+    def test_subnormal_link_verdicts(self, tmp_path, capsys, h, solvable, code):
+        # today's behaviour on a link of the smallest subnormal weight (ROADMAP item
+        # 22): agent 1 hears agent 2 over 5e-324, so the graph has a spanning tree.
+        # At h = 0.4 its P entry rounds to 0 and the verdict says the graph has none;
+        # at h = 0.6 it rounds up to 4.9e-324 and the verdict says solvable.  The
+        # stepper cannot move agent 1 at either h.  A fix of item 22 changes these
+        # asserts knowingly.
+        (tmp_path / "g.edges").write_text("n 3\n1 2 5e-324\n2 3 1\n3 2 1\n")
+        cfg = write_cfg(tmp_path, f"graph = g.edges\ncase = 1\nm = 0\nh = {h}\nx0 = 5, -1, 3\n")
+        assert main(["check", str(cfg)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["solvable"] is solvable
+        if solvable:
+            assert verdict["predicted_value"] == 1.0
+        else:
+            assert verdict["condition"].startswith("graph has no directed spanning tree")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == code
+        assert json.loads((tmp_path / "verdict.json").read_text())["measured_final_disagreement"] == 4.0
 
     @pytest.mark.parametrize(
         "case, spread, predicted", [(1, 26.9, -1 / 3), (3, 1.9, 0.0)], ids=["case1", "case3"]
