@@ -29,9 +29,16 @@ ok hybridconsensus run presets/example2.cfg --out "$out/example2"
 ok hybridconsensus run presets/example3.cfg --out "$out/example3"
 # Remark 1: every e^{-d_ii h} underflows to 0, and the root class is periodic
 ok hybridconsensus run presets/example1.cfg --case 2 --m 6 --h 1e3 --out "$out/remark1"
+# ROADMAP item 15: at h = 40 the verdict says solvable, but e^{-h} x is below half an
+# ulp of a neighbour's value, so the stepper only permutes x; its fix changes this line
+fails 2 "converged = False does not match solvable = True" hybridconsensus run presets/example1.cfg --case 2 --m 6 --h 40 --out "$out/h40"
 # no step: the CSV writer's final-step-only path, the header and the 6 sample rows
 fails 2 "converged = False does not match solvable = True" hybridconsensus run presets/example1.cfg --steps 0 --out "$out/steps0"
 [ "$(wc -l < "$out/steps0/trajectory.csv")" -eq 7 ] || { echo "steps0: trajectory.csv is not 7 lines" >&2; exit 1; }
+# agents 2e308 apart: strict JSON refuses the infinite spread, and run writes no file
+# (ROADMAP item 21's relative-spread rule changes this line)
+fails 2 "error: Out of range float values are not JSON compliant: inf" hybridconsensus run presets/example1.cfg --steps 0 --x0=1e308,-1e308,1e308,-1e308,1e308,-1e308 --out "$out/overflow"
+[ ! -e "$out/overflow/trajectory.csv" ] || { echo "overflow: trajectory.csv was written" >&2; exit 1; }
 ok hybridconsensus matrix presets/example3.cfg
 ok hybridconsensus bounds presets/example3.cfg
 # bounds builds no case matrix: the system's schedule, built as the config loads, rejects the graph

@@ -81,10 +81,11 @@ def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     verdict, traj = verify_run(cfg.system, cfg.case, cfg.run)
+    text = verdict_json(verdict_report(cfg, verdict))  # strict JSON may refuse it: then no file
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")
-    write_verdict_json(verdict_report(cfg, verdict), outdir / "verdict.json")
+    write_verdict_json(text, outdir / "verdict.json")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'verdict.json'}")
     if verdict.converged != verdict.solvable:
         print(

@@ -60,7 +60,7 @@ class ExperimentConfig:
     m: int = _key(int, help="number of continuous-time agents (the first m)")
     h: float = _key(float, help="sampling period")
     x0: tuple[float, ...] = _key(_floats, help="comma-separated initial state")
-    steps: int = _key(int, 200, help="sampling steps to simulate")
+    steps: int = _key(int, RunConfig.steps, help="sampling steps to simulate")
     dense_per_step: int = _key(int, RunConfig.dense_per_step, help="intra-sample points per interval")
     seed: int = _key(int, RunConfig.seed, help="gossip seed; trial r uses seed + r")
     trials: int = _key(int, RunConfig.trials, help="Monte-Carlo trials (case 3)")

@@ -24,9 +24,9 @@ class RunConfig:
     """A run's counts and its convergence tolerance, checked here for every
     caller: `tol` must be positive and finite, and each count has a floor;
     `trials` needs two in every case, for case 3's standard error.
-    The class attributes are the defaults."""
+    The class attributes are the config keys' defaults."""
 
-    dense_per_step, seed, trials, tol = 10, 0, 1000, 1e-8
+    steps, dense_per_step, seed, trials, tol = 200, 10, 0, 1000, 1e-8
 
     def __init__(self, steps: int, dense_per_step: int = dense_per_step, seed: int = seed,
                  trials: int = trials, tol: float = tol):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from hybridconsensus.engine import dense_tau_grid
 from hybridconsensus.graphs import WeightedDigraph
+from hybridconsensus.protocols import HybridSystem
 from hybridconsensus.reporting import CSV_HEADER
 from oracles import dense_states, digraph
 
@@ -14,6 +17,19 @@ PRESETS = Path(__file__).resolve().parents[1] / "presets"
 @pytest.fixture
 def presets_dir() -> Path:
     return PRESETS
+
+
+def run_cli(*args, env=None) -> subprocess.CompletedProcess:
+    """`python -m hybridconsensus ARGS` in a fresh interpreter, its output captured as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "hybridconsensus", *args], capture_output=True, text=True, env=env
+    )
+
+
+def two_node(m: int, h: float = 0.2, x0=(0.0, 1.0), probs=None) -> HybridSystem:
+    """Agents 0 and 1 hearing each other at weight 1; the first m are continuous."""
+    g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0), probs=probs)
 
 
 def ring_graph(n: int = 6) -> WeightedDigraph:

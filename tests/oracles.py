@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hybridconsensus.engine import RunConfig, Trajectory, dense_tau_grid
+from hybridconsensus.engine import Trajectory
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.graphs import WeightedDigraph, strong_components
 from hybridconsensus.protocols import HybridSystem, pair_gains
@@ -164,7 +164,7 @@ def case_matrix_dense(sys: HybridSystem, case: int) -> np.ndarray:
     for bit."""
     if case == 3:
         i, j = sys.schedule.i, sys.schedule.j
-        g = (pair_gains_at(sys, i, j, sys.h) * sys.schedule.probs[:, None]).T
+        g = (pair_gains_at(sys, i, j) * sys.schedule.probs[:, None]).T
         expected = np.eye(sys.n)
         np.add.at(expected, (np.r_[i, i, j, j], np.r_[i, j, j, i]), np.r_[-g[0], g[0], -g[1], g[1]])
         return expected
@@ -181,20 +181,20 @@ def case_matrix_dense(sys: HybridSystem, case: int) -> np.ndarray:
     return M
 
 
-def pair_gains_at(sys: HybridSystem, i, j, tau: float) -> np.ndarray:
+def pair_gains_at(sys: HybridSystem, i, j) -> np.ndarray:
     """Gains (g_i, g_j), one row per edge (i[e], j[e]) with i < j, of the
-    pair update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over
-    (t_k, t_k + tau], from the paper's closed forms pair by pair: a
-    continuous pair meets at rate 2a, (1 - e^{-2a tau})/2 each; a continuous
-    end relaxes toward a held discrete partner, 1 - e^{-a tau}; a discrete
-    end takes h a at t_{k+1}."""
-    gains, weights = [], dense(sys.graph)
+    pair update x_i += g_i (x_j - x_i), x_j += g_j (x_i - x_j) over one
+    sampling period (t_k, t_{k+1}], from the paper's closed forms pair by
+    pair: a continuous pair meets at rate 2a, (1 - e^{-2a h})/2 each; a
+    continuous end relaxes toward a held discrete partner, 1 - e^{-a h}; a
+    discrete end takes h a at t_{k+1}."""
+    gains, weights, h = [], dense(sys.graph), sys.h
     for a, b in zip(np.atleast_1d(i).tolist(), np.atleast_1d(j).tolist()):
         w = weights[a, b]
         if b < sys.m:  # agents 0..m-1 are continuous, and a < b
-            gains.append(2 * [-np.expm1(-2.0 * w * tau) / 2.0])
+            gains.append(2 * [-np.expm1(-2.0 * w * h) / 2.0])
         else:
-            gains.append([-np.expm1(-w * tau) if a < sys.m else sys.h * w, sys.h * w])
+            gains.append([-np.expm1(-w * h) if a < sys.m else h * w, h * w])
     return np.array(gains).reshape(-1, 2)
 
 
@@ -206,7 +206,7 @@ def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
     if dense(sys.graph)[i, j] <= 0:
         raise ValueError(f"({i}, {j}) carries zero weight")
-    gi, gj = pair_gains_at(sys, [i], [j], sys.h)[0]
+    gi, gj = pair_gains_at(sys, [i], [j])[0]
     phi = np.eye(sys.n)
     phi[i, i] -= gi
     phi[i, j] += gi
@@ -376,29 +376,18 @@ def draw_edges(sys: HybridSystem, steps: int, seed: int) -> list[int]:
 
 
 def simulate_gossip(
-    sys: HybridSystem, cfg: RunConfig
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """One seeded gossip run: its (K+1, n) sampled states, the (K, m, d) states
-    of its continuous agents at t_k + dense_tau_grid[j], and the edges it drew.
+    sys: HybridSystem, steps: int, seed: int
+) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """One seeded gossip run: its (K+1, n) sampled states and the edges it drew.
 
-    The edges are the ones `draw_edges` gives for the seed cfg.seed, as
-    `monte_carlo_mean` must draw them too.  Each sample applies the drawn
-    edge's full pair matrix; between samples only the drawn endpoints move,
-    by the pair gains at each tau.
+    The edges are the ones `draw_edges` gives for `seed`, as `monte_carlo_mean`
+    must draw them too.  Each sample applies the drawn edge's full pair matrix.
     """
     pair_gains(sys)  # checks that the system has a schedule, and h
     edges = list(zip(sys.schedule.i.tolist(), sys.schedule.j.tolist()))
-    drawn = tuple(edges[e] for e in draw_edges(sys, cfg.steps, cfg.seed))
-    states = np.empty((cfg.steps + 1, sys.n))
+    drawn = tuple(edges[e] for e in draw_edges(sys, steps, seed))
+    states = np.empty((steps + 1, sys.n))
     states[0] = sys.x0
     for k, (i, j) in enumerate(drawn):
         states[k + 1] = dense(gossip_pair_matrix(sys, i, j)) @ states[k]
-    between = np.repeat(states[:-1, : sys.m, None], cfg.dense_per_step, axis=2)
-    for col, tau in enumerate(dense_tau_grid(sys.h, cfg.dense_per_step)):
-        for k, edge in enumerate(drawn):
-            x = states[k]
-            for end, g in zip(edge, pair_gains_at(sys, [edge[0]], [edge[1]], tau)[0]):
-                other = edge[0] + edge[1] - end
-                if end < sys.m:
-                    between[k, end, col] = x[end] + g * (x[other] - x[end])
-    return states, between, drawn
+    return states, drawn

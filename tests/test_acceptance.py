@@ -5,8 +5,6 @@ lines as they complete.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +31,7 @@ from conftest import (
     random_spanning_graph,
     random_split_graph,
     random_symmetric_connected,
+    run_cli,
     undirected_ring_with_chord,
 )
 
@@ -238,18 +237,12 @@ def test_criterion_6_endpoint_consistency():
     report("6 endpoint consistency", worst < 1e-12, f"worst gap {worst:.2e} over 10^4 triples")
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hybridconsensus", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_7_benchmark_examples_via_cli(tmp_path):
     """All three benchmark configs (stand-in graphs, the paper's x0,
     h = 0.2, m = 3) converge and the CLI exits 0."""
     for idx in (1, 2, 3):
         out = tmp_path / f"ex{idx}"
-        result = _run_cli("run", str(PRESETS / f"example{idx}.cfg"), "--out", str(out))
+        result = run_cli("run", str(PRESETS / f"example{idx}.cfg"), "--out", str(out))
         assert result.returncode == 0, f"example{idx}: {result.stderr}"
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["solvable"] and verdict["converged"], f"example{idx}: {verdict}"
@@ -267,7 +260,7 @@ def test_criterion_8_determinism(tmp_path):
     for preset, flags in runs.items():
         for tag in ("a", "b"):
             out = tmp_path / preset / tag
-            result = _run_cli("run", str(PRESETS / f"{preset}.cfg"), *flags, "--out", str(out))
+            result = run_cli("run", str(PRESETS / f"{preset}.cfg"), *flags, "--out", str(out))
             assert result.returncode == 0, result.stderr
             outs[preset, tag] = [(out / f).read_bytes() for f in ("trajectory.csv", "verdict.json")]
     same = [p for p in runs if outs[p, "a"] == outs[p, "b"]]

@@ -1,7 +1,5 @@
 import json
 import math
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +11,7 @@ from hybridconsensus.engine import RunConfig
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.protocols import case_matrix
 from oracles import PAPER_X0, exact_nu
-
-
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "hybridconsensus", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+from conftest import run_cli
 
 
 def strict_json(text):
@@ -492,6 +482,27 @@ class TestCliExitCodes:
         assert main(["run", str(presets_dir / "example1.cfg"), "--steps", "5"]) == 2  # too few
         assert (tmp_path / "trajectory.csv").is_file() and (tmp_path / "verdict.json").is_file()
         assert not (tmp_path / "envout").exists()
+
+    @pytest.mark.parametrize("edges, args", [
+        (None, ["--x0=1e308,-1e308,1e308,-1e308,1e308,-1e308", "--steps", "0"]),
+        ("n 3\n1 2 1.0\n", ["--m", "1", "--x0=0,1e308,-1e308", "--steps", "50"]),
+        ("n 2\n1 2 1.0\n", ["--m", "0", "--x0=1e308,-1e308", "--steps", "0"]),
+    ], ids=["example1-no-step", "two-closed-classes", "gap-to-nu"])
+    def test_overflowing_spread_writes_no_file(self, tmp_path, presets_dir, capsys, edges, args):
+        # agents about 2e308 apart: the final spread is inf, which strict JSON refuses.
+        # run wrote trajectory.csv before the verdict failed, and numpy's overflow in
+        # np.ptp (and, on the last input, in the gap to nu^T x0 = -1e308) printed a
+        # RuntimeWarning.  The 3-vertex graph has two closed classes, so it is not
+        # solvable, and on x0 = 0, 1, -1 the same run exits 0
+        cfg = presets_dir / "example1.cfg"
+        if edges is not None:
+            (tmp_path / "g.edges").write_text(edges)
+            cfg = write_cfg(tmp_path, "graph = g.edges\ncase = 1\nh = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), *args, "--out", str(out)]) == 2
+        err = "error: Out of range float values are not JSON compliant: inf\n"
+        assert capsys.readouterr().err == err
+        assert not (out / "trajectory.csv").exists() and not (out / "verdict.json").exists()
 
 
 class TestCliSubcommands:

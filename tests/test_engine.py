@@ -18,25 +18,24 @@ from oracles import (
     continuous_interpolant,
     dense,
     dense_states,
-    digraph,
     draw_edges,
-    gossip_interpolant,
     gossip_pair_matrix,
     simulate_gossip,
 )
-from conftest import PRESETS, random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
+from conftest import (
+    PRESETS,
+    random_spanning_graph,
+    random_symmetric_connected,
+    two_node,
+    undirected_ring_with_chord,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def two_node(m=0, h=0.2, x0=(0.0, 1.0), probs=None):
-    g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0), probs=probs)
-
-
 class TestSimulateDeterministic:
     def test_zero_steps_is_initial_state(self):
-        traj = simulate_deterministic(two_node(), 1, RunConfig(steps=0))
+        traj = simulate_deterministic(two_node(0), 1, RunConfig(steps=0))
         assert traj.sample_states.shape == (1, 2)
         np.testing.assert_array_equal(traj.sample_states[0], [0.0, 1.0])
 
@@ -46,18 +45,18 @@ class TestSimulateDeterministic:
         assert traj.stderr.shape == (2,) and not traj.stderr.any()
 
     def test_one_step_by_hand(self):
-        traj = simulate_deterministic(two_node(), 1, RunConfig(steps=1))
+        traj = simulate_deterministic(two_node(0), 1, RunConfig(steps=1))
         np.testing.assert_allclose(traj.sample_states[1], [0.2, 0.8], atol=1e-15)
 
     def test_unknown_case_raises(self):
         with pytest.raises(ConsensusError, match="^case must be 1, 2 or 3, got 7$"):
-            simulate_deterministic(two_node(), 7, RunConfig(steps=1))
+            simulate_deterministic(two_node(0), 7, RunConfig(steps=1))
         with pytest.raises(ConsensusError, match="^case 3 has no sampled map"):
-            simulate_deterministic(two_node(), 3, RunConfig(steps=1))
+            simulate_deterministic(two_node(0), 3, RunConfig(steps=1))
 
     def test_sample_grid_spacing(self):
         # a trajectory holds no times: sample k is written at t_k = k*h
-        sys = two_node(h=0.25)
+        sys = two_node(0, h=0.25)
         traj = simulate_deterministic(sys, 1, RunConfig(steps=4))
         rows = [line.split(",") for line in "".join(trajectory_csv_blocks(sys, traj)).splitlines()[1:]]
         times = [float(row[0]) for row in rows if row[4] == "sample"]
@@ -158,7 +157,7 @@ class TestSimulateDeterministic:
 class TestSimulateGossip:
     def test_single_edge_deterministic(self):
         sys = two_node(m=1, probs=[1.0])
-        states, _, _ = simulate_gossip(sys, RunConfig(steps=5, dense_per_step=0, seed=1))
+        states, _ = simulate_gossip(sys, 5, 1)
         phi = dense(gossip_pair_matrix(sys, 0, 1))
         x = np.array([0.0, 1.0])
         for k in range(5):
@@ -168,18 +167,16 @@ class TestSimulateGossip:
     def test_seed_reproducibility(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0), probs="uniform")
-        cfg = RunConfig(steps=50, dense_per_step=2, seed=42)
-        states0, between0, drawn0 = simulate_gossip(sys, cfg)
-        states1, between1, drawn1 = simulate_gossip(sys, cfg)
+        states0, drawn0 = simulate_gossip(sys, 50, 42)
+        states1, drawn1 = simulate_gossip(sys, 50, 42)
         np.testing.assert_array_equal(states0, states1)
         assert drawn0 == drawn1
-        np.testing.assert_array_equal(between0, between1)
 
     def test_replay_of_logged_draws(self):
         g = undirected_ring_with_chord()
         x0 = np.array([-13.0, 14.0, 3.0, -9.0, -3.0, 6.0])
         sys = HybridSystem(g, m=3, h=0.2, x0=x0, probs="uniform")
-        states, _, drawn = simulate_gossip(sys, RunConfig(steps=10, dense_per_step=0, seed=9))
+        states, drawn = simulate_gossip(sys, 10, 9)
         x = np.array(sys.x0)
         for k, (i, j) in enumerate(drawn):
             x = dense(gossip_pair_matrix(sys, i, j)) @ x
@@ -197,26 +194,10 @@ class TestSimulateGossip:
             (0, 5), (4, 5), (3, 4), (4, 5), (0, 1), (0, 5), (0, 1), (2, 3),
         )
 
-    def test_dense_matches_scalar_interpolant(self):
-        rng = np.random.default_rng(109)
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            g = random_symmetric_connected(rng, n)
-            x0 = rng.uniform(-10, 10, n)
-            m, h = int(rng.integers(0, n + 1)), 0.8 / dense(g).max()
-            sys = HybridSystem(g, m=m, h=h, x0=x0, probs="uniform")
-            cfg = RunConfig(steps=12, dense_per_step=3, seed=int(rng.integers(100)))
-            states, between, drawn = simulate_gossip(sys, cfg)
-            assert between.shape == (12, sys.m, 3)
-            taus = dense_tau_grid(sys.h, 3)
-            for k, i, j in np.ndindex(between.shape):
-                want = gossip_interpolant(sys, states[k], drawn[k], i, taus[j])
-                assert abs(between[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
-
     def test_max_min_shrinking_per_step(self):
         g = undirected_ring_with_chord()
         sys = HybridSystem(g, m=3, h=0.2, x0=np.arange(6.0), probs="uniform")
-        states, _, _ = simulate_gossip(sys, RunConfig(steps=200, dense_per_step=0, seed=5))
+        states, _ = simulate_gossip(sys, 200, 5)
         assert np.all(np.diff(states.max(axis=1)) <= 1e-12)
         assert np.all(np.diff(states.min(axis=1)) >= -1e-12)
 
@@ -225,7 +206,7 @@ class TestMonteCarlo:
     def test_single_edge_zero_variance(self):
         sys = two_node(m=1, probs=[1.0])
         mc = monte_carlo_mean(sys, RunConfig(steps=10, trials=20))
-        states, _, _ = simulate_gossip(sys, RunConfig(steps=10, dense_per_step=0))
+        states, _ = simulate_gossip(sys, 10, 0)
         np.testing.assert_allclose(mc.sample_states, states, atol=1e-14)
         np.testing.assert_allclose(mc.stderr, 0.0, atol=1e-14)
 
@@ -247,9 +228,7 @@ class TestMonteCarlo:
             # reference: one full pair matrix per drawn edge, trial r seeded seed + r
             all_states = np.empty((cfg.trials, cfg.steps + 1, 5))
             for r in range(cfg.trials):
-                _, _, edges = simulate_gossip(
-                    sys, RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-                )
+                _, edges = simulate_gossip(sys, cfg.steps, cfg.seed + r)
                 x = np.array(x0)
                 all_states[r, 0] = x
                 for k, (i, j) in enumerate(edges):
@@ -306,8 +285,7 @@ class TestMonteCarlo:
         # step k of the longer run's trials, one full pair matrix per drawn edge
         at_k = np.empty((cfg.trials, 5))
         for r in range(cfg.trials):
-            run_cfg = RunConfig(steps=cfg.steps, dense_per_step=0, seed=cfg.seed + r)
-            _, _, edges = simulate_gossip(sys, run_cfg)
+            _, edges = simulate_gossip(sys, cfg.steps, cfg.seed + r)
             x = np.array(x0)
             for i, j in edges[:k]:
                 x = dense(gossip_pair_matrix(sys, i, j)) @ x

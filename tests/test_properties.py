@@ -412,7 +412,7 @@ def test_csv_matches_reference(drawn, steps, dense, zeros, mean):
     elif mean:
         traj = monte_carlo_mean(sys, cfg)
     else:  # one gossip run, as the mean's trials are: sample rows only
-        traj = Trajectory(simulate_gossip(sys, cfg)[0], np.empty((sys.m, 0)), np.zeros(sys.n))
+        traj = Trajectory(simulate_gossip(sys, steps, cfg.seed)[0], np.empty((sys.m, 0)), np.zeros(sys.n))
     want = "\n".join(reference_csv_lines(sys, traj)) + "\n"
     assert "".join(trajectory_csv_blocks(sys, traj)) == want
 

@@ -18,12 +18,12 @@ from hybridconsensus.protocols import (
 )
 from hybridconsensus.spectral import StochasticMatrix, left_eigenvector
 from oracles import continuous_interpolant, dense, digraph, gossip_interpolant, gossip_pair_matrix, iteration_matrix
-from conftest import random_spanning_graph, random_symmetric_connected, undirected_ring_with_chord
-
-
-def two_node(m=1, h=0.2, x0=(0.0, 1.0), probs=None):
-    g = digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return HybridSystem(graph=g, m=m, h=h, x0=np.array(x0), probs=probs)
+from conftest import (
+    random_spanning_graph,
+    random_symmetric_connected,
+    two_node,
+    undirected_ring_with_chord,
+)
 
 
 def path3() -> WeightedDigraph:
@@ -52,7 +52,7 @@ class TestBounds:
         assert bound(sys, 1) == pytest.approx(0.2)
 
     def test_case3_unit_weights(self):
-        sys = two_node()
+        sys = two_node(1)
         assert bound(sys, 3) == pytest.approx(1.0)
 
     def test_pure_continuous_unbounded(self):
@@ -100,7 +100,7 @@ class TestCase2:
 
     def test_gains_reject_gossip(self):
         with pytest.raises(ConsensusError, match="no sampled map"):
-            gains(two_node(), 3)
+            gains(two_node(1), 3)
 
     def test_gain_zero_degree_limit(self):
         w = np.zeros((2, 2))
@@ -239,7 +239,7 @@ class TestGossipSchedule:
             GossipSchedule(path3(), np.array([0.3, 0.3]))
 
     def test_single_edge_prob_one_allowed(self):
-        sched = GossipSchedule(two_node().graph, np.array([1.0]))
+        sched = GossipSchedule(two_node(1).graph, np.array([1.0]))
         assert sched.probs[0] == 1.0
 
     @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
@@ -256,18 +256,18 @@ class TestHybridSystem:
 
     def test_x0_must_be_a_vector(self):
         with pytest.raises(ConsensusError, match=r"^x0 must be a vector, got shape \(2, 1\)$"):
-            HybridSystem(two_node().graph, m=1, h=0.1, x0=[[0.0], [1.0]])
+            HybridSystem(two_node(1).graph, m=1, h=0.1, x0=[[0.0], [1.0]])
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: two_node().graph,
-        two_node,
-        lambda: two_node(probs=[1.0]).schedule,
-        lambda: case_matrix(two_node(), 1),
-        lambda: left_eigenvector(case_matrix(two_node(), 1)),
-        lambda: simulate_deterministic(two_node(), 1, RunConfig(steps=2)),
+        lambda: two_node(1).graph,
+        lambda: two_node(1),
+        lambda: two_node(1, probs=[1.0]).schedule,
+        lambda: case_matrix(two_node(1), 1),
+        lambda: left_eigenvector(case_matrix(two_node(1), 1)),
+        lambda: simulate_deterministic(two_node(1), 1, RunConfig(steps=2)),
         lambda: RunConfig(steps=2),
     ],
     ids=["WeightedDigraph", "HybridSystem", "GossipSchedule", "StochasticMatrix", "PerronVector",
@@ -428,7 +428,7 @@ class TestGossipInterpolant:
 
 class TestIterationMatrix:
     def test_rejects_gain_at_inverse_degree(self):
-        g = two_node().graph
+        g = two_node(1).graph
         with pytest.raises(ConsensusError, match=r"^h = 1\.0 must be strictly below 1/d_00 = 1\.0$"):
             iteration_matrix(g, np.array([1.0, 0.5]))
 

@@ -144,15 +144,15 @@ class TestWriteVerdictJson:
 
         monkeypatch.setattr(reporting.os, "replace", interrupted)
         with pytest.raises(exc):
-            reporting.write_verdict_json({"solvable": True}, path)
+            reporting.write_verdict_json('{"solvable": true}', path)
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["verdict.json"]
 
 
 class TestStrictJson:
-    def test_verdict_json_refuses_non_finite(self, tmp_path):
+    def test_verdict_json_refuses_non_finite(self):
         with pytest.raises(ValueError):
-            reporting.write_verdict_json({"predicted_value": math.nan}, tmp_path / "verdict.json")
+            reporting.verdict_json({"predicted_value": math.nan})
 
     def test_check_refuses_non_finite(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verdict_report", lambda *args: {"predicted_value": math.inf})
