@@ -27,6 +27,9 @@ ok hybridconsensus check presets/example1.cfg
 ok hybridconsensus run presets/example1.cfg --out "$out/example1"
 ok hybridconsensus run presets/example2.cfg --out "$out/example2"
 ok hybridconsensus run presets/example3.cfg --out "$out/example3"
+# gossip trials about 1e160 apart: their squared deviations overflowed the standard
+# error to inf, and the infinite 4-standard-error band made the run "converge"
+fails 2 "converged = False does not match solvable = True" hybridconsensus run presets/example3.cfg --steps 5 --x0=1e160,-1e160,1e160,-1e160,1e160,-1e160 --out "$out/band"
 # Remark 1: every e^{-d_ii h} underflows to 0, and the root class is periodic
 ok hybridconsensus run presets/example1.cfg --case 2 --m 6 --h 1e3 --out "$out/remark1"
 # ROADMAP item 15: at h = 40 the verdict says solvable, but e^{-h} x is below half an

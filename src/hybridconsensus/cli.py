@@ -47,8 +47,7 @@ from .analysis import decide, verify_run
 from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, bound, case_matrix
-from .reporting import matrix_rows, verdict_json, verdict_report
-from .reporting import write_trajectory_csv, write_verdict_json
+from .reporting import matrix_rows, trajectory_csv_blocks, verdict_json, write_replacing
 
 gc.freeze()
 if _collecting:
@@ -63,7 +62,7 @@ FLAGS = {"--" + key.name.replace("_", "-"): key for key in KEYS if key.name != "
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
     verdict = decide(cfg.system, cfg.case)
-    print(verdict_json(verdict_report(cfg, verdict)))
+    print(verdict_json(cfg, verdict))
     return EXIT_OK
 
 
@@ -81,11 +80,11 @@ def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     verdict, traj = verify_run(cfg.system, cfg.case, cfg.run)
-    text = verdict_json(verdict_report(cfg, verdict))  # strict JSON may refuse it: then no file
+    text = verdict_json(cfg, verdict)  # strict JSON may refuse it: then no file
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(cfg.system, traj, outdir / "trajectory.csv")
-    write_verdict_json(text, outdir / "verdict.json")
+    write_replacing(outdir / "trajectory.csv", trajectory_csv_blocks(cfg.system, traj))
+    write_replacing(outdir / "verdict.json", [text, "\n"])
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'verdict.json'}")
     if verdict.converged != verdict.solvable:
         print(

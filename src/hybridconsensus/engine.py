@@ -108,5 +108,6 @@ def monte_carlo_mean(sys: HybridSystem, cfg: RunConfig) -> Trajectory:
     return Trajectory(
         sample_states=mean,
         blend=np.empty((sys.m, 0)),
-        stderr=x.std(axis=0, ddof=1) / math.sqrt(cfg.trials),
+        # hypot sums the squared deviations scaled, so the error is finite when the states are
+        stderr=np.hypot.reduce(x - mean[-1], axis=0) / math.sqrt((cfg.trials - 1) * cfg.trials),
     )

@@ -77,7 +77,7 @@ def trajectory_csv_blocks(sys: HybridSystem, traj: Trajectory) -> Iterator[str]:
     yield "".join(out)
 
 
-def _write_replacing(path: str | Path, chunks: Iterable[str]) -> None:
+def write_replacing(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the chunks to a temporary file beside `path`, renamed over it when
     complete: a failed or interrupted write leaves any old file as it was."""
     path = Path(path)
@@ -92,31 +92,18 @@ def _write_replacing(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_trajectory_csv(sys: HybridSystem, traj: Trajectory, path: str | Path) -> None:
-    """Stream the CSV to `path`, block by block, through a temporary file."""
-    _write_replacing(path, trajectory_csv_blocks(sys, traj))
-
-
 def _finite_or_none(value: float) -> float | None:
     return value if value == value and abs(value) != float("inf") else None
 
 
-def verdict_report(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> dict:
+def verdict_json(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> str:
     """The verdict's fields under their own names, beside the three bounds
-    (None for an infinite one) and the config's keys."""
-    return {
+    (None for an infinite one) and the config's keys, as strict JSON with keys
+    sorted: a NaN or infinity in the verdict raises ValueError."""
+    return json.dumps({
         **verdict._asdict(),
         "bounds": {
             f"case{c}": _finite_or_none(bound(cfg.system, c)) for c in PROTOCOLS
         },
         "config": {key.name: getattr(cfg, key.name) for key in KEYS},
-    }
-
-
-def verdict_json(report: dict) -> str:
-    """The report as strict JSON, keys sorted: a NaN or infinity raises ValueError."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-
-
-def write_verdict_json(text: str, path: str | Path) -> None:
-    _write_replacing(path, [text, "\n"])
+    }, indent=2, sort_keys=True, allow_nan=False)

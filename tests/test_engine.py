@@ -268,6 +268,18 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 10 << 20, f"peak {peak} B"
 
+    def test_stderr_scales_with_the_states(self):
+        # x0 times 2**530 puts the trials about 1e160 apart: np.std squared their
+        # deviations to inf, so the band was infinite.  A power of two scales each
+        # gossip step and each mean exactly, and the standard error within round-off
+        cfg = load_config(PRESETS / "example3.cfg")
+        sys, scale = cfg.system, 2.0**530
+        big = HybridSystem(sys.graph, sys.m, sys.h, sys.x0 * scale, probs=cfg.probs)
+        run = RunConfig(steps=40, trials=1_000, seed=cfg.seed)
+        mc, scaled = monte_carlo_mean(sys, run), monte_carlo_mean(big, run)
+        assert scaled.sample_states.tobytes() == (mc.sample_states * scale).tobytes()
+        np.testing.assert_allclose(scaled.stderr, mc.stderr * scale, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("k", [0, 1, 7, 39, 40])
     def test_shorter_run_is_a_prefix(self, k):
         # trial r's first k draws are the same in a k-step and a 40-step run

@@ -120,11 +120,13 @@ MOVED = (
 )
 # cases 1 and 2 share one builder, one bound and one gain function: `case_matrix`,
 # `bound` and `gains` take the case; case 3's matrix is `case_matrix` too, the
-# measured disagreement is computed by `verify_run` alone, and the
-# `StochasticMatrix` constructor checks every matrix it builds
+# measured disagreement is computed by `verify_run` alone, the
+# `StochasticMatrix` constructor checks every matrix it builds, `run` writes
+# both its files through `write_replacing`, and `verdict_json` takes the verdict
 REMOVED = (
     "bound_case1", "bound_case2", "bound_case3", "case1_matrix", "case2_gain", "case2_matrix",
-    "check_stochastic", "disagreement", "gossip_expected_matrix",
+    "check_stochastic", "disagreement", "gossip_expected_matrix", "verdict_report",
+    "write_trajectory_csv", "write_verdict_json",
 )
 
 

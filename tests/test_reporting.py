@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hybridconsensus import cli, reporting
-from hybridconsensus.analysis import verify_run
+from hybridconsensus.analysis import decide, verify_run
 from hybridconsensus.config import load_config
 from hybridconsensus.engine import RunConfig, Trajectory, simulate_deterministic
 from hybridconsensus.protocols import HybridSystem, case_matrix
-from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_trajectory_csv
+from hybridconsensus.reporting import CSV_HEADER, trajectory_csv_blocks, write_replacing
 from hybridconsensus.spectral import StochasticMatrix
 from oracles import dense, digraph
 from conftest import PRESETS, reference_csv_lines
@@ -104,7 +104,7 @@ class TestWriteTrajectoryCsv:
         path = tmp_path / "trajectory.csv"
         tracemalloc.start()
         try:
-            write_trajectory_csv(sys, traj, path)
+            write_replacing(path, trajectory_csv_blocks(sys, traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -116,18 +116,16 @@ class TestWriteTrajectoryCsv:
         traj = simulate_deterministic(sys, 1, RunConfig(steps=50))
         path = tmp_path / "trajectory.csv"
         path.write_bytes(b"old\n")
-        blocks = reporting.trajectory_csv_blocks
 
-        def interrupted(*args):
-            it = blocks(*args)
+        def interrupted():
+            it = trajectory_csv_blocks(sys, traj)
             yield next(it)  # the header
             yield next(it)  # the first block of steps
             raise exc("stopped in the second block")
 
         monkeypatch.setattr(reporting, "BLOCK_ROWS", 100)
-        monkeypatch.setattr(reporting, "trajectory_csv_blocks", interrupted)
         with pytest.raises(exc):
-            write_trajectory_csv(sys, traj, path)
+            write_replacing(path, interrupted())
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["trajectory.csv"]
 
@@ -144,18 +142,23 @@ class TestWriteVerdictJson:
 
         monkeypatch.setattr(reporting.os, "replace", interrupted)
         with pytest.raises(exc):
-            reporting.write_verdict_json('{"solvable": true}', path)
+            write_replacing(path, ['{"solvable": true}', "\n"])
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["verdict.json"]
 
 
 class TestStrictJson:
     def test_verdict_json_refuses_non_finite(self):
+        cfg = load_config(PRESETS / "example1.cfg")
+        verdict = decide(cfg.system, cfg.case)._replace(predicted_value=math.nan)
         with pytest.raises(ValueError):
-            reporting.verdict_json({"predicted_value": math.nan})
+            reporting.verdict_json(cfg, verdict)
 
     def test_check_refuses_non_finite(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verdict_report", lambda *args: {"predicted_value": math.inf})
+        decided = cli.decide
+        monkeypatch.setattr(
+            cli, "decide", lambda *args: decided(*args)._replace(predicted_value=math.inf)
+        )
         assert cli.main(["check", str(PRESETS / "example1.cfg")]) == cli.EXIT_CONDITION
         assert capsys.readouterr().out == ""
 
