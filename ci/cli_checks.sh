@@ -24,6 +24,8 @@ ok() { expect 0 '' "$@"; }
 fails() { expect "$1" "$2"$'\n' "${@:3}"; }
 
 ok hybridconsensus check presets/example1.cfg
+# every key flag, each read by its parser in the config's key table
+ok hybridconsensus check presets/example3.cfg --case 3 --m 3 --h 0.2 --x0=-13,14,3,-9,-3,6 --steps 10 --dense-per-step 2 --seed 1 --trials 2 --probs uniform --tol 1e-6
 ok hybridconsensus run presets/example1.cfg --out "$out/example1"
 ok hybridconsensus run presets/example2.cfg --out "$out/example2"
 ok hybridconsensus run presets/example3.cfg --out "$out/example3"

@@ -44,7 +44,7 @@ if "GOTO_THREAD_TIMEOUT" not in os.environ:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .analysis import decide, verify_run
-from .config import KEYS, ExperimentConfig, load_config
+from .config import KEYS, load_config
 from .errors import ConsensusError, ParseError
 from .protocols import PROTOCOLS, bound, case_matrix
 from .reporting import matrix_rows, trajectory_csv_blocks, verdict_json, write_replacing
@@ -57,28 +57,28 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONDITION = 2
 # every key but graph, which the config file names, is also a flag
-FLAGS = {"--" + key.name.replace("_", "-"): key for key in KEYS if key.name != "graph"}
+FLAGS = {"--" + name.replace("_", "-"): name for name in KEYS if name != "graph"}
 
 
-def _cmd_check(cfg: ExperimentConfig, args) -> int:
+def _cmd_check(cfg, args) -> int:
     verdict = decide(cfg.system, cfg.case)
     print(verdict_json(cfg, verdict))
     return EXIT_OK
 
 
-def _cmd_bounds(cfg: ExperimentConfig, args) -> int:
+def _cmd_bounds(cfg, args) -> int:
     for case in PROTOCOLS:
         print(f"bound_case{case} = {bound(cfg.system, case)!r}")
     return EXIT_OK
 
 
-def _cmd_matrix(cfg: ExperimentConfig, args) -> int:
+def _cmd_matrix(cfg, args) -> int:
     for row in matrix_rows(case_matrix(cfg.system, cfg.case)):
         print(row)
     return EXIT_OK
 
 
-def _cmd_run(cfg: ExperimentConfig, args) -> int:
+def _cmd_run(cfg, args) -> int:
     verdict, traj = verify_run(cfg.system, cfg.case, cfg.run)
     text = verdict_json(cfg, verdict)  # strict JSON may refuse it: then no file
     outdir = Path(args.out)
@@ -103,8 +103,8 @@ def make_parser() -> argparse.ArgumentParser:
     # the config argument and its overrides, built once and shared by every subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="experiment config file (key = value)")
-    for flag, key in FLAGS.items():
-        common.add_argument(flag, dest=key.name, help=key.metadata["help"])
+    for flag, name in FLAGS.items():
+        common.add_argument(flag, dest=name, help=KEYS[name][2])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (
         ("check", _cmd_check),
@@ -128,12 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {key.name: getattr(args, key.name, None) for key in KEYS})
+        cfg = load_config(args.config, {name: getattr(args, name, None) for name in KEYS})
         return args.handler(cfg, args)
-    except (OSError, ParseError) as exc:
+    # numpy raises ValueError for an array too big to allocate, json for a NaN;
+    # a ParseError, though a ConsensusError, is an input not read: exit 1
+    except (OSError, ConsensusError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_IO
-    # numpy raises ValueError for an array too big to allocate, json for a NaN
-    except (ConsensusError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_CONDITION
+        return EXIT_IO if isinstance(exc, (OSError, ParseError)) else EXIT_CONDITION

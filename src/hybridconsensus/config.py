@@ -1,7 +1,6 @@
 """Experiment configuration: a plain `key = value` text format.
 
-The keys are the fields of `ExperimentConfig`; those without a default are
-required::
+The keys are those of `KEYS`; those without a default are required::
 
     graph = path/to/graph.edges   # edge-list file, resolved relative to the config
     case = 1                      # 1, 2 or 3
@@ -18,15 +17,16 @@ required::
 Every key but `graph` is also a command-line flag (`--dense-per-step` for
 dense_per_step) whose text overrides the file's line.
 
-`load_config` returns the checked experiment: the keys' values, and the
-objects every subcommand runs on, built once from them: the hybrid system,
-which in case 3 holds its gossip schedule, and the run's counts and tolerance.
+`load_config` returns the checked experiment as a namespace: the keys' values,
+and the objects every subcommand runs on, built once from them: the hybrid
+system (`system`), whose `graph` is the graph read and which in case 3 holds
+its gossip schedule, and the run's counts and tolerance (`run`).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import RunConfig
 from .errors import ConsensusError, ParseError
@@ -42,35 +42,21 @@ def _probs(text: str) -> str | tuple[float, ...]:
     return "uniform" if text.strip().lower() == "uniform" else _floats(text)
 
 
-def _key(parse, default=MISSING, *, help: str):
-    """A config key: `parse` reads its text, from the file or from its flag."""
-    return field(default=default, metadata={"parse": parse, "help": help})
-
-
-@dataclass
-class ExperimentConfig:
-    """A loaded experiment.  Every field from `graph` on is a config key,
-    with its parser, its help and its default; `graph` to `x0` have none and
-    are required.  The graph read from the file `graph` names is `system.graph`."""
-
-    system: HybridSystem
-    run: RunConfig
-    graph: str = _key(str, help="edge-list file, relative to the config")  # then resolved
-    case: int = _key(int, help="1, 2 or 3")
-    m: int = _key(int, help="number of continuous-time agents (the first m)")
-    h: float = _key(float, help="sampling period")
-    x0: tuple[float, ...] = _key(_floats, help="comma-separated initial state")
-    steps: int = _key(int, RunConfig.steps, help="sampling steps to simulate")
-    dense_per_step: int = _key(int, RunConfig.dense_per_step, help="intra-sample points per interval")
-    seed: int = _key(int, RunConfig.seed, help="gossip seed; trial r uses seed + r")
-    trials: int = _key(int, RunConfig.trials, help="Monte-Carlo trials (case 3)")
-    probs: str | tuple[float, ...] = _key(
-        _probs, "uniform", help="'uniform' or comma-separated edge probabilities"
-    )
-    tol: float = _key(float, RunConfig.tol, help="convergence tolerance")
-
-
-KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+# every key: its parser, which reads its text from the file or from its flag,
+# its default (None: the key is required) and its flag's help
+KEYS = {
+    "graph": (str, None, "edge-list file, relative to the config"),  # then resolved
+    "case": (int, None, "1, 2 or 3"),
+    "m": (int, None, "number of continuous-time agents (the first m)"),
+    "h": (float, None, "sampling period"),
+    "x0": (_floats, None, "comma-separated initial state"),
+    "steps": (int, RunConfig.steps, "sampling steps to simulate"),
+    "dense_per_step": (int, RunConfig.dense_per_step, "intra-sample points per interval"),
+    "seed": (int, RunConfig.seed, "gossip seed; trial r uses seed + r"),
+    "trials": (int, RunConfig.trials, "Monte-Carlo trials (case 3)"),
+    "probs": (_probs, "uniform", "'uniform' or comma-separated edge probabilities"),
+    "tol": (float, RunConfig.tol, "convergence tolerance"),
+}
 
 
 def _parse_pairs(path: Path) -> dict[str, str]:
@@ -86,27 +72,28 @@ def _parse_pairs(path: Path) -> dict[str, str]:
     return pairs
 
 
-def _value(key, pairs: dict):
-    if key.name not in pairs:
-        if key.default is MISSING:
-            raise ParseError(f"missing required key {key.name!r}")
-        return key.default
+def _value(name: str, pairs: dict):
+    parse, default, _ = KEYS[name]
+    if name not in pairs:
+        if default is None:
+            raise ParseError(f"missing required key {name!r}")
+        return default
     try:
-        return key.metadata["parse"](pairs[key.name])
+        return parse(pairs[name])
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad value for {key.name!r}: {exc}") from exc
+        raise ParseError(f"bad value for {name!r}: {exc}") from exc
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> SimpleNamespace:
     """Parse and validate a config file; `overrides` (same keys, as text, None
     for none) replace file entries.  An unreadable file raises the OS error."""
     path = Path(path)
     pairs = _parse_pairs(path)
     pairs.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    unknown = sorted(set(pairs) - {key.name for key in KEYS})
+    unknown = sorted(pairs.keys() - KEYS)
     if unknown:
         raise ParseError(f"unknown config keys: {unknown}")
-    values = {key.name: _value(key, pairs) for key in KEYS}
+    values = {name: _value(name, pairs) for name in KEYS}
 
     edges = (path.parent / values["graph"]).resolve()
     values["graph"], graph = str(edges), read_edge_list(edges)
@@ -118,4 +105,4 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
                     seed=values["seed"], trials=values["trials"], tol=values["tol"])
     probs = values["probs"] if values["case"] == 3 else None  # the schedule is case 3's
     system = HybridSystem(graph=graph, m=values["m"], h=values["h"], x0=values["x0"], probs=probs)
-    return ExperimentConfig(system=system, run=run, **values)
+    return SimpleNamespace(system=system, run=run, **values)

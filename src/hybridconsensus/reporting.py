@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ConsensusVerdict
-from .config import KEYS, ExperimentConfig
+from .config import KEYS
 from .engine import Trajectory, dense_tau_grid
 from .protocols import PROTOCOLS, HybridSystem, bound
 from .spectral import StochasticMatrix
@@ -96,7 +96,7 @@ def _finite_or_none(value: float) -> float | None:
     return value if value == value and abs(value) != float("inf") else None
 
 
-def verdict_json(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> str:
+def verdict_json(cfg, verdict: ConsensusVerdict) -> str:
     """The verdict's fields under their own names, beside the three bounds
     (None for an infinite one) and the config's keys, as strict JSON with keys
     sorted: a NaN or infinity in the verdict raises ValueError."""
@@ -105,5 +105,5 @@ def verdict_json(cfg: ExperimentConfig, verdict: ConsensusVerdict) -> str:
         "bounds": {
             f"case{c}": _finite_or_none(bound(cfg.system, c)) for c in PROTOCOLS
         },
-        "config": {key.name: getattr(cfg, key.name) for key in KEYS},
+        "config": {name: getattr(cfg, name) for name in KEYS},
     }, indent=2, sort_keys=True, allow_nan=False)

@@ -701,7 +701,7 @@ class TestCliSubcommands:
 
     @pytest.mark.parametrize("key", sorted(OVERRIDES))
     def test_flag_equals_file_entry(self, tmp_path, capsys, key):
-        assert set(OVERRIDES) == {k.name for k in KEYS} - {"graph"}  # every flag
+        assert set(OVERRIDES) == set(KEYS) - {"graph"}  # every flag
         (tmp_path / "g.edges").write_text("n 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n3 2 1.0\n")
 
         def check(name, entries, *flags):
