@@ -48,6 +48,8 @@ ok hybridconsensus matrix presets/example3.cfg
 ok hybridconsensus bounds presets/example3.cfg
 # bounds builds no case matrix: the system's schedule, built as the config loads, rejects the graph
 fails 2 "error: gossip requires a symmetric graph" hybridconsensus bounds presets/example1.cfg --case 3
+# and an h over every bound is the matrix's to refuse, so bounds prints them
+ok hybridconsensus bounds presets/example1.cfg --h 2
 # the probability sum is printed as a plain float under numpy 1.x and 2.x alike
 fails 2 'error: probabilities must sum to 1, got 0.7' \
   hybridconsensus check presets/example3.cfg --probs 0.1,0.1,0.1,0.1,0.1,0.1,0.1

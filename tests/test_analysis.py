@@ -199,31 +199,6 @@ class TestWeakBridge:
         assert abs(verdict.predicted_value - 1.0 / 3.0) <= 1e-12
 
 
-class TestDisagreement:
-    def test_identical_states(self):
-        g = undirected_ring_with_chord(3)
-        sys = HybridSystem(g, m=0, h=0.1, x0=np.ones(3) * 2.5)
-        traj = simulate_deterministic(sys, 1, RunConfig(steps=2, dense_per_step=0))
-        assert np.ptp(traj.sample_states[-1]) == 0.0
-
-    def test_spread_three_values(self):
-        g = undirected_ring_with_chord(3)
-        sys = HybridSystem(g, m=0, h=0.1, x0=np.array([0.0, 1.0, 3.0]))
-        traj = simulate_deterministic(sys, 1, RunConfig(steps=0, dense_per_step=0))
-        assert np.ptp(traj.sample_states[-1]) == 3.0
-
-    def test_monotone_nonincreasing_along_trajectory(self):
-        rng = np.random.default_rng(113)
-        for case in (1, 2):
-            g = random_spanning_graph(rng, 6, extra=5, w_lo=0.2)
-            h = 0.9 / g.in_degrees.max()
-            sys = HybridSystem(g, m=3, h=h, x0=rng.uniform(-5, 5, 6))
-            traj = simulate_deterministic(sys, case, RunConfig(steps=80, dense_per_step=0))
-            vals = np.ptp(traj.sample_states, axis=1)
-            assert np.ptp(traj.sample_states[-1]) == vals[-1]
-            assert np.all(np.diff(vals) <= 1e-12)
-
-
 class TestWitness:
     def test_witness_keeps_disagreement(self):
         rng = np.random.default_rng(127)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -140,6 +141,11 @@ class TestSimulateDeterministic:
                 for k, i, j in np.ndindex(between.shape):
                     want = continuous_interpolant(case, sys, traj.sample_states[k], i, taus[j])
                     assert abs(between[k, i, j] - want) <= 1e-12 * np.abs(x0).max()
+
+    def test_constant_state_stays_put(self):
+        sys = HybridSystem(undirected_ring_with_chord(3), m=0, h=0.1, x0=np.full(3, 2.5))
+        traj = simulate_deterministic(sys, 1, RunConfig(steps=2, dense_per_step=0))
+        assert np.ptp(traj.sample_states[-1]) == 0.0
 
     def test_max_min_shrinking(self):
         rng = np.random.default_rng(101)
@@ -307,10 +313,20 @@ class TestMonteCarlo:
 
 
 class TestRunConfig:
-    def test_rejects_negative_steps(self):
-        with pytest.raises(ConsensusError):
-            RunConfig(steps=-1)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ConsensusError):
-            RunConfig(steps=1, trials=0)
+    @pytest.mark.parametrize("key, value, message", [
+        ("steps", -1, "steps must be >= 0, got -1"),
+        ("dense_per_step", -1, "dense_per_step must be >= 0, got -1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("trials", 0, "trials must be >= 2, got 0"),
+        ("trials", 1, "trials must be >= 2, got 1"),
+        ("tol", 0.0, "tol must be positive and finite, got 0.0"),
+        ("tol", -1.0, "tol must be positive and finite, got -1.0"),
+        ("tol", math.nan, "tol must be positive and finite, got nan"),
+        ("tol", math.inf, "tol must be positive and finite, got inf"),
+    ])
+    def test_refused_value(self, key, value, message):
+        # the floors and the tol check are written once, in RunConfig, which load_config calls,
+        # so the CLI prints these messages (test_config_cli.py's REFUSED rows)
+        with pytest.raises(ConsensusError) as exc:
+            RunConfig(**{"steps": 0, key: value})
+        assert str(exc.value) == message

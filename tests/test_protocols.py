@@ -273,7 +273,7 @@ class TestHybridSystem:
     ids=["WeightedDigraph", "HybridSystem", "GossipSchedule", "StochasticMatrix", "PerronVector",
          "Trajectory", "RunConfig"],
 )
-def test_array_dataclasses_compare_by_identity(make):
+def test_array_records_compare_by_identity(make):
     # the generated __eq__ and __hash__ compared and hashed the array fields, and raised
     a, b = make(), make()
     assert a == a and a != b
