@@ -1,9 +1,9 @@
 """Reference implementations that the tests check the package against.
 
 No command reaches these: each restates a formula of the paper in its most
-direct form (full pair matrices, the Laplacian, scalar closed forms, matrix
-powers), so that the shipped kernels, which take shortcuts, have something
-plain to agree with.
+direct form (full pair matrices, the Laplacian, the case-1/2 intra-sample
+closed form, matrix powers), so that the shipped kernels, which take
+shortcuts, have something plain to agree with.
 """
 
 import bisect
@@ -133,24 +133,14 @@ def edge_form(matrix) -> StochasticMatrix:
     """The checked matrix whose entries are the dense square array's: its
     diagonal, and its nonzero off-diagonal entries in row-major order."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConsensusError("row -1 violates stochasticity (residual nan)")
     rows, cols = np.nonzero((m != 0) & ~np.eye(len(m), dtype=bool))
     return StochasticMatrix(m.diagonal(), rows, cols, m[rows, cols])
 
 
 def iteration_matrix(graph: WeightedDigraph, gains: np.ndarray) -> StochasticMatrix:
-    """I - diag(gains) * L for gains 0 < h_i < 1/d_ii (h_i arbitrary positive
-    when d_ii = 0); stochastic with positive diagonal by construction."""
-    gains = np.asarray(gains, dtype=float)
-    d = graph.in_degrees
-    if np.any(gains <= 0):
-        raise ValueError("gains must be positive")
-    bad = np.nonzero((d > 0) & (gains * d >= 1.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        h, limit = float(gains[i]), 1.0 / float(d[i])
-        raise ConsensusError(f"h = {h} must be strictly below 1/d_{i}{i} = {limit}")
+    """I - diag(gains) * L: stochastic with positive diagonal for gains
+    0 < h_i < 1/d_ii (any h_i > 0 where d_ii = 0).  A gain over 1/d_ii makes
+    its diagonal entry negative, which `StochasticMatrix` refuses."""
     return edge_form(np.eye(graph.n) - gains[:, None] * laplacian(graph))
 
 
@@ -199,13 +189,8 @@ def pair_gains_at(sys: HybridSystem, i, j) -> np.ndarray:
 
 
 def gossip_pair_matrix(sys: HybridSystem, i: int, j: int) -> StochasticMatrix:
-    """Pair interaction matrix Phi_ij; rows other than i, j are identity."""
-    if not sys.graph.is_symmetric:
-        raise ConsensusError("gossip requires a symmetric graph")
-    if not 0 <= i < j < sys.n:
-        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
-    if dense(sys.graph)[i, j] <= 0:
-        raise ValueError(f"({i}, {j}) carries zero weight")
+    """Pair interaction matrix Phi_ij of the edge i < j; rows other than i, j
+    are identity."""
     gi, gj = pair_gains_at(sys, [i], [j])[0]
     phi = np.eye(sys.n)
     phi[i, i] -= gi
@@ -224,8 +209,6 @@ def sia_limit(
     A NotRankOne outcome signals that the graph associated with P has no
     spanning tree (necessity direction of the SIA equivalence).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     Q = dense(P)
     for _ in range(max_iter):
         Q_next = Q @ Q
@@ -246,12 +229,11 @@ def sia_limit(
 
 def exact_nu(P: StochasticMatrix) -> list[Fraction]:
     """nu of P in exact rational arithmetic: every float entry is the rational
-    it stands for, and GTH runs on P's root class with exact sums, products
-    and quotients.  GTH reads only off-diagonal entries, so this is the exact
-    nu of the matrix whose diagonal is 1 minus the rest of its row."""
+    it stands for, and GTH runs on P's root class, the one closed class it
+    must have, with exact sums, products and quotients.  GTH reads only
+    off-diagonal entries, so this is the exact nu of the matrix whose
+    diagonal is 1 minus the rest of its row."""
     label, closed, _ = strong_components(P.n, P.rows, P.cols)
-    if len(closed) != 1:
-        raise ConsensusError(f"{len(closed)} closed classes: nu is not unique")
     root = np.flatnonzero(label == closed[0]).tolist()
     at = {v: k for k, v in enumerate(root)}
     W = [[Fraction(0)] * len(root) for _ in root]
@@ -289,28 +271,19 @@ def period_by_powers(P: StochasticMatrix, cls: np.ndarray) -> int:
     return period
 
 
-# --- intra-sample closed forms ------------------------------------------------
-
-
-def _check_window(sys: HybridSystem, i: int, tau: float) -> None:
-    if not 0 <= i < sys.m:
-        raise ValueError(f"agent {i} is discrete (m = {sys.m})")
-    if not 0.0 < tau <= sys.h:
-        raise ValueError(f"tau = {tau} outside (0, {sys.h}]")
+# --- intra-sample closed form -------------------------------------------------
 
 
 def continuous_interpolant(
     case: int, sys: HybridSystem, x_k: np.ndarray, i: int, tau: float
 ) -> float:
-    """State of continuous agent i at t_k + tau under case 1 or 2.
+    """State of continuous agent i < m at t_k + tau, 0 < tau <= h, under case 1
+    or 2.
 
     Case 1 drifts linearly toward the frozen neighbour mix; case 2 relaxes
     exponentially toward it.  At tau = h both coincide with row i of the
     corresponding one-step matrix.
     """
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
-    _check_window(sys, i, tau)
     x_k = np.asarray(x_k, dtype=float)
     a_row = dense(sys.graph)[i]
     pull = float(a_row @ (x_k - x_k[i]))
@@ -320,35 +293,6 @@ def continuous_interpolant(
     else:
         factor = -math.expm1(-d * tau) / d
     return float(x_k[i] + factor * pull)
-
-
-def gossip_interpolant(
-    sys: HybridSystem,
-    x_k: np.ndarray,
-    selected: tuple[int, int] | None,
-    i: int,
-    tau: float,
-) -> float:
-    """State of continuous agent i at t_k + tau during a gossip interval.
-
-    A participating agent relaxes toward its partner with weight beta:
-    (1 + e^{-2a tau})/2 for a continuous partner, e^{-a tau} for a
-    discrete one.  Unselected agents hold their sampled state.
-    """
-    _check_window(sys, i, tau)
-    x_k = np.asarray(x_k, dtype=float)
-    if selected is None or i not in selected:
-        return float(x_k[i])
-    a, b = selected
-    partner = b if i == a else a
-    w = float(dense(sys.graph)[i, partner])
-    if w <= 0:
-        raise ValueError(f"selected pair ({a}, {b}) is not an edge")
-    if partner < sys.m:
-        beta = (1.0 + math.exp(-2.0 * w * tau)) / 2.0
-    else:
-        beta = math.exp(-w * tau)
-    return float(beta * x_k[i] + (1.0 - beta) * x_k[partner])
 
 
 def dense_states(traj: Trajectory) -> np.ndarray:

@@ -416,18 +416,6 @@ class TestCliExitCodes:
 
 
 class TestCliSubcommands:
-    def test_bounds_output(self, presets_dir):
-        result = run_cli("bounds", str(presets_dir / "example1.cfg"))
-        assert result.returncode == 0
-        assert "bound_case1 = 1.0" in result.stdout
-
-    def test_check_reports_prediction(self, presets_dir):
-        result = run_cli("check", str(presets_dir / "example1.cfg"))
-        assert result.returncode == 0
-        verdict = json.loads(result.stdout)
-        assert verdict["solvable"]
-        assert verdict["predicted_value"] == pytest.approx(-1 / 3, abs=1e-9)
-
     @pytest.mark.parametrize("preset", ["example1.cfg", "example2.cfg", "example3.cfg"])
     def test_output_is_strict_json(self, tmp_path, presets_dir, capsys, preset):
         cfg = str(presets_dir / preset)
@@ -507,6 +495,37 @@ class TestCliSubcommands:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == code
         assert json.loads((tmp_path / "verdict.json").read_text())["measured_final_disagreement"] == 4.0
 
+    def test_overflowing_back_substitution_gives_a_nan_residual(self, tmp_path, capsys):
+        # today's behaviour on weights from 5e-54 to 3e146 (ROADMAP item 24): GTH's back
+        # substitution in `spectral` overflows, numpy warns twice, and the residual check
+        # refuses the NaN nu, where nu^T x0 is 3.0 exactly (`exact_nu` on the graph's
+        # weights).  A fix of item 25 changes these asserts knowingly.
+        (tmp_path / "g.edges").write_text(
+            "n 3\n1 2 3.0105743252843423e+146\n2 1 4.006566687510649e-45\n"
+            "2 3 8.009046823899683e+91\n3 2 5.286046359432983e-54\n")
+        cfg = write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 0\nh = 3.321625351021858e-147\n"
+                                  "x0 = 1, 2, 3\n")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["check", str(cfg)]) == 2
+        assert [str(w.message) for w in caught] == [
+            "overflow encountered in matmul", "invalid value encountered in divide"]
+        assert capsys.readouterr() == ("", "error: nu residual |P^T nu - nu| = nan\n")
+
+    def test_subnormal_matrix_entry_gives_a_wrong_value(self, tmp_path, capsys):
+        # today's behaviour on weights from 4e-261 to 5e61 (ROADMAP item 24): P's entry
+        # h * a_23 is the subnormal 8e-323, which keeps one significant digit, so nu_2 is
+        # 0.8% off and `check` exits 0 with a wrong value, where nu^T x0 is
+        # 2.736912747337029 exactly (`exact_nu` on the graph's weights).  A fix of item
+        # 25 changes these asserts knowingly.
+        (tmp_path / "g.edges").write_text(
+            "n 3\n3 1 8.970917864987855e-239\n1 2 7.853102039269813e+38\n"
+            "1 3 4.7665518465422825e+61\n2 3 4.1399020230293775e-261\n")
+        cfg = write_cfg(tmp_path, "graph = g.edges\ncase = 1\nm = 0\nh = 1.888157370307157e-62\n"
+                                  "x0 = 1, 2, 3\n")
+        assert main(["check", str(cfg)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["solvable"] is True and verdict["predicted_value"] == 2.7390838059790044
+
     @pytest.mark.parametrize(
         "case, spread, predicted", [(1, 26.9, -1 / 3), (3, 1.9, 0.0)], ids=["case1", "case3"]
     )
@@ -574,13 +593,6 @@ class TestCliSubcommands:
             main(["check", config, "--x0", "--h", "0.2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: argument --x0: expected one argument\n")
-
-    def test_matrix_dump_is_row_stochastic(self, presets_dir):
-        result = run_cli("matrix", str(presets_dir / "example1.cfg"))
-        rows = [list(map(float, line.split(","))) for line in result.stdout.strip().splitlines()]
-        assert len(rows) == 6
-        for row in rows:
-            assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("key", sorted(OVERRIDES))
     def test_flag_equals_file_entry(self, tmp_path, capsys, key):

@@ -1,7 +1,8 @@
 """The package that imports nothing, the OpenBLAS spin timeout the CLI sets
 before numpy loads, the import-time heap the CLI alone freezes against
 garbage collection, importing with collection off, the CLI's import that
-loads no dataclass, and the names no module defines any more.
+loads no dataclass, and the names no package module defines any more,
+the moved ones being test oracles in tests/oracles.py.
 Each test but the last runs a fresh interpreter whose environment holds
 neither OpenBLAS timeout variable unless the test presets one."""
 
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import hybridconsensus
+import oracles
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
@@ -118,19 +120,20 @@ def test_no_record_is_a_dataclass():
 
 # test oracles, not package API: the tests hold them in tests/oracles.py
 MOVED = (
-    "continuous_interpolant", "gossip_interpolant", "gossip_pair_matrix", "has_spanning_tree",
-    "iteration_matrix", "nonconsensus_witness", "sia_limit", "simulate_gossip", "write_edge_list",
+    "continuous_interpolant", "gossip_pair_matrix", "has_spanning_tree", "iteration_matrix",
+    "nonconsensus_witness", "sia_limit", "simulate_gossip", "write_edge_list",
 )
 # cases 1 and 2 share one builder, one bound and one gain function: `case_matrix`,
 # `bound` and `gains` take the case; case 3's matrix is `case_matrix` too, the
 # measured disagreement is computed by `verify_run` alone, the
 # `StochasticMatrix` constructor checks every matrix it builds, `run` writes
 # both its files through `write_replacing`, `verdict_json` takes the verdict, and
-# the loaded config is a namespace over the `KEYS` table
+# the loaded config is a namespace over the `KEYS` table; the case-3 pair gains
+# have one test reference, `oracles.pair_gains_at`
 REMOVED = (
     "ExperimentConfig", "bound_case1", "bound_case2", "bound_case3", "case1_matrix",
     "case2_gain", "case2_matrix", "check_stochastic", "disagreement", "gossip_expected_matrix",
-    "verdict_report", "write_trajectory_csv", "write_verdict_json",
+    "gossip_interpolant", "verdict_report", "write_trajectory_csv", "write_verdict_json",
 )
 
 
@@ -142,3 +145,4 @@ def test_no_module_defines_a_moved_or_removed_name():
     assert len(modules) == 10
     defined = {name for module in modules for name in vars(module)}
     assert not defined & set(MOVED + REMOVED)
+    assert set(MOVED) <= set(vars(oracles)) and not set(REMOVED) & set(vars(oracles))
