@@ -67,6 +67,12 @@ fails 1 "error: bad value for 'h': could not convert string to float: 'abc'" \
 fails 1 "error: bad value for 'x0': could not convert string to float: 'paper'" hybridconsensus check presets/example1.cfg --x0 paper
 # every comma field is a value: an empty one is no value to drop
 fails 1 "error: bad value for 'x0': could not convert string to float: ''" hybridconsensus check presets/example1.cfg --x0=1,,2,3,4,5,6
+# 10^18 vertices: the reader's order key reaches n * (n + 1), which overflows an index, so
+# the header is refused before anything n long is allocated (a MemoryError escaped before)
+printf 'n 1000000000000000000\n1 2 1.0\n2 1 1.0\n' > "$out/huge.edges"
+printf 'graph = huge.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n' > "$out/huge.cfg"
+fails 1 "error: $(cd "$out" && pwd -P)/huge.edges:1: no room for 1000000000000000000 vertices: n * (n + 1) overflows an index" \
+  hybridconsensus check "$out/huge.cfg"
 # a missing config file is I/O (exit 1), reported with the OS's message
 fails 1 "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'" \
   hybridconsensus check /nonexistent/exp.cfg

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +87,8 @@ class WeightedDigraph:
             a.setflags(write=False)
         self.n, self.rows, self.cols, self.vals, self.in_degrees = n, rows, cols, vals, degrees
 
-    @cached_property
     def is_symmetric(self) -> bool:
-        """a_ij = a_ji for every pair (computed on first use)."""
+        """a_ij = a_ji for every pair."""
         transpose = sorted_entries(self.n, self.cols, self.rows, self.vals)
         return all(map(np.array_equal, transpose, (self.rows, self.cols, self.vals)))
 

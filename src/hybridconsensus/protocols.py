@@ -76,7 +76,7 @@ class GossipSchedule:
     """
 
     def __init__(self, graph: WeightedDigraph, probs):
-        if not graph.is_symmetric:
+        if not graph.is_symmetric():
             raise ConsensusError("gossip requires a symmetric graph")
         e = len(graph.vals)  # each edge twice, so 2 / e is 1 / |E| to the bit
         uniform = isinstance(probs, str) and probs == "uniform"

@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +15,6 @@ PRESETS = Path(__file__).resolve().parents[1] / "presets"
 @pytest.fixture
 def presets_dir() -> Path:
     return PRESETS
-
-
-def run_cli(*args, env=None) -> subprocess.CompletedProcess:
-    """`python -m hybridconsensus ARGS` in a fresh interpreter, its output captured as text."""
-    return subprocess.run(
-        [sys.executable, "-m", "hybridconsensus", *args], capture_output=True, text=True, env=env
-    )
 
 
 def two_node(m: int, h: float = 0.2, x0=(0.0, 1.0), probs=None) -> HybridSystem:

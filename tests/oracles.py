@@ -74,17 +74,6 @@ def nonconsensus_witness(sys: HybridSystem) -> np.ndarray:
     return x0
 
 
-def write_edge_list(g: WeightedDigraph, path: str | Path) -> None:
-    """Write the edge-list format; weights use repr so reads are bit-exact."""
-    lines, a = [f"n {g.n}"], dense(g)
-    for i in range(g.n):
-        for j in range(g.n):
-            w = a[i, j]
-            if w > 0:
-                lines.append(f"{i + 1} {j + 1} {float(w)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_edge_list_by_line(path: Path) -> tuple[np.ndarray, ...]:
     """(rows, cols, vals, in-degrees) of the edge-list file `path`, whose
     header is taken as valid, or the reader's `ParseError`.  Each line is

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from hybridconsensus.cli import main
 from hybridconsensus.engine import RunConfig, monte_carlo_mean, simulate_deterministic
 from hybridconsensus.protocols import HybridSystem, case_matrix, gains, pair_gains
 from hybridconsensus.spectral import left_eigenvector
@@ -30,7 +31,6 @@ from conftest import (
     random_spanning_graph,
     random_split_graph,
     random_symmetric_connected,
-    run_cli,
     undirected_ring_with_chord,
 )
 
@@ -234,8 +234,7 @@ def test_criterion_7_benchmark_examples_via_cli(tmp_path):
     h = 0.2, m = 3) converge and the CLI exits 0."""
     for idx in (1, 2, 3):
         out = tmp_path / f"ex{idx}"
-        result = run_cli("run", str(PRESETS / f"example{idx}.cfg"), "--out", str(out))
-        assert result.returncode == 0, f"example{idx}: {result.stderr}"
+        assert main(["run", str(PRESETS / f"example{idx}.cfg"), "--out", str(out)]) == 0, idx
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["solvable"] and verdict["converged"], f"example{idx}: {verdict}"
     report("7 benchmark examples via CLI", True, "cases 1-3 converged, exit 0")
@@ -252,8 +251,7 @@ def test_criterion_8_determinism(tmp_path):
     for preset, flags in runs.items():
         for tag in ("a", "b"):
             out = tmp_path / preset / tag
-            result = run_cli("run", str(PRESETS / f"{preset}.cfg"), *flags, "--out", str(out))
-            assert result.returncode == 0, result.stderr
+            assert main(["run", str(PRESETS / f"{preset}.cfg"), *flags, "--out", str(out)]) == 0
             outs[preset, tag] = [(out / f).read_bytes() for f in ("trajectory.csv", "verdict.json")]
     same = [p for p in runs if outs[p, "a"] == outs[p, "b"]]
     report("8 determinism", same == list(runs), f"identical trajectory and verdict bytes: {same}")

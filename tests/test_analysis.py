@@ -145,14 +145,13 @@ class TestDecide:
 
     def test_one_symmetry_check_per_command(self, monkeypatch, tmp_path, presets_dir):
         # case-3 check computed the graph's symmetry twice, and run three times
-        calls, symmetric = [], WeightedDigraph.is_symmetric
-        real = symmetric.func
+        calls, real = [], WeightedDigraph.is_symmetric
 
         def counting(graph):
             calls.append(graph.n)
             return real(graph)
 
-        monkeypatch.setattr(symmetric, "func", counting)
+        monkeypatch.setattr(WeightedDigraph, "is_symmetric", counting)
         cfg = str(presets_dir / "example3.cfg")
         for args in (["check", cfg], ["run", cfg, "--steps", "5", "--trials", "4", "--out", str(tmp_path)]):
             calls.clear()

@@ -9,7 +9,6 @@ from hybridconsensus.config import KEYS, load_config
 from hybridconsensus.errors import ConsensusError, ParseError
 from hybridconsensus.protocols import case_matrix
 from oracles import PAPER_X0, exact_nu
-from conftest import run_cli
 
 
 def strict_json(text):
@@ -186,11 +185,11 @@ REFUSED = {
 
 
 class TestCliExitCodes:
-    def test_missing_config_is_io_error(self):
+    def test_missing_config_is_io_error(self, capsys):
         # the OS's own message: the error used to name the path alone, with no reason
-        result = run_cli("run", "/nonexistent/exp.cfg")
-        assert result.returncode == 1
-        assert result.stderr == "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'\n"
+        assert main(["run", "/nonexistent/exp.cfg"]) == 1
+        err = "error: [Errno 2] No such file or directory: '/nonexistent/exp.cfg'\n"
+        assert capsys.readouterr().err == err
 
     def test_config_directory_is_io_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path)]) == 1
@@ -204,22 +203,20 @@ class TestCliExitCodes:
         assert main(["check", str(cfg)]) == 1
         assert f"{where}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_missing_graph_is_io_error(self, tmp_path):
+    def test_missing_graph_is_io_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "graph = missing.edges\ncase = 1\nm = 1\nh = 0.1\nx0 = 0, 1\n")
-        result = run_cli("run", str(cfg))
-        assert result.returncode == 1
+        assert main(["run", str(cfg)]) == 1
         missing = (tmp_path / "missing.edges").resolve()
-        assert result.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
-    def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path):
+    def test_vertex_count_beyond_memory_is_parse_error(self, tmp_path, capsys):
         # 10^18 vertices: their in-degrees alone need 7 EiB, and the reader's sort key i * n + j
         # reaches n * (n + 1), which overflows, so the header is rejected on every host; a count
         # the reader cannot allocate used to escape as a MemoryError traceback
         (tmp_path / "g.edges").write_text("n 1000000000000000000\n1 2 1.0\n2 1 1.0\n")
-        result = run_cli("check", str(write_cfg(tmp_path, SMALL_CFG)))
-        assert result.returncode == 1
+        assert main(["check", str(write_cfg(tmp_path, SMALL_CFG))]) == 1
         message = f"no room for {10**18} vertices: n * (n + 1) overflows an index"
-        assert result.stderr == f"error: {(tmp_path / 'g.edges').resolve()}:1: {message}\n"
+        assert capsys.readouterr().err == f"error: {(tmp_path / 'g.edges').resolve()}:1: {message}\n"
 
     @pytest.mark.parametrize("command", ["check", "bounds", "matrix", "run"])
     @pytest.mark.parametrize("config, flags, code, message, by_matrix", REFUSED.values(),
@@ -247,11 +244,12 @@ class TestCliExitCodes:
             # a 6-vertex graph got the paper's x(0) when the config named no x0
             (SMALL_CFG.replace("x0 = 0, 1\n", ""), RING6, "missing required key 'x0'"),
             (SMALL_CFG, "", "{graph}: missing 'n <count>' header"),
+            (SMALL_CFG, "1 2 1.0\n", "{graph}:1: expected header 'n <count>'"),
             (SMALL_CFG, "n two\n", "{graph}:1: bad vertex count"),
             (SMALL_CFG, "n 0\n", "{graph}:1: vertex count must be positive"),
         ],
         ids=["duplicate-key", "missing-key", "bad-int", "missing-h", "missing-x0", "empty-graph",
-             "bad-vertex-count", "zero-vertices"],
+             "no-header", "bad-vertex-count", "zero-vertices"],
     )
     def test_input_error_is_parse_error(self, tmp_path, capsys, config, graph, message):
         (tmp_path / "g.edges").write_text(graph)
@@ -346,11 +344,8 @@ class TestCliExitCodes:
 
     def test_dense_grid_ends_exactly_at_h(self, tmp_path, presets_dir):
         # 10 * (0.103 / 10) rounds above 0.103; the last dense point must sit at h
-        result = run_cli(
-            "run", str(presets_dir / "example1.cfg"), "--h", "0.103", "--steps", "600",
-            "--out", str(tmp_path),
-        )
-        assert result.returncode == 0, result.stderr
+        args = [str(presets_dir / "example1.cfg"), "--h", "0.103", "--steps", "600"]
+        assert main(["run", *args, "--out", str(tmp_path)]) == 0
         # every interval's last dense row sits at t_k + h, none beyond it
         last_dense, t_k = {}, None
         for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]:
@@ -402,16 +397,17 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "converged = False does not match solvable = True\n"
         assert json.loads((out / "verdict.json").read_text())["converged"] is False
 
-    def test_overflowing_gossip_mean_writes_no_file(self, tmp_path, presets_dir):
+    def test_overflowing_gossip_mean_writes_no_file(self, tmp_path, presets_dir, capsys):
         # ROADMAP item 21: x0 starts at consensus, but the mean over 1,000 trials sums
         # 1,000 copies of 1e306 and overflows (with --trials 2 the run exits 0).  numpy
         # warns, and strict JSON refuses the NaN spread; its fix moves example3's pins
         out = tmp_path / "out"
-        result = run_cli("run", str(presets_dir / "example3.cfg"),
-                         "--x0=1e306,1e306,1e306,1e306,1e306,1e306", "--out", str(out))
-        assert result.returncode == 2
-        last = result.stderr.splitlines()[-1]
-        assert last == "error: Out of range float values are not JSON compliant: nan"
+        args = [str(presets_dir / "example3.cfg"), "--x0=1e306,1e306,1e306,1e306,1e306,1e306"]
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["run", *args, "--out", str(out)]) == 2
+        assert {str(w.message) for w in caught} == {"overflow encountered in reduce"}
+        err = "error: Out of range float values are not JSON compliant: nan\n"
+        assert capsys.readouterr() == ("", err)
         assert not (out / "trajectory.csv").exists() and not (out / "verdict.json").exists()
 
 

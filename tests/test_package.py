@@ -121,7 +121,7 @@ def test_no_record_is_a_dataclass():
 # test oracles, not package API: the tests hold them in tests/oracles.py
 MOVED = (
     "continuous_interpolant", "gossip_pair_matrix", "has_spanning_tree", "iteration_matrix",
-    "nonconsensus_witness", "sia_limit", "simulate_gossip", "write_edge_list",
+    "nonconsensus_witness", "sia_limit", "simulate_gossip",
 )
 # cases 1 and 2 share one builder, one bound and one gain function: `case_matrix`,
 # `bound` and `gains` take the case; case 3's matrix is `case_matrix` too, the
@@ -129,11 +129,13 @@ MOVED = (
 # `StochasticMatrix` constructor checks every matrix it builds, `run` writes
 # both its files through `write_replacing`, `verdict_json` takes the verdict, and
 # the loaded config is a namespace over the `KEYS` table; the case-3 pair gains
-# have one test reference, `oracles.pair_gains_at`
+# have one test reference, `oracles.pair_gains_at`; the edge-list round trip is
+# `test_edge_form_matches_dense_formula`'s, which writes its own lines
 REMOVED = (
     "ExperimentConfig", "bound_case1", "bound_case2", "bound_case3", "case1_matrix",
     "case2_gain", "case2_matrix", "check_stochastic", "disagreement", "gossip_expected_matrix",
-    "gossip_interpolant", "verdict_report", "write_trajectory_csv", "write_verdict_json",
+    "gossip_interpolant", "verdict_report", "write_edge_list", "write_trajectory_csv",
+    "write_verdict_json",
 )
 
 

@@ -17,7 +17,7 @@ from hybridconsensus.protocols import (
     gains,
 )
 from hybridconsensus.spectral import StochasticMatrix, left_eigenvector
-from oracles import continuous_interpolant, dense, digraph, gossip_pair_matrix, iteration_matrix
+from oracles import continuous_interpolant, dense, digraph, gossip_pair_matrix
 from conftest import (
     random_spanning_graph,
     random_symmetric_connected,
@@ -326,14 +326,3 @@ class TestInterpolants:
                 for i in range(3):
                     got = continuous_interpolant(case, sys, x, i, h)
                     assert abs(got - M[i] @ x) < 1e-12
-
-
-class TestIterationMatrix:
-    def test_random_gains_stochastic_positive_diagonal(self):
-        rng = np.random.default_rng(79)
-        for _ in range(20):
-            g = random_spanning_graph(rng, 6, extra=6, w_lo=0.1)
-            d = g.in_degrees
-            gains = np.array([rng.uniform(0.05, 0.95) / d[i] if d[i] > 0 else 1.0 for i in range(6)])
-            M = dense(iteration_matrix(g, gains))
-            assert np.diag(M).min() > 0
